@@ -87,18 +87,10 @@ def taylor_galerkin_increment(state: State, mesh: Mesh, params: PhysicalParams,
 def _lumped_projection(mesh: Mesh, r_half, r_start):
     """M_L^-1 [ M (r_half + r_start) - element-mean integral of r_start ].
 
-    Element-level form of the projected right side; the consistent-mass
-    action and the mean term are scattered in element index order.
+    Evaluated as M_L^-1 (M r_half + K r_start) with the sparse pair
+    (M, K = M - P) that the mesh assembles once and caches
+    (:attr:`swsplit.mesh.Mesh.projection_operators`); P is the
+    element-mean operator.
     """
-    tris = mesh.triangles
-    areas = mesh.areas
-    w = r_half + r_start
-    w_el = w[tris]                       # (E, 3)
-    w_sum = w_el.sum(axis=1)
-    mean_el = r_start[tris].sum(axis=1) / 3.0
-    # consistent mass row action: (A/12) (w_j + sum_element w)
-    contrib = (areas / 12.0)[:, None] * (w_el + w_sum[:, None]) \
-        - (areas / 3.0 * mean_el)[:, None]
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, tris.ravel(), contrib.ravel())
-    return rhs / mesh.lumped_area
+    M, K = mesh.projection_operators
+    return (M @ r_half + K @ r_start) / mesh.lumped_area

@@ -41,14 +41,41 @@ class FemMatrices:
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
+def _scatter(mesh: Mesh, el) -> sp.csr_matrix:
+    """Sum (n_tris, 3, 3) element blocks into a global CSR matrix."""
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = mesh.n_nodes
+    mat = sp.coo_matrix((np.ascontiguousarray(el).ravel(), (rows, cols)),
+                        shape=(n, n)).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """Consistent P1 mass matrix M."""
+    return _scatter(mesh, mesh.areas[:, None, None] * _MASS_PATTERN)
+
+
+def projection_operators(mesh: Mesh):
+    """Pair (M, K) of the explicit sub-step's Galerkin projection.
+
+    K = M - P, where P is the element-mean operator with A/9 in every
+    entry of an element block, so the projected right side of a sub-step
+    is M r_half + K r_start.  :attr:`Mesh.projection_operators` caches
+    this pair on first use.
+    """
+    areas = mesh.areas[:, None, None]
+    return mass_matrix(mesh), _scatter(mesh, areas * (_MASS_PATTERN - 1.0 / 9.0))
+
+
 def assemble(mesh: Mesh) -> FemMatrices:
     """Assemble M, M_L, S, Q1, Q2 over all elements of ``mesh``."""
     tris = mesh.triangles
     areas = mesh.areas
     grads = mesh.grads
-    n = mesh.n_nodes
 
-    mass_el = areas[:, None, None] * _MASS_PATTERN
     hbar = mesh.depth[tris].mean(axis=1)
     stiff_el = (areas * hbar)[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
     # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
@@ -56,20 +83,9 @@ def assemble(mesh: Mesh) -> FemMatrices:
     q1_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 0])[:, None, :], shape)
     q2_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 1])[:, None, :], shape)
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-
-    def to_csr(el):
-        mat = sp.coo_matrix((np.ascontiguousarray(el).ravel(), (rows, cols)),
-                            shape=(n, n)).tocsr()
-        mat.sort_indices()
-        return mat
-
-    M = to_csr(mass_el)
-    S = to_csr(stiff_el)
-    Q1 = to_csr(q1_el)
-    Q2 = to_csr(q2_el)
-    return FemMatrices(M=M, M_L=lump(M), S=S, Q1=Q1, Q2=Q2)
+    M = mass_matrix(mesh)
+    return FemMatrices(M=M, M_L=lump(M), S=_scatter(mesh, stiff_el),
+                       Q1=_scatter(mesh, q1_el), Q2=_scatter(mesh, q2_el))
 
 
 def lump(M: sp.csr_matrix) -> np.ndarray:

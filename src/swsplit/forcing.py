@@ -38,6 +38,11 @@ class TimeSeries:
     def constant_value(cls, values, name="constant"):
         return cls([0.0], [np.atleast_1d(values)], name=name)
 
+    def require(self, t_first: float, t_last: float):
+        """Raise ForcingError unless [t_first, t_last] is sampled."""
+        self.at(t_first)
+        self.at(t_last)
+
     def at(self, t: float) -> np.ndarray:
         if self.constant:
             return self.values[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,9 @@ def triangle_geometry(coords):
 class Mesh:
     """Validated triangulation with precomputed P1 geometry.
 
-    Immutable after construction; safe for shared concurrent reads.
+    Immutable after construction apart from
+    :attr:`projection_operators`, which is assembled on first use and
+    then cached; safe for shared concurrent reads.
     """
 
     coords: np.ndarray      # (n_nodes, 2)
@@ -102,6 +105,17 @@ class Mesh:
 
     def total_area(self) -> float:
         return float(np.sum(self.areas))
+
+    @cached_property
+    def projection_operators(self):
+        """Sparse pair (M, K) of the explicit sub-step's projection.
+
+        Built by :func:`swsplit.fem.projection_operators` on the first
+        sub-step rather than in :func:`build_mesh`, so it never adds to
+        the peak of the mesh parser.
+        """
+        from .fem import projection_operators   # fem imports this module
+        return projection_operators(self)
 
 
 def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:

@@ -153,8 +153,8 @@ def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> Gat
 
     Nodal drag rates use the current speed (floored at U_FLOOR) and the
     clamped total height; the verdict is tau < min over nodes of tau_c.
-    tau_c is evaluated once per distinct drag value (it is not assumed
-    monotone in the drag).
+    tau_c is evaluated at every node in one array call (it is not assumed
+    monotone in the drag); ties go to the lowest node index.
     """
     h_tot = total_height(state.eta, mesh, params)
     speed = np.hypot(state.u1, state.u2)
@@ -162,9 +162,7 @@ def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> Gat
     speed = np.maximum(speed, U_FLOOR)
     drag = params.g * speed / (params.k1 ** 2 * h_tot)
 
-    unique, inverse = np.unique(drag, return_inverse=True)
-    tau_c_unique = np.array([critical_time_step_for_drag(params.k0, d) for d in unique])
-    tau_c = tau_c_unique[inverse]
+    tau_c = critical_time_step_for_drag(params.k0, drag)
     worst = int(np.argmin(tau_c))
     min_tau_c = float(tau_c[worst])
     return GateVerdict(passed=bool(tau < min_tau_c), tau=tau,
@@ -254,10 +252,11 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
 
     track(state)
     summary.mass_final = mass0
-    if sinks is not None:
-        sinks.snapshot(0, state)
-        sinks.gauges(state)
     try:
+        _check_forcing_coverage(state.t, mesh, cfg, forcings)
+        if sinks is not None:
+            sinks.snapshot(0, state)
+            sinks.gauges(state)
         for k in range(1, cfg.n_steps + 1):
             state, info = step(state, mesh, matrices, params, cfg, forcings)
             summary.steps = k
@@ -287,6 +286,23 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         if sinks is not None:
             sinks.close()
     return summary
+
+
+def _check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
+    """Raise ForcingError unless the series cover every time the run reads.
+
+    The wind is read at each sub-step start, up to t_end - tau, and the
+    tide (only with open nodes) at each step end, up to t_end.  Step
+    starts are accumulated exactly as :func:`step` advances the clock.
+    """
+    if cfg.n_steps == 0:
+        return
+    t_last = t0
+    for _ in range(cfg.n_steps - 1):
+        t_last += cfg.tau_tilde
+    forcings.wind.require(t0, t_last + (cfg.n_sub - 1) * cfg.tau)
+    if mesh.open_nodes.size:
+        forcings.tide.require(t0 + cfg.tau_tilde, t_last + cfg.tau_tilde)
 
 
 def _on_interval(t, interval):

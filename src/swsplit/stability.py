@@ -151,10 +151,6 @@ def modulus_cubic_coefficients(k0, D):
     return a, b, c, d
 
 
-def _real_cbrt(x):
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _bisect_cubic(a, b, c, d, lo=0.0, hi=1e6):
     f = lambda t: ((a * t - b) * t + c) * t - d
     if not (f(lo) < 0.0 < f(hi)):
@@ -168,6 +164,9 @@ def _bisect_cubic(a, b, c, d, lo=0.0, hi=1e6):
     return 0.5 * (lo + hi)
 
 
+_CBRT2 = 2.0 ** (1.0 / 3.0)
+
+
 def critical_time_step(a, b, c, d):
     """Real positive root of a t^3 - b t^2 + c t - d = 0 in closed form.
 
@@ -177,32 +176,38 @@ def critical_time_step(a, b, c, d):
         tau_c = b/(3a) - 2^(1/3) (-b^2 + 3 a c) / (3 a q^(1/3))
                 + q^(1/3) / (2^(1/3) 3 a)
 
-    with real cube roots.  A negative discriminant (three real roots) or a
-    vanishing resolvent falls back to bisection; the triple-root case
-    q = 0, -b^2 + 3ac = 0 returns b/(3a) directly.
+    with real cube roots.  A negative discriminant (three real roots), a
+    vanishing resolvent or a root that fails the residual check falls
+    back to bisection; the triple-root case q = 0, -b^2 + 3ac = 0
+    returns b/(3a) directly.
 
-    Raises ``ValueError`` when d <= 0 (D = 0 regime: no positive root, the
-    scheme is never convergent).
+    The coefficients may be scalars or broadcastable numpy arrays: scalar
+    inputs return a float, array inputs an array of roots, one per entry,
+    and only the entries that need it are bisected.
+
+    Raises ``ValueError`` when any entry has d <= 0 (D = 0 regime: no
+    positive root, the scheme is never convergent).
     """
-    if a <= 0.0 or d <= 0.0:
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
+    shape = a.shape
+    a, b, c, d = (x.ravel() for x in (a, b, c, d))
+    if np.any(a <= 0.0) or np.any(d <= 0.0):
         raise ValueError("no positive root: requires a > 0 and d > 0 (D != 0)")
     p0 = -b * b + 3.0 * a * c
     p1 = 2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d
     disc = 4.0 * p0 ** 3 + p1 * p1
-    if disc < 0.0:
-        return _bisect_cubic(a, b, c, d)
-    q = p1 + math.sqrt(disc)
-    if q == 0.0:
-        if p0 == 0.0:
-            return b / (3.0 * a)
-        return _bisect_cubic(a, b, c, d)
-    cr = _real_cbrt(q)
-    cbrt2 = 2.0 ** (1.0 / 3.0)
-    tau_c = b / (3.0 * a) - cbrt2 * p0 / (3.0 * a * cr) + cr / (cbrt2 * 3.0 * a)
-    residual = ((a * tau_c - b) * tau_c + c) * tau_c - d
-    if not (tau_c > 0.0 and abs(residual) < 1e-9 * d):
-        return _bisect_cubic(a, b, c, d)
-    return tau_c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = p1 + np.sqrt(disc)
+        cr = np.copysign(np.abs(q) ** (1.0 / 3.0), q)
+        tau_c = b / (3.0 * a) - _CBRT2 * p0 / (3.0 * a * cr) + cr / (_CBRT2 * 3.0 * a)
+        residual = ((a * tau_c - b) * tau_c + c) * tau_c - d
+    triple = (q == 0.0) & (p0 == 0.0)
+    tau_c = np.where(triple, b / (3.0 * a), tau_c)
+    # a negative discriminant leaves tau_c nan, which fails tau_c > 0
+    ok = triple | ((q != 0.0) & (tau_c > 0.0) & (np.abs(residual) < 1e-9 * d))
+    for i in np.flatnonzero(~ok):
+        tau_c[i] = _bisect_cubic(a[i], b[i], c[i], d[i])
+    return float(tau_c[0]) if shape == () else tau_c.reshape(shape)
 
 
 def is_convergent_cubic(tau, k0, D):
@@ -218,10 +223,18 @@ def is_convergent_modulus(tau, k0, D):
 
 
 def critical_time_step_for_drag(k0, D):
-    """tau_c of the cubic criterion, nan when D == 0."""
-    if D == 0.0:
-        return math.nan
-    return critical_time_step(*cubic_coefficients(k0, D))
+    """tau_c of the cubic criterion, nan where D == 0.
+
+    ``D`` is a scalar (returns a float) or an array (returns an array,
+    one tau_c per entry, all evaluated in one pass of
+    :func:`critical_time_step`); ``k0`` is a scalar.
+    """
+    D = np.asarray(D, dtype=float)
+    tau_c = np.full(D.shape, np.nan)
+    live = D != 0.0
+    if np.any(live):
+        tau_c[live] = critical_time_step(*cubic_coefficients(k0, D[live]))
+    return float(tau_c) if tau_c.ndim == 0 else tau_c
 
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
-three-point Gauss rule (edge midpoints, exact for quadratics), roots
-from bisection.
+three-point Gauss rule (edge midpoints, exact for quadratics), the
+sub-step projection from an element gather/scatter, roots from
+bisection.
 """
 from __future__ import annotations
 
@@ -163,6 +164,29 @@ def dense_global_oracle(mesh: Mesh):
                 Q1[tri[a], tri[b]] += Q1e[a, b]
                 Q2[tri[a], tri[b]] += Q2e[a, b]
     return M, S, Q1, Q2
+
+
+# ------------------------------------------------------ projection oracle
+
+def element_lumped_projection(mesh: Mesh, r_half, r_start):
+    """M_L^-1 [ M (r_half + r_start) - element-mean integral of r_start ].
+
+    Element-level form of the explicit sub-step's projected right side:
+    gathers each element's nodal values and scatters the consistent-mass
+    action and the mean term back in element index order.
+    """
+    tris = mesh.triangles
+    areas = mesh.areas
+    w = r_half + r_start
+    w_el = w[tris]                       # (E, 3)
+    w_sum = w_el.sum(axis=1)
+    mean_el = r_start[tris].sum(axis=1) / 3.0
+    # consistent mass row action: (A/12) (w_j + sum_element w)
+    contrib = (areas / 12.0)[:, None] * (w_el + w_sum[:, None]) \
+        - (areas / 3.0 * mean_el)[:, None]
+    rhs = np.zeros(mesh.n_nodes)
+    np.add.at(rhs, tris.ravel(), contrib.ravel())
+    return rhs / mesh.lumped_area
 
 
 # --------------------------------------------------------- cubic oracle

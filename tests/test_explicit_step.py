@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import jittered_mesh, rect_mesh, two_triangle_square
-from swsplit.explicit_step import (source_terms, taylor_galerkin_increment,
-                                   total_height)
+from helpers import (element_lumped_projection, jittered_mesh, rect_mesh,
+                     two_triangle_square)
+from swsplit.explicit_step import (_lumped_projection, source_terms,
+                                   taylor_galerkin_increment, total_height)
+from swsplit.mesh import load_mesh
 from swsplit.stability import PhysicalParams, source_update_matrix
 from swsplit.state import State
 
@@ -40,6 +44,38 @@ class TestSourceTerms:
         eta = np.full(mesh.n_nodes, -0.2)   # would drive H + eta negative
         h = total_height(eta, mesh, params)
         assert np.all(h == params.h_min)
+
+
+DEMO_MESH = Path(__file__).resolve().parent.parent / "demo" / "channel.mesh"
+
+
+class TestLumpedProjection:
+    @staticmethod
+    def assert_matches_oracle(mesh, rng):
+        for _ in range(3):
+            r_half, r_start = rng.standard_normal((2, mesh.n_nodes))
+            got = _lumped_projection(mesh, r_half, r_start)
+            want = element_lumped_projection(mesh, r_half, r_start)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_element_form_on_jittered_meshes(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(4, 30, size=2)
+        mesh = jittered_mesh(nx, ny, rng, scale=rng.uniform(1.0, 1e4))
+        self.assert_matches_oracle(mesh, rng)
+
+    def test_matches_element_form_on_demo_mesh(self, rng):
+        self.assert_matches_oracle(load_mesh(DEMO_MESH), rng)
+
+    def test_operators_built_once_per_mesh(self, params):
+        mesh = rect_mesh(4, 4, 1.0, 1.0, depth=0.5)
+        assert "projection_operators" not in vars(mesh)   # not built with the mesh
+        state = uniform_state(mesh, 0.1, -0.05)
+        taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), 3.0)
+        ops = mesh.projection_operators
+        taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), 3.0)
+        assert mesh.projection_operators is ops
 
 
 class TestTaylorGalerkinIncrement:

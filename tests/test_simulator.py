@@ -3,15 +3,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import channel_mesh, rect_mesh
+from helpers import channel_mesh, jittered_mesh, rect_mesh
+from swsplit.explicit_step import total_height
 from swsplit.fem import assemble
-from swsplit.forcing import Forcings, TimeSeries
+from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
 from swsplit.mesh import OPEN
-from swsplit.simulator import (GateError, OutputWriter, RunConfig,
+from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
                                load_snapshot, mass_integral, run,
                                stability_gate, step)
-from swsplit.stability import (critical_time_step_for_drag,
+from swsplit.stability import (PhysicalParams, critical_time_step_for_drag,
                                drag_coefficient, source_update_matrix)
 from swsplit.state import State, initial_state
 
@@ -98,6 +101,39 @@ class TestStabilityGate:
             assert stability_gate(state, mesh, params, tau).passed
         assert not stability_gate(state, mesh, params,
                                   verdict.min_tau_c + 0.01).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), quantized=st.booleans())
+    def test_matches_per_node_scalar_loop(self, seed, quantized):
+        params = PhysicalParams()
+        rng = np.random.default_rng(seed)
+        shape = rng.integers(3, 12, size=2)
+        if quantized:   # tied drag values, some below the speed floor
+            mesh = jittered_mesh(*shape, rng, scale=1e3, depth=1.5)
+            eta = np.zeros(mesh.n_nodes)
+            u1, u2 = rng.choice([0.0, 2e-4, 0.05, 0.2], (2, mesh.n_nodes))
+        else:
+            mesh = jittered_mesh(*shape, rng, scale=1e3)
+            eta = rng.uniform(-0.5, 0.5, mesh.n_nodes)
+            u1, u2 = rng.uniform(-0.3, 0.3, (2, mesh.n_nodes))
+        n = mesh.n_nodes
+        state = State(eta, u1, u2, 0.0)
+        verdict = stability_gate(state, mesh, params, 3.0)
+
+        h_tot = total_height(eta, mesh, params)
+        worst = None
+        floor_active = False
+        for i in range(n):
+            speed = float(np.hypot(u1[i], u2[i]))
+            floor_active |= speed < U_FLOOR
+            D = params.g * max(speed, U_FLOOR) / (params.k1 ** 2 * h_tot[i])
+            tau_c = critical_time_step_for_drag(params.k0, D)
+            if worst is None or tau_c < worst[0]:
+                worst = (tau_c, i, D)
+        assert verdict.worst_node == worst[1]
+        assert verdict.min_tau_c == pytest.approx(worst[0], rel=1e-12)
+        assert verdict.worst_drag == worst[2]
+        assert verdict.floor_active == floor_active
 
 
 class TestStep:
@@ -294,6 +330,47 @@ class TestRun:
         for name in names_a:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+
+class TestForcingCoverage:
+    """Forcing gaps fault before the first step, not partway through."""
+
+    @staticmethod
+    def channel_run(tmp_path, wind_end, tide_end, params):
+        mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
+        wind_file = tmp_path / "wind.txt"
+        wind_file.write_text(f"0 2 1\n{wind_end!r} 4 -1\n")
+        tide = TimeSeries([0.0, tide_end], [[0.0], [0.4]], name="tide")
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0, duration=500.0)
+        sinks = OutputWriter(tmp_path / "out", mesh)
+        return run(initial_state(mesh.n_nodes), mesh, assemble(mesh), params, cfg,
+                   Forcings(tide=tide, wind=load_wind(wind_file)), sinks=sinks)
+
+    def test_short_wind_faults_before_first_step(self, params, tmp_path):
+        with pytest.raises(ForcingError, match="wind") as exc:
+            self.channel_run(tmp_path, 300.0, 500.0, params)
+        assert exc.value.run_summary.steps == 0
+        assert not exc.value.run_summary.completed
+        assert not list((tmp_path / "out").glob("snap_*.csv"))
+
+    def test_short_tide_faults_before_first_step(self, params, tmp_path):
+        with pytest.raises(ForcingError, match="tide") as exc:
+            self.channel_run(tmp_path, 500.0, 499.0, params)
+        assert exc.value.run_summary.steps == 0
+
+    def test_exact_coverage_runs(self, params, tmp_path):
+        # the last sub-step reads the wind at t_end - tau, the last step
+        # end reads the tide at t_end
+        summary = self.channel_run(tmp_path, 495.0, 500.0, params)
+        assert summary.completed and summary.steps == 5
+
+    def test_closed_basin_ignores_tide(self, params):
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        tide = TimeSeries([0.0, 1.0], [[0.0], [0.1]], name="tide")
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0, duration=300.0)
+        summary = run(initial_state(mesh.n_nodes), mesh, assemble(mesh), params,
+                      cfg, Forcings(tide=tide))
+        assert summary.completed and summary.steps == 3
 
 
 class TestSnapshotIO:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import bisect_root, cubic_value
+from swsplit import stability
 from swsplit.stability import (PhysicalParams, build_report,
                                coupled_amplification_matrix,
                                critical_time_step, critical_time_step_for_drag,
@@ -153,6 +157,58 @@ class TestCriticalTimeStep:
         above = np.linspace(tau_c + 1e-6, tau_c + 10.0, 2000)
         assert all(is_convergent_cubic(t, K0_REF, D_REF) for t in below)
         assert not any(is_convergent_cubic(t, K0_REF, D_REF) for t in above)
+
+
+# physical range of the gate: log-uniform drag rates, Coriolis up to 1e-3
+log_drags = st.floats(-7.0, -1.0).map(lambda e: 10.0 ** e)
+coriolis = st.floats(0.0, 1e-3)
+
+
+class TestCriticalTimeStepArrays:
+    """The array path of the Cardano evaluation against the scalar one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drags=arrays(float, st.integers(1, 40), elements=log_drags), k0=coriolis)
+    def test_matches_scalar_per_entry(self, drags, k0):
+        got = critical_time_step_for_drag(k0, drags)
+        want = np.array([critical_time_step_for_drag(k0, float(D)) for D in drags])
+        assert got.shape == drags.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(drags=arrays(float, st.integers(1, 40),
+                        elements=st.one_of(st.just(0.0), log_drags)), k0=coriolis)
+    def test_zero_drag_gives_nan_at_exactly_those_entries(self, drags, k0):
+        tau_c = critical_time_step_for_drag(k0, drags)
+        assert np.array_equal(np.isnan(tau_c), drags == 0.0)
+        assert np.all(tau_c[drags != 0.0] > 0.0)
+
+    def test_special_branches_inside_an_array_call(self, monkeypatch):
+        bisected = []
+
+        original = stability._bisect_cubic
+
+        def spy(a, b, c, d):
+            bisected.append((float(a), float(b), float(c), float(d)))
+            return original(a, b, c, d)
+
+        monkeypatch.setattr(stability, "_bisect_cubic", spy)
+        ref = cubic_coefficients(K0_REF, D_REF)
+        # triple root at 1; three real roots 1, 2, 3; the reference cubic
+        cubics = np.array([(1.0, 3.0, 3.0, 1.0), (1.0, 6.0, 11.0, 6.0), ref]).T
+        tau_c = critical_time_step(*cubics)
+        assert tau_c[0] == 1.0
+        assert bisected == [(1.0, 6.0, 11.0, 6.0)]
+        assert abs(cubic_value(1.0, 6.0, 11.0, 6.0, tau_c[1])) < 1e-9
+        for i in range(3):
+            assert tau_c[i] == critical_time_step(*cubics[:, i])
+
+    def test_scalar_contract(self):
+        tau_c = critical_time_step(*cubic_coefficients(K0_REF, D_REF))
+        assert type(tau_c) is float
+        assert type(critical_time_step_for_drag(K0_REF, D_REF)) is float
+        with pytest.raises(ValueError, match="no positive root"):
+            critical_time_step(np.array([1.0, 1.0]), 3.0, 3.0, np.array([1.0, 0.0]))
 
 
 class TestVerdicts:
