@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
         wind=load_wind(cfg.wind) if cfg.wind else None,
     )
     if cfg.restart:
-        state = load_snapshot(cfg.restart, mesh.n_nodes)
+        state = load_snapshot(cfg.restart, mesh.n_nodes, coords=mesh.coords)
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
     matrices = assemble(mesh)
@@ -136,7 +136,6 @@ def cmd_run(args) -> int:
         tau=cfg.tau, tau_tilde=cfg.tau_tilde, theta1=cfg.theta1, theta2=cfg.theta2,
         duration=cfg.duration, snapshot_interval=cfg.snapshot_interval,
         gauges=cfg.gauges, gate_mode=cfg.gate_mode, cg_tol=cfg.cg_tol,
-        cg_precondition=cfg.cg_precondition,
         consistent_correction=cfg.consistent_correction,
     )
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)

@@ -61,7 +61,6 @@ class Config:
     restart: str | None = None
     # solver
     cg_tol: float = 1e-10
-    cg_precondition: bool = False
     consistent_correction: bool = False
 
     def to_text(self) -> str:
@@ -91,8 +90,7 @@ _PARSERS = {
     "duration": float, "snapshot_interval": float,
     "gauges": _parse_gauges, "gate_mode": str, "out_dir": str,
     "eta0": float,
-    "cg_tol": float, "cg_precondition": _parse_bool,
-    "consistent_correction": _parse_bool,
+    "cg_tol": float, "consistent_correction": _parse_bool,
 }
 
 

@@ -7,8 +7,9 @@ The elevation increment solves the symmetric positive definite system
                      + tau_tilde theta1 g S eta ]
 
 with prescribed values at open-boundary nodes eliminated symmetrically,
-then the velocity increments follow from a (lumped by default) mass solve
-of  M d_ui = -tau_tilde g Qi (eta + theta2 d_eta).
+solved by CG preconditioned with smoothed-aggregation multigrid; then
+the velocity increments follow from a (lumped by default) mass solve of
+M d_ui = -tau_tilde g Qi (eta + theta2 d_eta).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import scipy.sparse as sp
 from .fem import FemMatrices
 from .forcing import TimeSeries
 from .mesh import Mesh
+from .multigrid import build_hierarchy
 from .state import State
 
 
@@ -53,11 +55,13 @@ class LinearSolveStats:
 
 
 def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
-    """Plain CG for SPD systems, zero initial guess, deterministic.
+    """CG for SPD systems, zero initial guess, deterministic.
 
     Stops when ||r|| / ||b|| <= tol; raises :class:`SolverError` on
     non-convergence or on a non-positive curvature direction (matrix not
-    SPD).  Optional Jacobi preconditioning.
+    SPD).  ``precondition`` is False (plain CG), True (Jacobi) or a
+    callable r -> z applying a symmetric positive definite approximation
+    of A^-1, such as :meth:`multigrid.Hierarchy.vcycle`.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -67,16 +71,18 @@ def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
     if norm_b == 0.0:
         return np.zeros(n), LinearSolveStats(0, 0.0)
 
-    inv_diag = None
-    if precondition:
+    if precondition is True:
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise SolverError("non-positive diagonal, cannot precondition")
         inv_diag = 1.0 / diag
 
+        def precondition(r):
+            return inv_diag * r
+
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r if precondition else r
+    z = precondition(r) if precondition else r
     p = z.copy()
     rz = float(r @ z)
     rel = 1.0
@@ -92,7 +98,7 @@ def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
         rel = float(np.linalg.norm(r)) / norm_b
         if rel <= tol:
             return x, LinearSolveStats(k, rel)
-        z = inv_diag * r if precondition else r
+        z = precondition(r) if precondition else r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -111,34 +117,57 @@ def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh,
     return -cfg.tau_tilde * (flux + cfg.tau_tilde * cfg.theta1 * g * (matrices.S @ state.eta))
 
 
-def solve_elevation(A, rhs, open_nodes, open_values, tol=1e-10, precondition=False):
+class ElevationSolver:
+    """Elevation system with prescribed values at open nodes, set up once.
+
+    Holds the free-node block A_ff of the system matrix A, the
+    free-by-open block A_fo that shifts the right side by the prescribed
+    values, and a smoothed-aggregation multigrid hierarchy of A_ff that
+    preconditions every solve's CG.  A, tau_tilde, theta and the open
+    nodes are fixed over a run, so one solver serves every outer step.
+    """
+
+    def __init__(self, A, open_nodes):
+        # a copy holds nnz entries; a sparse sum such as the Helmholtz
+        # matrix can keep them in a buffer of up to twice that
+        A = sp.csr_matrix(A, copy=True)
+        self.n = A.shape[0]
+        self.open_nodes = np.asarray(open_nodes, dtype=int)
+        free = np.ones(self.n, dtype=bool)
+        free[self.open_nodes] = False
+        self.free = np.flatnonzero(free)
+        if self.open_nodes.size:
+            rows = A[self.free]
+            self.A_ff, self.A_fo = rows[:, self.free], rows[:, self.open_nodes]
+        else:   # nothing to eliminate: no copy of A
+            self.A_ff, self.A_fo = A, sp.csr_matrix((self.n, 0))
+        self.hierarchy = build_hierarchy(self.A_ff) if self.free.size else None
+
+    def solve(self, rhs, open_values, tol=1e-10):
+        """d_eta with A d_eta = rhs on the free nodes and d_eta = open_values
+        on the open nodes; returns (d_eta, stats)."""
+        open_values = np.asarray(open_values, dtype=float)
+        d_eta = np.zeros(self.n)
+        d_eta[self.open_nodes] = open_values
+        if self.free.size == 0:
+            return d_eta, LinearSolveStats(0, 0.0)
+        x_f, stats = conjugate_gradient(self.A_ff, rhs[self.free] - self.A_fo @ open_values,
+                                        tol=tol, precondition=self.hierarchy.vcycle)
+        d_eta[self.free] = x_f
+        return d_eta, stats
+
+
+def solve_elevation(A, rhs, open_nodes, open_values, tol=1e-10):
     """Solve A d_eta = rhs with d_eta prescribed at ``open_nodes``.
 
     The Dirichlet rows/columns are eliminated symmetrically (reduced SPD
     system on the free nodes, right side shifted by the prescribed
-    column block).  Returns (d_eta, stats).
+    column block).  ``A`` is the system matrix, or an
+    :class:`ElevationSolver` already built from it for these open nodes,
+    which skips the set-up.  Returns (d_eta, stats).
     """
-    n = rhs.shape[0]
-    open_nodes = np.asarray(open_nodes, dtype=int)
-    if open_nodes.size == 0:
-        return conjugate_gradient(A, rhs, tol=tol, precondition=precondition)
-
-    open_values = np.asarray(open_values, dtype=float)
-    free = np.ones(n, dtype=bool)
-    free[open_nodes] = False
-    free_idx = np.flatnonzero(free)
-    d_eta = np.zeros(n)
-    d_eta[open_nodes] = open_values
-    if free_idx.size == 0:
-        return d_eta, LinearSolveStats(0, 0.0)
-
-    A_csr = sp.csr_matrix(A)
-    A_ff = A_csr[free_idx][:, free_idx]
-    shift = A_csr[free_idx][:, open_nodes] @ open_values
-    x_f, stats = conjugate_gradient(A_ff, rhs[free_idx] - shift, tol=tol,
-                                    precondition=precondition)
-    d_eta[free_idx] = x_f
-    return d_eta, stats
+    solver = A if isinstance(A, ElevationSolver) else ElevationSolver(A, open_nodes)
+    return solver.solve(rhs, open_values, tol=tol)
 
 
 def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh,

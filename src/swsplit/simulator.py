@@ -9,8 +9,10 @@ the worst node before every outer step.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,9 @@ import numpy as np
 from .explicit_step import SourceIncrement, taylor_galerkin_increment, total_height
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
-from .implicit_step import (LinearSolveStats, ThetaConfig, apply_boundaries,
-                            elevation_rhs, project_land_velocity, solve_elevation,
-                            velocity_correction)
+from .implicit_step import (ElevationSolver, LinearSolveStats, ThetaConfig,
+                            apply_boundaries, elevation_rhs, project_land_velocity,
+                            solve_elevation, velocity_correction)
 from .mesh import Mesh
 from .stability import PhysicalParams, critical_time_step_for_drag
 from .state import State
@@ -56,7 +58,6 @@ class RunConfig:
     gauges: tuple = ()
     gate_mode: str = "enforce"
     cg_tol: float = 1e-10
-    cg_precondition: bool = False
     consistent_correction: bool = False
 
     def __post_init__(self):
@@ -170,12 +171,22 @@ def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> Gat
                        worst_drag=float(drag[worst]), floor_active=floor_active)
 
 
+def elevation_solver(matrices: FemMatrices, mesh: Mesh, cfg: RunConfig, g) -> ElevationSolver:
+    """The run's elevation system: Helmholtz matrix, Dirichlet blocks and
+    multigrid hierarchy, all fixed while H, tau_tilde, theta and the open
+    nodes are."""
+    A = helmholtz_matrix(matrices, cfg.tau_tilde, cfg.theta1, cfg.theta2, g)
+    return ElevationSolver(A, mesh.open_nodes)
+
+
 def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
-         cfg: RunConfig, forcings: Forcings):
+         cfg: RunConfig, forcings: Forcings, solver: ElevationSolver | None = None):
     """Advance one outer step of tau_tilde seconds.
 
-    Returns (new_state, StepInfo).  Raises :class:`GateError` in enforce
-    mode when the gate fails; solver faults propagate.
+    ``solver`` is the run's :func:`elevation_solver`; without one the step
+    builds its own.  Returns (new_state, StepInfo).  Raises
+    :class:`GateError` in enforce mode when the gate fails; solver faults
+    propagate.
     """
     verdict = None
     if cfg.gate_mode != "off":
@@ -207,13 +218,13 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
 
     theta = cfg.theta()
     t_next = state.t + cfg.tau_tilde
-    A = helmholtz_matrix(matrices, cfg.tau_tilde, cfg.theta1, cfg.theta2, params.g)
+    if solver is None:
+        solver = elevation_solver(matrices, mesh, cfg, params.g)
     rhs = elevation_rhs(state, d_star, matrices, mesh, theta, params.g)
     open_nodes = mesh.open_nodes
     open_values = (forcings.tide_at(t_next) - state.eta[open_nodes]
                    if open_nodes.size else np.empty(0))
-    d_eta, cg_stats = solve_elevation(A, rhs, open_nodes, open_values,
-                                      tol=cfg.cg_tol, precondition=cfg.cg_precondition)
+    d_eta, cg_stats = solve_elevation(solver, rhs, open_nodes, open_values, tol=cfg.cg_tol)
     d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, theta,
                                        params.g, consistent=cfg.consistent_correction,
                                        tol=cfg.cg_tol)
@@ -240,11 +251,16 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
 
     ``sinks`` is an optional :class:`OutputWriter`.  On a gate refusal or
     solver fault the partial summary is attached to the raised exception.
+    The elevation solver is built in the first step, so its cost is part
+    of the stepping loop and a run with no steps never builds it.  The
+    mass drift is relative to |initial mass|, or, when that is 0, to the
+    largest |mass| of the run (1 if the mass never leaves 0).
     """
     summary = RunSummary()
     summary.mass_initial = mass_integral(state.eta, matrices)
     mass0 = summary.mass_initial
-    drift_scale = abs(mass0) if abs(mass0) > 0.0 else 1.0
+    drift_scale = abs(mass0)
+    drift_max = 0.0
 
     def track(st):
         summary.eta_min = min(summary.eta_min, float(st.eta.min()))
@@ -257,8 +273,11 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         if sinks is not None:
             sinks.snapshot(0, state)
             sinks.gauges(state)
+        solver = None
         for k in range(1, cfg.n_steps + 1):
-            state, info = step(state, mesh, matrices, params, cfg, forcings)
+            if solver is None:
+                solver = elevation_solver(matrices, mesh, cfg, params.g)
+            state, info = step(state, mesh, matrices, params, cfg, forcings, solver)
             summary.steps = k
             track(state)
             if info.gate is not None and not info.gate.passed:
@@ -267,8 +286,10 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
                 summary.cg_worst = info.cg
             mass = mass_integral(state.eta, matrices)
             summary.mass_final = mass
-            summary.mass_drift_rel = max(summary.mass_drift_rel,
-                                         abs(mass - mass0) / drift_scale)
+            drift_max = max(drift_max, abs(mass - mass0))
+            if mass0 == 0.0:
+                drift_scale = max(drift_scale, abs(mass))
+            summary.mass_drift_rel = drift_max / (drift_scale or 1.0)
             if sinks is not None:
                 sinks.log_step(k, state.t, mass, info)
                 sinks.gauges(state)
@@ -333,15 +354,19 @@ class OutputWriter:
             fh.write("t,eta\n")
         self._log = open(os.path.join(out_dir, "run.log"), "w")
 
+    @functools.cached_property
+    def _node_fields(self):
+        """Leading ``node,x1,x2,`` of every snapshot row (fixed per mesh)."""
+        return [f"{i},{x1!r},{x2!r}," for i, (x1, x2) in
+                enumerate(np.asarray(self.mesh.coords, dtype=float).tolist())]
+
     def snapshot(self, step_idx, state: State):
         path = os.path.join(self.out_dir, f"snap_{step_idx}.csv")
-        x1, x2 = self.mesh.coords[:, 0], self.mesh.coords[:, 1]
+        columns = (np.asarray(a, dtype=float).tolist() for a in (state.eta, state.u1, state.u2))
         with open(path, "w") as fh:
             fh.write("node,x1,x2,eta,u1,u2\n")
-            for i in range(self.mesh.n_nodes):
-                fh.write(f"{i},{float(x1[i])!r},{float(x2[i])!r},"
-                         f"{float(state.eta[i])!r},{float(state.u1[i])!r},"
-                         f"{float(state.u2[i])!r}\n")
+            fh.writelines(f"{head}{eta!r},{u1!r},{u2!r}\n"
+                          for head, eta, u1, u2 in zip(self._node_fields, *columns))
 
     def gauges(self, state: State):
         for gid, fh in self._gauge_files.items():
@@ -361,33 +386,46 @@ class OutputWriter:
         self._log.close()
 
 
-def load_snapshot(path, n_nodes) -> State:
-    """Read a snapshot CSV back into a State (restart path)."""
-    eta = np.empty(n_nodes)
-    u1 = np.empty(n_nodes)
-    u2 = np.empty(n_nodes)
-    seen = np.zeros(n_nodes, dtype=bool)
+def load_snapshot(path, n_nodes, coords=None) -> State:
+    """Read a snapshot CSV back into a State (restart path).
+
+    With ``coords`` (the mesh's node coordinates) every row's x1, x2 must
+    match its node to 1e-9 of the domain extent, so a snapshot written
+    on another mesh is refused even when the node counts agree.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "node,x1,x2,eta,u1,u2":
+        if fh.readline().strip() != "node,x1,x2,eta,u1,u2":
             raise ValueError(f"{path}: not a snapshot file")
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}: malformed snapshot row {line!r}")
-            i = int(parts[0])
-            if not (0 <= i < n_nodes):
-                raise ValueError(f"{path}: node index {i} outside mesh")
-            if seen[i]:
-                raise ValueError(f"{path}: duplicate row for node {i}")
-            eta[i] = float(parts[3])
-            u1[i] = float(parts[4])
-            u2[i] = float(parts[5])
-            seen[i] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"{path}: no row for node {missing}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # no rows: reported below
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed snapshot: {exc}") from None
+    if rows.size == 0:
+        raise ValueError(f"{path}: no row for node 0")
+    if rows.shape[1] != 6:
+        raise ValueError(f"{path}: malformed snapshot rows ({rows.shape[1]} columns, not 6)")
+    node = rows[:, 0]
+    ids = node.astype(np.int64)
+    bad = np.flatnonzero((ids != node) | (node < 0) | (node >= n_nodes))
+    if bad.size:
+        raise ValueError(f"{path}: node index {node[bad[0]]:g} is not a node of the mesh")
+    count = np.bincount(ids, minlength=n_nodes)
+    if np.any(count > 1):
+        raise ValueError(f"{path}: duplicate row for node {int(np.argmax(count > 1))}")
+    if np.any(count == 0):
+        raise ValueError(f"{path}: no row for node {int(np.argmax(count == 0))}")
+    values = np.empty((n_nodes, 5))
+    values[ids] = rows[:, 1:]
+    xy = values[:, :2]
+    eta, u1, u2 = values[:, 2:].T.copy()
+    if coords is not None:
+        coords = np.asarray(coords, dtype=float)
+        off = np.flatnonzero(np.any(np.abs(xy - coords) > 1e-9 * np.ptp(coords, axis=0).max(),
+                                    axis=1))
+        if off.size:
+            i = int(off[0])
+            raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
+                             f"the mesh node at {tuple(coords[i].tolist())}")
     return State(eta, u1, u2).check()

@@ -4,7 +4,7 @@ The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
 three-point Gauss rule (edge midpoints, exact for quadratics), the
 sub-step projection from an element gather/scatter, roots from
-bisection.
+bisection, snapshot text from a row-by-row writer.
 """
 from __future__ import annotations
 
@@ -187,6 +187,19 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, tris.ravel(), contrib.ravel())
     return rhs / mesh.lumped_area
+
+
+# ------------------------------------------------------- snapshot oracle
+
+def row_by_row_snapshot(path, mesh: Mesh, state):
+    """Snapshot CSV written one row and one numpy scalar at a time."""
+    x1, x2 = mesh.coords[:, 0], mesh.coords[:, 1]
+    with open(path, "w") as fh:
+        fh.write("node,x1,x2,eta,u1,u2\n")
+        for i in range(mesh.n_nodes):
+            fh.write(f"{i},{float(x1[i])!r},{float(x2[i])!r},"
+                     f"{float(state.eta[i])!r},{float(state.u1[i])!r},"
+                     f"{float(state.u2[i])!r}\n")
 
 
 # --------------------------------------------------------- cubic oracle

@@ -108,6 +108,17 @@ class TestRun:
         text = (basin_dir / "refused" / "summary.txt").read_text()
         assert "completed=false" in text
 
+    def test_restart_from_another_mesh_refused(self, basin_dir, capsys):
+        # same node count, every node 10 m east of the mesh's own
+        rows = (basin_dir / "restart.csv").read_text().splitlines()
+        moved = [rows[0]] + [",".join([i, repr(float(x) + 10.0)] + rest)
+                             for i, x, *rest in (row.split(",") for row in rows[1:])]
+        (basin_dir / "moved.csv").write_text("\n".join(moved) + "\n")
+        assert main(["run", "-c", str(basin_dir / "config.txt"),
+                     "--set", f"restart={basin_dir / 'moved.csv'}",
+                     "--set", f"out_dir={basin_dir / 'mv'}"]) == 1
+        assert "is not the mesh node" in capsys.readouterr().err
+
     def test_missing_mesh_exit_fault(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("duration=0\n")

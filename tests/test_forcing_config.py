@@ -108,7 +108,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("tau=three\n")
         with pytest.raises(ConfigError, match="bad value"):
-            parse_config_text("cg_precondition=maybe\n")
+            parse_config_text("consistent_correction=maybe\n")
 
     def test_gauges_parsing(self):
         cfg = parse_config_text("gauges=3,17,0\n")
@@ -139,7 +139,7 @@ class TestConfig:
         (tmp_path / "tide.txt").write_text("0 0\n600 1\n")
         path = tmp_path / "c.txt"
         path.write_text("tau=2\ntau_tilde=100\ntide=tide.txt\ngauges=1,2\n"
-                        "cg_precondition=true\neta0=0.25\n")
+                        "consistent_correction=true\neta0=0.25\n")
         cfg = load_config(path)
         again = parse_config_text(cfg.to_text())
         assert again == cfg

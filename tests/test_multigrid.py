@@ -1,0 +1,110 @@
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from helpers import jittered_mesh
+from swsplit.fem import assemble, helmholtz_matrix
+from swsplit.implicit_step import ElevationSolver, conjugate_gradient, solve_elevation
+from swsplit.multigrid import COARSE_SIZE, aggregate, build_hierarchy
+
+G = 9.81
+
+
+def basin_matrix(nx, seed, tau_tilde=600.0, theta=(0.5, 0.5), depth=None):
+    """Mesh and Helmholtz matrix of a jittered 20 km basin (by default
+    1-2 m deep, drawn per node)."""
+    mesh = jittered_mesh(nx, nx, np.random.default_rng(seed), scale=20000.0, depth=depth)
+    return mesh, helmholtz_matrix(assemble(mesh), tau_tilde, *theta, G)
+
+
+class TestHierarchy:
+    def test_vcycle_symmetric_positive_definite(self):
+        _, A = basin_matrix(25, 0)
+        hierarchy = build_hierarchy(A)
+        assert len(hierarchy.levels) >= 1 and hierarchy.sizes[-1] <= COARSE_SIZE
+        n = A.shape[0]
+        B = np.column_stack([hierarchy.vcycle(e) for e in np.eye(n)])
+        assert np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((2, n))
+        bx_y, x_by = hierarchy.vcycle(x) @ y, x @ hierarchy.vcycle(y)
+        assert abs(bx_y - x_by) <= 1e-12 * abs(bx_y)
+        assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
+
+    def test_build_is_bitwise_deterministic(self):
+        _, A = basin_matrix(25, 2)
+        first, second = build_hierarchy(A), build_hierarchy(A.copy())
+        assert first.sizes == second.sizes
+        for one, two in zip(first.levels, second.levels):
+            for a, b in zip(one[:2], two[:2]):
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.data, b.data)
+            assert np.array_equal(one[2], two[2])
+        assert np.array_equal(first.coarse, second.coarse)
+
+    def test_small_system_is_one_exact_level(self, rng):
+        _, A = basin_matrix(10, 3)
+        hierarchy = build_hierarchy(A)
+        assert hierarchy.levels == [] and hierarchy.sizes == [100]
+        b = rng.standard_normal(100)
+        _, stats = conjugate_gradient(A, b, precondition=hierarchy.vcycle)
+        assert stats.iterations == 1
+
+    def test_aggregation_leftovers_join_pass_one_aggregates(self):
+        # 0-1-2-5-4-3 path: 0 and 3 seed {0, 1} and {3, 4}; 2 and 5 are
+        # left over, and 5 joins 3's aggregate through 4, not 2's through 2
+        nbr = [[1], [0, 2], [1, 5], [4], [3, 5], [2, 4]]
+        ptr = np.cumsum([0] + [len(ns) for ns in nbr]).tolist()
+        agg, count = aggregate(ptr, sum(nbr, []))
+        assert agg.tolist() == [0, 0, 0, 1, 1, 1] and count == 2
+
+    def test_no_strong_couplings_stops_with_diagonal(self, rng):
+        n = COARSE_SIZE + 100
+        A = sp.diags(np.arange(1.0, n + 1.0)) + 1e-3 * sp.eye(n, k=1) + 1e-3 * sp.eye(n, k=-1)
+        hierarchy = build_hierarchy(A.tocsr())
+        assert hierarchy.sizes == [n]
+        b = rng.standard_normal(n)
+        assert np.array_equal(hierarchy.vcycle(b), b * (1.0 / np.arange(1.0, n + 1.0)))
+
+
+class TestPreconditionedSolve:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("theta", [(0.5, 0.5), (1.0, 0.0)], ids=["helmholtz", "mass"])
+    @pytest.mark.parametrize("with_open", [False, True], ids=["closed", "open"])
+    def test_matches_plain_cg(self, seed, theta, with_open):
+        mesh, A = basin_matrix(24, seed, theta=theta)
+        rng = np.random.default_rng(seed + 10)
+        rhs = A @ rng.standard_normal(mesh.n_nodes)
+        open_nodes = (np.flatnonzero(mesh.coords[:, 0] == 0.0) if with_open
+                      else np.empty(0, dtype=int))
+        values = rng.uniform(-0.1, 0.1, open_nodes.size)
+        got, stats = solve_elevation(A, rhs, open_nodes, values, tol=1e-12)
+
+        free = np.setdiff1d(np.arange(mesh.n_nodes), open_nodes)
+        A_csr = A.tocsr()
+        b = rhs[free] - A_csr[free][:, open_nodes] @ values
+        want_free, plain = conjugate_gradient(A_csr[free][:, free], b, tol=1e-12)
+        want = np.zeros(mesh.n_nodes)
+        want[free], want[open_nodes] = want_free, values
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+        assert stats.residual <= 1e-12
+        assert stats.iterations < plain.iterations
+
+    def test_solver_reused_across_right_sides(self, rng):
+        mesh, A = basin_matrix(24, 4)
+        open_nodes = np.flatnonzero(mesh.coords[:, 1] == 0.0)
+        solver = ElevationSolver(A, open_nodes)
+        for _ in range(3):
+            rhs = rng.standard_normal(mesh.n_nodes)
+            values = rng.uniform(-0.1, 0.1, open_nodes.size)
+            got, _ = solve_elevation(solver, rhs, open_nodes, values, tol=1e-12)
+            fresh, _ = solve_elevation(A, rhs, open_nodes, values, tol=1e-12)
+            assert np.array_equal(got, fresh)
+
+    def test_iteration_bound_at_ten_thousand_nodes(self, rng):
+        mesh, A = basin_matrix(100, 5, tau_tilde=600.0)
+        assert mesh.n_nodes == 10_000
+        rhs = A @ rng.standard_normal(mesh.n_nodes)
+        _, stats = solve_elevation(A, rhs, np.empty(0, dtype=int), np.empty(0), tol=1e-10)
+        assert stats.iterations <= 40
