@@ -13,7 +13,7 @@ from .explicit_step import SourceIncrement, source_terms, taylor_galerkin_increm
 from .fem import AssemblyError, FemMatrices, assemble, helmholtz_matrix, lump
 from .forcing import Forcings, ForcingError, TimeSeries, load_tide, load_wind
 from .implicit_step import (ElevationSolver, LinearSolveStats, SolverError,
-                            ThetaConfig, apply_boundaries, conjugate_gradient, elevation_rhs,
+                            apply_boundaries, conjugate_gradient, elevation_rhs,
                             solve_elevation, velocity_correction)
 from .mesh import Mesh, MeshError, build_mesh, load_mesh, triangle_geometry
 from .simulator import (GateError, GateVerdict, OutputWriter, RunConfig,

@@ -17,8 +17,8 @@ from .fem import assemble
 from .forcing import Forcings, ForcingError, load_tide, load_wind
 from .implicit_step import SolverError
 from .mesh import MeshError, load_mesh
-from .simulator import GateError, OutputWriter, RunConfig, load_snapshot, run
-from .stability import PhysicalParams, StabilityReport, build_report
+from .simulator import GateError, OutputWriter, load_snapshot, run
+from .stability import StabilityReport, build_report
 from .state import initial_state
 
 EXIT_OK = 0
@@ -103,15 +103,8 @@ def report_lines(report: StabilityReport, machine: bool):
 
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    params = PhysicalParams(g=cfg.g, k0=cfg.k0, k1=cfg.k1, xi=cfg.xi, h_min=cfg.h_min)
     tau = cfg.tau if args.tau is None else args.tau
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
-    if args.depth <= 0:
-        raise ConfigError("depth must be positive")
-    if args.speed < 0:
-        raise ConfigError("speed must be >= 0")
-    report = build_report(tau, args.speed, args.depth, params)
+    report = build_report(tau, args.speed, args.depth, cfg.params())
     for line in report_lines(report, args.machine):
         print(line)
     return EXIT_OK
@@ -122,7 +115,6 @@ def cmd_run(args) -> int:
     if cfg.mesh is None:
         raise ConfigError("run requires a mesh (set mesh=PATH)")
     mesh = load_mesh(cfg.mesh, h_min=cfg.h_min)
-    params = PhysicalParams(g=cfg.g, k0=cfg.k0, k1=cfg.k1, xi=cfg.xi, h_min=cfg.h_min)
     forcings = Forcings(
         tide=load_tide(cfg.tide) if cfg.tide else None,
         wind=load_wind(cfg.wind) if cfg.wind else None,
@@ -132,15 +124,10 @@ def cmd_run(args) -> int:
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
     matrices = assemble(mesh)
-    run_cfg = RunConfig(
-        tau=cfg.tau, tau_tilde=cfg.tau_tilde, theta1=cfg.theta1, theta2=cfg.theta2,
-        duration=cfg.duration, snapshot_interval=cfg.snapshot_interval,
-        gauges=cfg.gauges, gate_mode=cfg.gate_mode, cg_tol=cfg.cg_tol,
-        consistent_correction=cfg.consistent_correction,
-    )
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)
     try:
-        summary = run(state, mesh, matrices, params, run_cfg, forcings, sinks=sinks)
+        summary = run(state, mesh, matrices, cfg.params(), cfg.run_config(), forcings,
+                      sinks=sinks)
     except Exception as exc:
         summary = getattr(exc, "run_summary", None)
         if summary is not None:

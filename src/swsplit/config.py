@@ -2,18 +2,30 @@
 
 Format: one `key=value` per line, `#` starts a comment line, unknown or
 duplicate keys are errors, missing keys take the documented defaults.
-Relative paths are resolved against the config file's directory.
+Relative paths are resolved against the config file's directory.  Floats
+must be finite; every range and divisibility rule is that of
+:class:`PhysicalParams` or :class:`RunConfig`, applied when a config is
+read.
 """
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from .simulator import GATE_MODES
+from .simulator import RunConfig
+from .stability import PhysicalParams
 
 
 class ConfigError(ValueError):
     """Bad configuration file or override."""
+
+
+def _parse_float(tok: str) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {tok!r}")
+    return value
 
 
 def _parse_bool(tok: str) -> bool:
@@ -25,34 +37,36 @@ def _parse_bool(tok: str) -> bool:
     raise ValueError(f"not a boolean: {tok!r}")
 
 
-def _parse_gauges(tok: str):
-    tok = tok.strip()
-    if not tok:
-        return ()
-    return tuple(int(part) for part in tok.split(","))
+def _parse_node_ids(tok: str):
+    """Comma-separated gauge node ids; an empty value gives none."""
+    ids = tuple(int(part) for part in tok.split(",")) if tok else ()
+    if any(i < 0 for i in ids):
+        raise ValueError("node ids must be >= 0")
+    return ids
 
 
 @dataclass
 class Config:
-    """Every tunable of the CLI, with the documented defaults."""
+    """Every tunable of the CLI; defaults are those of the dataclasses
+    that own the values, :class:`PhysicalParams` and :class:`RunConfig`."""
 
     mesh: str | None = None
     # physics
-    g: float = 9.81
-    k0: float = 1e-4
-    k1: float = 40.0
-    xi: float = 3.2e-6
-    h_min: float = 0.05
+    g: float = PhysicalParams.g
+    k0: float = PhysicalParams.k0
+    k1: float = PhysicalParams.k1
+    xi: float = PhysicalParams.xi
+    h_min: float = PhysicalParams.h_min
     # splitting
-    tau: float = 3.0
-    tau_tilde: float = 300.0
-    theta1: float = 0.5
-    theta2: float = 0.5
+    tau: float = RunConfig.tau
+    tau_tilde: float = RunConfig.tau_tilde
+    theta1: float = RunConfig.theta1
+    theta2: float = RunConfig.theta2
     # run
-    duration: float = 0.0
-    snapshot_interval: float = 0.0
+    duration: float = RunConfig.duration
+    snapshot_interval: float = RunConfig.snapshot_interval
     gauges: tuple = ()
-    gate_mode: str = "enforce"
+    gate_mode: str = RunConfig.gate_mode
     out_dir: str = "out"
     # forcing and initial condition
     tide: str | None = None
@@ -60,8 +74,19 @@ class Config:
     eta0: float = 0.0
     restart: str | None = None
     # solver
-    cg_tol: float = 1e-10
-    consistent_correction: bool = False
+    cg_tol: float = RunConfig.cg_tol
+    consistent_correction: bool = RunConfig.consistent_correction
+
+    def params(self) -> PhysicalParams:
+        """The physics keys; ValueError names a range rule they break."""
+        return PhysicalParams(**self._fields_of(PhysicalParams))
+
+    def run_config(self) -> RunConfig:
+        """The splitting and run keys; ValueError names a rule they break."""
+        return RunConfig(**self._fields_of(RunConfig))
+
+    def _fields_of(self, cls):
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.init}
 
     def to_text(self) -> str:
         """Canonical key=value rendering; reloading it reproduces self."""
@@ -83,15 +108,23 @@ class Config:
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")
 _RESOLVED_KEYS = _PATH_KEYS + ("out_dir",)   # out_dir is created, not checked
 
-_PARSERS = {
-    "mesh": str, "tide": str, "wind": str, "restart": str,
-    "g": float, "k0": float, "k1": float, "xi": float, "h_min": float,
-    "tau": float, "tau_tilde": float, "theta1": float, "theta2": float,
-    "duration": float, "snapshot_interval": float,
-    "gauges": _parse_gauges, "gate_mode": str, "out_dir": str,
-    "eta0": float,
-    "cg_tol": float, "consistent_correction": _parse_bool,
-}
+_TYPE_PARSERS = {"float": _parse_float, "bool": _parse_bool, "str": str,
+                 "str | None": str, "tuple": _parse_node_ids}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(Config)}
+
+
+def _parse_pair(text, where=""):
+    """(key, value) of one ``key=value``; ``where`` prefixes error messages."""
+    key, eq, tok = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}expected key=value, got {text!r}")
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return key, _PARSERS[key](tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from None
 
 
 def parse_config_text(text, base_dir=".", where="<config>") -> Config:
@@ -101,19 +134,10 @@ def parse_config_text(text, base_dir=".", where="<config>") -> Config:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"{where}:{lineno}: expected key=value")
-        key, _, tok = line.partition("=")
-        key = key.strip()
-        tok = tok.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+        key, value = _parse_pair(line, f"{where}:{lineno}: ")
         if key in values:
             raise ConfigError(f"{where}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _PARSERS[key](tok)
-        except ValueError as exc:
-            raise ConfigError(f"{where}:{lineno}: bad value for {key}: {exc}") from None
+        values[key] = value
     cfg = Config(**values)
     _resolve_paths(cfg, base_dir)
     validate_config(cfg)
@@ -133,19 +157,8 @@ def load_config(path) -> Config:
 
 def apply_overrides(cfg: Config, pairs) -> Config:
     """Apply `key=value` override strings (later pairs win)."""
-    values = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must be key=value, got {pair!r}")
-        key, _, tok = pair.partition("=")
-        key = key.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            values[key] = _PARSERS[key](tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
-    merged = Config(**{**{f.name: getattr(cfg, f.name) for f in fields(cfg)}, **values})
+    values = dict(_parse_pair(pair) for pair in pairs)
+    merged = replace(cfg, **values)
     _resolve_paths(merged, ".", only=values.keys())
     validate_config(merged)
     return merged
@@ -161,34 +174,13 @@ def _resolve_paths(cfg: Config, base_dir, only=None):
 
 
 def validate_config(cfg: Config):
-    """Range/divisibility checks plus existence of referenced files."""
-    if cfg.g <= 0 or cfg.k1 <= 0:
-        raise ConfigError("g and k1 must be positive")
-    if cfg.k0 < 0 or cfg.xi < 0:
-        raise ConfigError("k0 and xi must be >= 0")
-    if cfg.h_min <= 0:
-        raise ConfigError("h_min must be positive")
-    if cfg.tau <= 0 or cfg.tau_tilde <= 0:
-        raise ConfigError("tau and tau_tilde must be positive")
-    if not (0.0 <= cfg.theta1 <= 1.0 and 0.0 <= cfg.theta2 <= 1.0):
-        raise ConfigError("theta1 and theta2 must lie in [0, 1]")
-    n = cfg.tau_tilde / cfg.tau
-    if abs(round(n) * cfg.tau - cfg.tau_tilde) > 1e-9 * cfg.tau_tilde or round(n) < 1:
-        raise ConfigError(f"tau_tilde={cfg.tau_tilde:g} must be an integer "
-                          f"multiple of tau={cfg.tau:g}")
-    for name, value in (("duration", cfg.duration),
-                        ("snapshot_interval", cfg.snapshot_interval)):
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0")
-        if value and abs(round(value / cfg.tau_tilde) * cfg.tau_tilde - value) \
-                > 1e-9 * max(value, cfg.tau_tilde):
-            raise ConfigError(f"{name}={value:g} must be a multiple of tau_tilde")
-    if cfg.gate_mode not in GATE_MODES:
-        raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
-    if cfg.cg_tol <= 0:
-        raise ConfigError("cg_tol must be positive")
-    if any(g < 0 for g in cfg.gauges):
-        raise ConfigError("gauge node ids must be >= 0")
+    """Build the physics and run settings, which check every range and
+    divisibility rule, and check that referenced files exist."""
+    try:
+        cfg.params()
+        cfg.run_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
         if value is not None and not os.path.isfile(value):

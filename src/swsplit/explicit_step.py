@@ -75,13 +75,8 @@ def taylor_galerkin_increment(state: State, mesh: Mesh, params: PhysicalParams,
     u2_half = state.u2 + 0.5 * tau * r2_n
     r1_h, r2_h = _sources(u1_half, u2_half, drag, k0, w1, w2)
 
-    d_u1 = tau * _lumped_projection(mesh, r1_h, r1_n)
-    d_u2 = tau * _lumped_projection(mesh, r2_h, r2_n)
-    for name, arr in (("d_u1", d_u1), ("d_u2", d_u2)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
-    return SourceIncrement(d_u1=d_u1, d_u2=d_u2)
+    return SourceIncrement(d_u1=tau * _lumped_projection(mesh, r1_h, r1_n),
+                           d_u2=tau * _lumped_projection(mesh, r2_h, r2_n))
 
 
 def _lumped_projection(mesh: Mesh, r_half, r_start):

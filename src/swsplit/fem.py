@@ -98,17 +98,7 @@ def lump(M: sp.csr_matrix) -> np.ndarray:
 
 def helmholtz_matrix(matrices: FemMatrices, tau_tilde, theta1, theta2, g) -> sp.csr_matrix:
     """Elevation system matrix M + tau_tilde^2 g theta1 theta2 S (SPD)."""
-    if not (0.0 <= theta1 <= 1.0 and 0.0 <= theta2 <= 1.0):
-        raise ValueError("theta weights must lie in [0, 1]")
-    if tau_tilde <= 0.0:
-        raise ValueError("tau_tilde must be positive")
     A = (matrices.M + (tau_tilde ** 2 * g * theta1 * theta2) * matrices.S).tocsr()
     A.sort_indices()
     return A
 
-
-def dump_coo(mat, fh):
-    """Write a sparse matrix as `i j value` text lines (debug interface)."""
-    coo = sp.coo_matrix(mat)
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        fh.write(f"{i} {j} {float(v)!r}\n")

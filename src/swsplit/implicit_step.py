@@ -34,21 +34,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ThetaConfig:
-    """Implicit step length and blending weights."""
-
-    tau_tilde: float
-    theta1: float = 0.5
-    theta2: float = 0.5
-
-    def __post_init__(self):
-        if self.tau_tilde <= 0.0:
-            raise ValueError("tau_tilde must be positive")
-        if not (0.0 <= self.theta1 <= 1.0 and 0.0 <= self.theta2 <= 1.0):
-            raise ValueError("theta weights must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class LinearSolveStats:
     iterations: int
     residual: float   # final relative residual
@@ -107,9 +92,12 @@ def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
                       LinearSolveStats(maxiter, rel))
 
 
-def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh,
-                  cfg: ThetaConfig, g):
-    """Right side of the elevation system (stationary depth H nodal)."""
+def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh, cfg, g):
+    """Right side of the elevation system (stationary depth H nodal).
+
+    ``cfg`` is the :class:`swsplit.simulator.RunConfig`; its tau_tilde and
+    theta1 enter.
+    """
     h = mesh.depth
     w1 = h * (state.u1 + cfg.theta1 * d_star.d_u1)
     w2 = h * (state.u2 + cfg.theta1 * d_star.d_u2)
@@ -170,21 +158,21 @@ def solve_elevation(A, rhs, open_nodes, open_values, tol=1e-10):
     return solver.solve(rhs, open_values, tol=tol)
 
 
-def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh,
-                        cfg: ThetaConfig, g, consistent=False, tol=1e-10):
+def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, cfg, g):
     """Velocity increments from the updated surface gradient.
 
     Solves M d_ui = -tau_tilde g Qi (eta + theta2 d_eta) with the lumped
-    mass; ``consistent=True`` runs a CG solve with the consistent mass
-    instead (verification path).  Land nodes get their normal component
-    removed so no flow is injected through closed boundaries.
+    mass, or, when the :class:`swsplit.simulator.RunConfig` ``cfg`` sets
+    consistent_correction, by CG to cg_tol with the consistent mass
+    (verification path).  Land nodes get their normal component removed
+    so no flow is injected through closed boundaries.
     """
     target = state.eta + cfg.theta2 * d_eta
     out = []
     for Q in (matrices.Q1, matrices.Q2):
         rhs = -cfg.tau_tilde * g * (Q @ target)
-        if consistent:
-            d, _ = conjugate_gradient(matrices.M, rhs, tol=tol)
+        if cfg.consistent_correction:
+            d, _ = conjugate_gradient(matrices.M, rhs, tol=cfg.cg_tol)
         else:
             d = rhs / matrices.M_L
         out.append(d)

@@ -13,16 +13,16 @@ import functools
 import logging
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .explicit_step import SourceIncrement, taylor_galerkin_increment, total_height
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
-from .implicit_step import (ElevationSolver, LinearSolveStats, ThetaConfig,
-                            apply_boundaries, elevation_rhs, project_land_velocity,
-                            solve_elevation, velocity_correction)
+from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
+                            elevation_rhs, project_land_velocity, solve_elevation,
+                            velocity_correction)
 from .mesh import Mesh
 from .stability import PhysicalParams, critical_time_step_for_drag
 from .state import State
@@ -47,7 +47,10 @@ class GateError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Outer-loop configuration."""
+    """Splitting steps, theta weights and outer-loop settings.
+
+    Every rule on these values is checked once, at construction.
+    """
 
     tau: float = 3.0
     tau_tilde: float = 300.0
@@ -55,44 +58,37 @@ class RunConfig:
     theta2: float = 0.5
     duration: float = 0.0
     snapshot_interval: float = 0.0   # 0: initial and final snapshot only
-    gauges: tuple = ()
     gate_mode: str = "enforce"
     cg_tol: float = 1e-10
     consistent_correction: bool = False
+    n_sub: int = field(init=False, repr=False)   # tau_tilde / tau
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.tau_tilde <= 0.0:
+        if not (self.tau > 0.0 and self.tau_tilde > 0.0):
             raise ValueError("tau and tau_tilde must be positive")
-        if self.gate_mode not in GATE_MODES:
-            raise ValueError(f"gate_mode must be one of {GATE_MODES}")
-        self.n_sub  # validates divisibility
-        _check_multiple(self.duration, self.tau_tilde, "duration")
-        if self.snapshot_interval:
-            _check_multiple(self.snapshot_interval, self.tau_tilde,
-                            "snapshot_interval")
-
-    @property
-    def n_sub(self) -> int:
-        n = self.tau_tilde / self.tau
-        n_int = round(n)
-        if n_int < 1 or abs(n_int * self.tau - self.tau_tilde) > 1e-9 * self.tau_tilde:
+        n_sub = round(self.tau_tilde / self.tau)
+        if n_sub < 1 or abs(n_sub * self.tau - self.tau_tilde) > 1e-9 * self.tau_tilde:
             raise ValueError(
                 f"tau_tilde={self.tau_tilde:g} is not an integer multiple of tau={self.tau:g}")
-        return n_int
+        object.__setattr__(self, "n_sub", n_sub)
+        if not (0.0 <= self.theta1 <= 1.0 and 0.0 <= self.theta2 <= 1.0):
+            raise ValueError("theta1 and theta2 must lie in [0, 1]")
+        for name in ("duration", "snapshot_interval"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+            if value and abs(round(value / self.tau_tilde) * self.tau_tilde - value) \
+                    > 1e-9 * max(value, self.tau_tilde):
+                raise ValueError(f"{name}={value:g} must be a multiple of "
+                                 f"tau_tilde={self.tau_tilde:g}")
+        if self.gate_mode not in GATE_MODES:
+            raise ValueError(f"gate_mode must be one of {GATE_MODES}")
+        if not self.cg_tol > 0.0:
+            raise ValueError("cg_tol must be positive")
 
     @property
     def n_steps(self) -> int:
         return 0 if self.duration == 0.0 else round(self.duration / self.tau_tilde)
-
-    def theta(self) -> ThetaConfig:
-        return ThetaConfig(self.tau_tilde, self.theta1, self.theta2)
-
-
-def _check_multiple(value, base, name):
-    if value < 0.0:
-        raise ValueError(f"{name} must be >= 0")
-    if value and abs(round(value / base) * base - value) > 1e-9 * max(value, base):
-        raise ValueError(f"{name}={value:g} must be a multiple of tau_tilde={base:g}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +181,9 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
 
     ``solver`` is the run's :func:`elevation_solver`; without one the step
     builds its own.  Returns (new_state, StepInfo).  Raises
-    :class:`GateError` in enforce mode when the gate fails; solver faults
-    propagate.
+    :class:`GateError` in enforce mode when the gate fails and
+    FloatingPointError when the sub-cycle's increment is not finite;
+    solver faults propagate.
     """
     verdict = None
     if cfg.gate_mode != "off":
@@ -210,24 +207,27 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
         acc1 += inc.d_u1
         acc2 += inc.d_u2
         work = State(state.eta, state.u1 + acc1, state.u2 + acc2, work.t)
+    # one scan per outer step: a non-finite right side would spin CG to
+    # its iteration limit instead of failing
+    for name, acc in (("d_u1", acc1), ("d_u2", acc2)):
+        bad = np.flatnonzero(~np.isfinite(acc))
+        if bad.size:
+            raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
     # the wall constraint acts on the source increment where it couples to
     # the wave step: without this the flux H (u + theta1 du*) pushes water
     # through closed boundaries and the basin mass drifts
     project_land_velocity(acc1, acc2, mesh)
     d_star = SourceIncrement(acc1, acc2)
 
-    theta = cfg.theta()
     t_next = state.t + cfg.tau_tilde
     if solver is None:
         solver = elevation_solver(matrices, mesh, cfg, params.g)
-    rhs = elevation_rhs(state, d_star, matrices, mesh, theta, params.g)
+    rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
     open_nodes = mesh.open_nodes
     open_values = (forcings.tide_at(t_next) - state.eta[open_nodes]
                    if open_nodes.size else np.empty(0))
     d_eta, cg_stats = solve_elevation(solver, rhs, open_nodes, open_values, tol=cfg.cg_tol)
-    d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, theta,
-                                       params.g, consistent=cfg.consistent_correction,
-                                       tol=cfg.cg_tol)
+    d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
 
     new_state = State(eta=state.eta + d_eta,
                       u1=state.u1 + d_star.d_u1 + d_u1c,

@@ -44,7 +44,7 @@ class PhysicalParams:
     def __post_init__(self):
         if not (self.g > 0 and self.k1 > 0):
             raise ValueError("g and k1 must be positive")
-        if self.k0 < 0 or self.xi < 0 or self.h_min <= 0:
+        if not (self.k0 >= 0 and self.xi >= 0 and self.h_min > 0):
             raise ValueError("k0, xi must be >= 0 and h_min > 0")
 
 
@@ -239,11 +239,11 @@ def critical_time_step_for_drag(k0, D):
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
     """Evaluate every analysis quantity for one (tau, |u|, H) operating point."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
-    if depth <= 0.0:
+    if not depth > 0.0:
         raise ValueError("depth must be positive")
-    if speed < 0.0:
+    if not speed >= 0.0:
         raise ValueError("speed must be >= 0")
     D = drag_coefficient(speed, depth, params)
     alpha, beta = step_coefficients(tau, params.k0, D)

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from helpers import mesh_text, rect_mesh_arrays
 from swsplit.cli import main
+from swsplit.config import Config
 from swsplit.mesh import OPEN
 from swsplit.stability import PhysicalParams, build_report
 
@@ -118,6 +121,25 @@ class TestRun:
                      "--set", f"restart={basin_dir / 'moved.csv'}",
                      "--set", f"out_dir={basin_dir / 'mv'}"]) == 1
         assert "is not the mesh node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["file", "set"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(Config) if f.type == "float"])
+    def test_nonfinite_value_rejected(self, basin_dir, capsys, key, value, via):
+        # refused when the config is read: one message naming the key, no
+        # traceback, and nothing run or written
+        if via == "file":
+            cfg = basin_dir / "bad.txt"
+            cfg.write_text(f"mesh=basin.mesh\n{key}={value}\n")
+            args = ["-c", str(cfg)]
+        else:
+            args = ["-c", str(basin_dir / "config.txt"), "--set", f"{key}={value}"]
+        for command in ("analyze", "run"):
+            assert main([command, *args]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("swsplit: ")
+            assert f"bad value for {key}: not a finite number" in err[0]
+        assert not (basin_dir / "out").exists()
 
     def test_missing_mesh_exit_fault(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

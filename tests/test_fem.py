@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +5,7 @@ import scipy.sparse as sp
 from helpers import (dense_global_oracle, element_matrices_oracle,
                      jittered_mesh, random_triangle, rect_mesh,
                      two_triangle_square, unit_triangle_mesh)
-from swsplit.fem import AssemblyError, assemble, dump_coo, helmholtz_matrix, lump
+from swsplit.fem import AssemblyError, assemble, helmholtz_matrix, lump
 from swsplit.mesh import LAND, build_mesh
 
 
@@ -148,21 +146,3 @@ class TestHelmholtz:
                                  rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), 9.81)
             eig = np.linalg.eigvalsh(A.toarray())
             assert eig.min() > 0.0
-
-    def test_parameter_validation(self):
-        m = assemble(unit_triangle_mesh())
-        with pytest.raises(ValueError):
-            helmholtz_matrix(m, -1.0, 0.5, 0.5, 9.81)
-        with pytest.raises(ValueError):
-            helmholtz_matrix(m, 1.0, 1.5, 0.5, 9.81)
-
-
-def test_dump_coo_roundtrip():
-    m = assemble(two_triangle_square())
-    buf = io.StringIO()
-    dump_coo(m.S, buf)
-    dense = np.zeros((4, 4))
-    for line in buf.getvalue().splitlines():
-        i, j, v = line.split()
-        dense[int(i), int(j)] += float(v)
-    assert np.array_equal(dense, m.S.toarray())

@@ -121,6 +121,14 @@ class TestConfig:
             parse_config_text("gate_mode=sometimes\n")
         with pytest.raises(ConfigError):
             parse_config_text("duration=450\n")  # not a multiple of 300
+        with pytest.raises(ConfigError, match="cg_tol"):
+            parse_config_text("cg_tol=0\n")
+        with pytest.raises(ConfigError, match="h_min"):
+            parse_config_text("h_min=0\n")
+        with pytest.raises(ConfigError, match="bad value for gauges"):
+            parse_config_text("gauges=3,-1\n")
+        with pytest.raises(ConfigError, match="bad value for gauges"):
+            apply_overrides(Config(), ["gauges=-2"])
 
     def test_missing_referenced_file(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +8,12 @@ from helpers import dense_global_oracle, jittered_mesh, rect_mesh, two_triangle_
 from swsplit.explicit_step import SourceIncrement
 from swsplit.fem import assemble, helmholtz_matrix
 from swsplit.forcing import ForcingError, TimeSeries
-from swsplit.implicit_step import (LinearSolveStats, SolverError, ThetaConfig,
+from swsplit.implicit_step import (LinearSolveStats, SolverError,
                                    apply_boundaries, conjugate_gradient,
                                    elevation_rhs, project_land_velocity,
                                    solve_elevation, velocity_correction)
 from swsplit.mesh import LAND, OPEN, build_mesh
+from swsplit.simulator import RunConfig
 from swsplit.state import State
 
 G = 9.81
@@ -18,16 +21,6 @@ G = 9.81
 
 def zero_increment(n):
     return SourceIncrement(np.zeros(n), np.zeros(n))
-
-
-class TestThetaConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThetaConfig(tau_tilde=-1.0)
-        with pytest.raises(ValueError):
-            ThetaConfig(tau_tilde=1.0, theta1=1.5)
-        cfg = ThetaConfig(tau_tilde=300.0)
-        assert cfg.theta1 == cfg.theta2 == 0.5
 
 
 class TestConjugateGradient:
@@ -77,7 +70,7 @@ class TestElevationRhs:
         m = assemble(mesh)
         state = State(np.zeros(4), np.zeros(4), np.zeros(4))
         rhs = elevation_rhs(state, zero_increment(4), m, mesh,
-                            ThetaConfig(300.0), G)
+                            RunConfig(tau_tilde=300.0), G)
         assert np.all(rhs == 0.0)
 
     def test_uniform_elevation_flat_bottom_zero(self):
@@ -85,7 +78,7 @@ class TestElevationRhs:
         m = assemble(mesh)
         state = State(np.full(4, 0.37), np.zeros(4), np.zeros(4))
         rhs = elevation_rhs(state, zero_increment(4), m, mesh,
-                            ThetaConfig(300.0, theta1=1.0), G)
+                            RunConfig(tau_tilde=300.0, theta1=1.0), G)
         assert np.max(np.abs(rhs)) < 1e-16
 
     def test_uniform_flux_is_null_vector(self):
@@ -96,7 +89,7 @@ class TestElevationRhs:
         m = assemble(mesh)
         state = State(np.zeros(3), np.ones(3), np.zeros(3))
         rhs = elevation_rhs(state, zero_increment(3), m, mesh,
-                            ThetaConfig(1.0, theta1=0.0), G)
+                            RunConfig(tau=1.0, tau_tilde=1.0, theta1=0.0), G)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_matches_dense_oracle(self, rng):
@@ -108,7 +101,7 @@ class TestElevationRhs:
                       rng.uniform(-0.5, 0.5, n))
         d_star = SourceIncrement(rng.uniform(-0.01, 0.01, n),
                                  rng.uniform(-0.01, 0.01, n))
-        cfg = ThetaConfig(120.0, theta1=0.8, theta2=0.3)
+        cfg = RunConfig(tau_tilde=120.0, theta1=0.8, theta2=0.3)
         got = elevation_rhs(state, d_star, m, mesh, cfg, G)
         h = mesh.depth
         w1 = h * (state.u1 + cfg.theta1 * d_star.d_u1)
@@ -173,7 +166,7 @@ class TestVelocityCorrection:
         m = assemble(mesh)
         state = State(np.full(4, 0.2), np.zeros(4), np.zeros(4))
         d1, d2 = velocity_correction(state, np.full(4, 0.1), m, mesh,
-                                     ThetaConfig(300.0), G)
+                                     RunConfig(tau_tilde=300.0), G)
         assert np.max(np.abs(d1)) == 0.0 and np.max(np.abs(d2)) == 0.0
 
     def test_linear_elevation_slope(self):
@@ -182,7 +175,7 @@ class TestVelocityCorrection:
         m = assemble(mesh)
         n = mesh.n_nodes
         state = State(mesh.coords[:, 0].copy(), np.zeros(n), np.zeros(n))
-        cfg = ThetaConfig(2.0, theta2=0.0)
+        cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
         d1, d2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
         assert np.allclose(d1[interior], -cfg.tau_tilde * G, rtol=1e-12)
@@ -193,7 +186,7 @@ class TestVelocityCorrection:
         m = assemble(mesh)
         n = mesh.n_nodes
         state = State(rng.uniform(-0.1, 0.1, n), np.zeros(n), np.zeros(n))
-        cfg = ThetaConfig(10.0, theta2=0.0)
+        cfg = RunConfig(tau=1.0, tau_tilde=10.0, theta2=0.0)
         a1, a2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
         b1, b2 = velocity_correction(state, rng.standard_normal(n), m, mesh, cfg, G)
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
@@ -205,10 +198,10 @@ class TestVelocityCorrection:
         m = assemble(mesh)
         n = mesh.n_nodes
         state = State(mesh.coords[:, 0].copy(), np.zeros(n), np.zeros(n))
-        cfg = ThetaConfig(2.0, theta2=0.0)
+        cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
         l1, l2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
-        c1, c2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G,
-                                     consistent=True, tol=1e-13)
+        consistent = replace(cfg, consistent_correction=True, cg_tol=1e-13)
+        c1, c2 = velocity_correction(state, np.zeros(n), m, mesh, consistent, G)
         interior = np.flatnonzero(mesh.tags == 0)
         assert np.max(np.abs(l1[interior] - c1[interior])) < 1e-7
         assert np.max(np.abs(l2[interior] - c2[interior])) < 1e-7
@@ -274,7 +267,7 @@ class TestConservationAndRest:
         m = assemble(mesh)
         n = mesh.n_nodes
         state = State(np.zeros(n), np.zeros(n), np.zeros(n))
-        cfg = ThetaConfig(300.0)
+        cfg = RunConfig(tau_tilde=300.0)
         A = helmholtz_matrix(m, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
         rhs = elevation_rhs(state, zero_increment(n), m, mesh, cfg, G)
         d_eta, stats = solve_elevation(A, rhs, mesh.open_nodes, np.empty(0))
@@ -296,7 +289,7 @@ class TestConservationAndRest:
         project_land_velocity(d1, d2, mesh)
         state = State(rng.uniform(-0.05, 0.05, n), u1, u2)
         d_star = SourceIncrement(d1, d2)
-        cfg = ThetaConfig(300.0)
+        cfg = RunConfig(tau_tilde=300.0)
         A = helmholtz_matrix(m, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
         rhs = elevation_rhs(state, d_star, m, mesh, cfg, G)
         d_eta, _ = solve_elevation(A, rhs, mesh.open_nodes, np.empty(0), tol=1e-12)
@@ -315,7 +308,7 @@ class TestConservationAndRest:
         eta = rng.uniform(-0.05, 0.05, n)
         u1 = rng.uniform(-0.2, 0.2, n)
         u2 = rng.uniform(-0.2, 0.2, n)
-        cfg = ThetaConfig(60.0, theta1=0.5, theta2=0.5)
+        cfg = RunConfig(tau_tilde=60.0, theta1=0.5, theta2=0.5)
 
         def solve_on(mesh_, eta_, u1_, u2_):
             m_ = assemble(mesh_)

@@ -46,6 +46,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="gate_mode"):
             RunConfig(gate_mode="hope")
 
+    def test_value_ranges(self):
+        with pytest.raises(ValueError, match="positive"):
+            RunConfig(tau_tilde=-1.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RunConfig(theta1=1.5)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RunConfig(theta2=-0.1)
+        with pytest.raises(ValueError, match="cg_tol"):
+            RunConfig(cg_tol=0.0)
+        cfg = RunConfig(tau_tilde=300.0)
+        assert cfg.theta1 == cfg.theta2 == 0.5
+
     def test_step_counts(self):
         cfg = RunConfig(duration=3000.0)
         assert cfg.n_steps == 10
@@ -364,10 +376,10 @@ class TestRun:
         tide = TimeSeries([0.0, 10000.0], [[0.0], [0.4]], name="tide")
         wind = TimeSeries([0.0, 10000.0], [[2.0, 1.0], [4.0, -1.0]], name="wind")
         cfg = RunConfig(tau=5.0, tau_tilde=100.0, duration=500.0,
-                        snapshot_interval=100.0, gauges=(7, 12))
+                        snapshot_interval=100.0)
 
         def one(dirname):
-            sinks = OutputWriter(tmp_path / dirname, mesh, gauge_nodes=cfg.gauges)
+            sinks = OutputWriter(tmp_path / dirname, mesh, gauge_nodes=(7, 12))
             run(initial_state(mesh.n_nodes), mesh, mats, params, cfg,
                 Forcings(tide=tide, wind=wind), sinks=sinks)
             return sorted(p.name for p in (tmp_path / dirname).iterdir())
