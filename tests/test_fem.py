@@ -7,6 +7,7 @@ from helpers import (dense_global_oracle, element_matrices_oracle,
                      two_triangle_square, unit_triangle_mesh)
 from swsplit.fem import AssemblyError, assemble, helmholtz_matrix, lump
 from swsplit.mesh import LAND, build_mesh
+from swsplit.simulator import RunConfig
 
 
 def single_triangle_mesh(pts, depth3):
@@ -146,3 +147,11 @@ class TestHelmholtz:
                                  rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), 9.81)
             eig = np.linalg.eigvalsh(A.toarray())
             assert eig.min() > 0.0
+
+    def test_parameter_validation(self):
+        # tau_tilde and the thetas reach helmholtz_matrix through RunConfig,
+        # which refuses out-of-range values before any matrix is built.
+        with pytest.raises(ValueError):
+            RunConfig(tau_tilde=-1.0)
+        with pytest.raises(ValueError):
+            RunConfig(tau_tilde=300.0, theta1=1.5)

@@ -23,6 +23,16 @@ def zero_increment(n):
     return SourceIncrement(np.zeros(n), np.zeros(n))
 
 
+class TestThetaConfig:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RunConfig(tau_tilde=-1.0)
+        with pytest.raises(ValueError):
+            RunConfig(tau_tilde=300.0, theta1=1.5)
+        cfg = RunConfig(tau_tilde=300.0)
+        assert cfg.theta1 == cfg.theta2 == 0.5
+
+
 class TestConjugateGradient:
     def test_manufactured_solution(self, rng):
         mesh = jittered_mesh(6, 6, rng)
