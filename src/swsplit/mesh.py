@@ -12,7 +12,9 @@ Mesh file format (whitespace separated, `#` starts a comment line):
 """
 from __future__ import annotations
 
+import itertools
 import logging
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,33 +39,42 @@ class MeshError(ValueError):
 
 
 def triangle_geometry(coords):
-    """Area and P1 basis gradients of a single triangle.
+    """Area and P1 basis gradients of one triangle or of a batch.
 
     Parameters
     ----------
-    coords : (3, 2) array
-        Vertex coordinates, any orientation.
+    coords : (..., 3, 2) array
+        Vertex coordinates, any orientation; leading axes index triangles.
 
     Returns
     -------
-    area : float
+    area : float, or (...) ndarray for a batch
         Unsigned triangle area.
-    grads : (3, 2) ndarray
-        Gradient of each vertex basis function; grads[i] is constant over
-        the element and satisfies phi_i(v_j) = delta_ij.
+    grads : (..., 3, 2) ndarray
+        Gradient of each vertex basis function; grads[..., i, :] is
+        constant over the element and satisfies phi_i(v_j) = delta_ij.
+
+    Raises :class:`MeshError` for an area below ``DEGENERATE_AREA``,
+    naming the first such triangle of a batch.
     """
     coords = np.asarray(coords, dtype=float)
-    e1 = coords[1] - coords[0]
-    e2 = coords[2] - coords[0]
-    twice_signed = e1[0] * e2[1] - e1[1] * e2[0]
-    area = 0.5 * abs(twice_signed)
-    if area < DEGENERATE_AREA:
-        raise MeshError(f"degenerate triangle, area {area:g} m^2")
-    g1 = np.array([coords[2, 1] - coords[0, 1], coords[0, 0] - coords[2, 0]]) / twice_signed
-    g2 = np.array([coords[0, 1] - coords[1, 1], coords[1, 0] - coords[0, 0]]) / twice_signed
+    x, y = coords[..., 0], coords[..., 1]
+    e1x, e1y = x[..., 1] - x[..., 0], y[..., 1] - y[..., 0]
+    e2x, e2y = x[..., 2] - x[..., 0], y[..., 2] - y[..., 0]
+    twice_signed = e1x * e2y - e1y * e2x
+    area = 0.5 * np.abs(twice_signed)
+    bad = np.flatnonzero(area < DEGENERATE_AREA)
+    if bad.size:
+        where = f"triangle {bad[0]}: " if coords.ndim > 2 else ""
+        raise MeshError(f"{where}degenerate triangle, area {area.flat[bad[0]]:g} m^2")
+    grads = np.empty(coords.shape)
+    grads[..., 1, 0] = (y[..., 2] - y[..., 0]) / twice_signed
+    grads[..., 1, 1] = (x[..., 0] - x[..., 2]) / twice_signed
+    grads[..., 2, 0] = (y[..., 0] - y[..., 1]) / twice_signed
+    grads[..., 2, 1] = (x[..., 1] - x[..., 0]) / twice_signed
     # First gradient closes the partition of unity exactly in floating point.
-    g0 = -(g1 + g2)
-    return area, np.stack([g0, g1, g2])
+    grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :])
+    return (float(area) if coords.ndim == 2 else area), grads
 
 
 @dataclass
@@ -142,9 +153,10 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
         raise MeshError("node tag outside {0, 1, 2}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= n):
         raise MeshError("triangle vertex index out of range")
-    for t, (i, j, k) in enumerate(triangles):
-        if i == j or j == k or i == k:
-            raise MeshError(f"triangle {t} repeats a vertex index")
+    i, j, k = triangles.T
+    repeats = np.flatnonzero((i == j) | (j == k) | (i == k))
+    if repeats.size:
+        raise MeshError(f"triangle {repeats[0]} repeats a vertex index")
 
     n_shallow = int(np.sum(depth < h_min))
     if n_shallow:
@@ -164,14 +176,7 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
         log.warning("reorienting %d clockwise triangles to CCW", int(np.sum(cw)))
         triangles[cw] = triangles[cw][:, [0, 2, 1]]
 
-    areas = np.empty(len(triangles))
-    grads = np.empty((len(triangles), 3, 2))
-    for t in range(len(triangles)):
-        try:
-            areas[t], grads[t] = triangle_geometry(coords[triangles[t]])
-        except MeshError as exc:
-            raise MeshError(f"triangle {t}: {exc}") from exc
-
+    areas, grads = triangle_geometry(coords[triangles])
     lumped = np.zeros(n)
     np.add.at(lumped, triangles.ravel(), np.repeat(areas / 3.0, 3))
 
@@ -181,68 +186,96 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
     return mesh
 
 
+# A data line is neither blank nor a `#` comment.
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+
+
 def load_mesh(path, h_min=DEFAULT_H_MIN) -> Mesh:
     """Parse the plain-text mesh format and return a validated Mesh."""
-    tokens_per_line = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens_per_line.append((lineno, line.split()))
-
-    if not tokens_per_line:
-        raise MeshError(f"{path}: empty mesh file")
-
-    def parse(lineno, tokens, kinds, what):
-        if len(tokens) != len(kinds):
-            raise MeshError(f"{path}:{lineno}: expected {what} "
-                            f"({len(kinds)} fields), got {len(tokens)}")
-        out = []
-        for tok, kind in zip(tokens, kinds):
-            try:
-                out.append(kind(tok))
-            except ValueError:
-                raise MeshError(f"{path}:{lineno}: bad value {tok!r} in {what}") from None
-        return out
-
-    lineno, head = tokens_per_line[0]
-    nnodes, nelems = parse(lineno, head, (int, int), "header `nnodes nelems`")
-    if nnodes < 3 or nelems < 1:
-        raise MeshError(f"{path}: need at least 3 nodes and 1 element")
-    expected = 1 + nnodes + nelems
-    if len(tokens_per_line) != expected:
-        raise MeshError(f"{path}: expected {expected} data lines, "
-                        f"found {len(tokens_per_line)}")
-
-    coords = np.empty((nnodes, 2))
-    depth = np.empty(nnodes)
-    tags = np.empty(nnodes, dtype=int)
-    for i in range(nnodes):
-        lineno, toks = tokens_per_line[1 + i]
-        x1, x2, h, tag = parse(lineno, toks, (float, float, float, int), "node line")
-        coords[i] = (x1, x2)
-        depth[i] = h
-        tags[i] = tag
-
-    triangles = np.empty((nelems, 3), dtype=int)
-    for e in range(nelems):
-        lineno, toks = tokens_per_line[1 + nnodes + e]
-        triangles[e] = parse(lineno, toks, (int, int, int), "element line")
-
+    coords, depth, tags, triangles = _read_mesh(path)
     return build_mesh(coords, triangles, depth, tags, h_min=h_min)
 
 
+def _read_mesh(path):
+    """Node and element arrays of a mesh file, one conversion per block.
+
+    Only arrays are returned, so the file text and its line list are
+    freed before :func:`build_mesh` allocates the geometry.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    lines = _DATA_LINE.findall(text)
+    if not lines:
+        raise MeshError(f"{path}: empty mesh file")
+
+    nnodes, nelems = _parse_rows(path, text, lines, 0, 1, (int, int),
+                                 "header `nnodes nelems`")[0].tolist()
+    if nnodes < 3 or nelems < 1:
+        raise MeshError(f"{path}: need at least 3 nodes and 1 element")
+    expected = 1 + nnodes + nelems
+    if len(lines) != expected:
+        raise MeshError(f"{path}: expected {expected} data lines, found {len(lines)}")
+
+    nodes = _parse_rows(path, text, lines, 1, nnodes, (float, float, float, int),
+                        "node line")
+    triangles = _parse_rows(path, text, lines, 1 + nnodes, nelems, (int, int, int),
+                            "element line").view(int).reshape(nelems, 3)
+    coords = np.column_stack([nodes["f0"], nodes["f1"]])
+    return coords, nodes["f2"], nodes["f3"], triangles
+
+
+def _parse_rows(path, text, lines, first, count, kinds, what):
+    """Data lines ``first .. first + count - 1`` as one structured array.
+
+    The block is converted in one call.  Only when that raises is the
+    first offending line looked for, by halving the block with the same
+    conversion, so the error names its file line and field.
+    """
+    row = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+    block = lines[first:first + count]
+    try:
+        return np.loadtxt(block, dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        pass
+    lo, hi = 0, count                   # block[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _converts(block[lo:mid], row):
+            lo = mid
+        else:
+            hi = mid
+    match = next(itertools.islice(_DATA_LINE.finditer(text), first + lo, None))
+    lineno = text.count("\n", 0, match.start()) + 1
+    tokens = block[lo].split()
+    if len(tokens) != len(kinds):
+        raise MeshError(f"{path}:{lineno}: expected {what} "
+                        f"({len(kinds)} fields), got {len(tokens)}")
+    bad = next((tok for tok, kind in zip(tokens, kinds) if not _converts([tok], kind)),
+               block[lo].strip())
+    raise MeshError(f"{path}:{lineno}: bad value {bad!r} in {what}")
+
+
+def _converts(lines, dtype):
+    try:
+        np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return False
+    return True
+
+
 def _boundary_edges(mesh: Mesh):
-    """Directed boundary edges (a, b), CCW around the domain."""
-    seen = set()
-    for i, j, k in mesh.triangles:
-        for a, b in ((i, j), (j, k), (k, i)):
-            if (b, a) in seen:
-                seen.discard((b, a))
-            else:
-                seen.add((int(a), int(b)))
-    return sorted(seen)
+    """Directed boundary edges (a, b), CCW around the domain.
+
+    A boundary edge is one that a single triangle uses.  The edges come
+    in the order of their sorted undirected keys (min(a, b), max(a, b)).
+    """
+    n = mesh.n_nodes
+    a = mesh.triangles.ravel()
+    b = mesh.triangles[:, [1, 2, 0]].ravel()
+    undirected = np.minimum(a, b) * n + np.maximum(a, b)
+    _, first, uses = np.unique(undirected, return_index=True, return_counts=True)
+    once = first[uses == 1]
+    return a[once], b[once]
 
 
 def _boundary_normals(mesh: Mesh):
@@ -252,32 +285,29 @@ def _boundary_normals(mesh: Mesh):
     outward normal of a CCW-directed boundary edge (a -> b) is the edge
     tangent rotated clockwise.
     """
-    normals_per_node: dict[int, list[np.ndarray]] = {}
-    bad = []
-    for a, b in _boundary_edges(mesh):
-        t = mesh.coords[b] - mesh.coords[a]
-        nvec = np.array([t[1], -t[0]])
-        norm = np.hypot(*nvec)
-        if norm == 0.0:
-            raise MeshError(f"zero-length boundary edge {a}-{b}")
-        nvec /= norm
-        for node in (a, b):
-            if mesh.tags[node] == INTERIOR:
-                bad.append(node)
-            normals_per_node.setdefault(node, []).append(nvec)
-    if bad:
-        raise MeshError(f"boundary nodes tagged interior: {sorted(set(bad))}")
+    a, b = _boundary_edges(mesh)
+    t = mesh.coords[b] - mesh.coords[a]
+    normals = np.column_stack([t[:, 1], -t[:, 0]])
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    # group the two ends of every edge by node
+    ends = np.concatenate([a, b])
+    order = np.argsort(ends)
+    normals = np.concatenate([normals, normals])[order]
+    nodes, first, count = np.unique(ends[order], return_index=True, return_counts=True)
+    bad = nodes[mesh.tags[nodes] == INTERIOR]
+    if bad.size:
+        raise MeshError(f"boundary nodes tagged interior: {bad.tolist()}")
+
+    pair = count == 2
+    n0, n1 = normals[first], normals[first + pair]
+    corner = (count > 2) | (pair & (n0[:, 0] * n1[:, 0] + n0[:, 1] * n1[:, 1]
+                                    < CORNER_ANGLE_COS))
+    # + 0.0: a sum starts from +0.0, so a -0.0 component reads +0.0
+    mean = np.where(pair[:, None], n0 + n1, n0)[~corner] + 0.0
+    mean /= np.hypot(mean[:, 0], mean[:, 1])[:, None]
 
     land_normals = np.zeros((mesh.n_nodes, 2))
     land_corner = np.zeros(mesh.n_nodes, dtype=bool)
-    for node, normals in normals_per_node.items():
-        if len(normals) > 2:
-            land_corner[node] = True
-            continue
-        if len(normals) == 2 and float(normals[0] @ normals[1]) < CORNER_ANGLE_COS:
-            land_corner[node] = True
-            continue
-        mean = np.sum(normals, axis=0)
-        mean /= np.hypot(*mean)
-        land_normals[node] = mean
+    land_normals[nodes[~corner]] = mean
+    land_corner[nodes[corner]] = True
     return land_normals, land_corner

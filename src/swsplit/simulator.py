@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -64,8 +65,8 @@ class RunConfig:
     n_sub: int = field(init=False, repr=False)   # tau_tilde / tau
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and self.tau_tilde > 0.0):
-            raise ValueError("tau and tau_tilde must be positive")
+        if not (0.0 < self.tau < math.inf and 0.0 < self.tau_tilde < math.inf):
+            raise ValueError("tau and tau_tilde must be positive and finite")
         n_sub = round(self.tau_tilde / self.tau)
         if n_sub < 1 or abs(n_sub * self.tau - self.tau_tilde) > 1e-9 * self.tau_tilde:
             raise ValueError(
@@ -75,16 +76,16 @@ class RunConfig:
             raise ValueError("theta1 and theta2 must lie in [0, 1]")
         for name in ("duration", "snapshot_interval"):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
             if value and abs(round(value / self.tau_tilde) * self.tau_tilde - value) \
                     > 1e-9 * max(value, self.tau_tilde):
                 raise ValueError(f"{name}={value:g} must be a multiple of "
                                  f"tau_tilde={self.tau_tilde:g}")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate_mode must be one of {GATE_MODES}")
-        if not self.cg_tol > 0.0:
-            raise ValueError("cg_tol must be positive")
+        if not 0.0 < self.cg_tol < math.inf:
+            raise ValueError("cg_tol must be positive and finite")
 
     @property
     def n_steps(self) -> int:

@@ -42,10 +42,11 @@ class PhysicalParams:
     h_min: float = DEFAULT_H_MIN  # depth clamp, m
 
     def __post_init__(self):
-        if not (self.g > 0 and self.k1 > 0):
-            raise ValueError("g and k1 must be positive")
-        if not (self.k0 >= 0 and self.xi >= 0 and self.h_min > 0):
-            raise ValueError("k0, xi must be >= 0 and h_min > 0")
+        if not (0 < self.g < math.inf and 0 < self.k1 < math.inf):
+            raise ValueError("g and k1 must be positive and finite")
+        if not (0 <= self.k0 < math.inf and 0 <= self.xi < math.inf
+                and 0 < self.h_min < math.inf):
+            raise ValueError("k0, xi must be finite and >= 0, h_min finite and > 0")
 
 
 @dataclass(frozen=True)

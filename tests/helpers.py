@@ -4,7 +4,9 @@ The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
 three-point Gauss rule (edge midpoints, exact for quadratics), the
 sub-step projection from an element gather/scatter, roots from
-bisection, snapshot text from a row-by-row writer.
+bisection, snapshot text from a row-by-row writer, mesh geometry from a
+per-triangle loop and a set walk over the edges, mesh numbers from
+`float`/`int` on each token.
 """
 from __future__ import annotations
 
@@ -187,6 +189,86 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, tris.ravel(), contrib.ravel())
     return rhs / mesh.lumped_area
+
+
+# ----------------------------------------------------------- mesh oracle
+
+def token_parse(path):
+    """coords, depth, tags, triangles of a mesh file, token by token."""
+    rows = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                rows.append(line.split())
+    nnodes = int(rows[0][0])
+    nodes, elements = rows[1:1 + nnodes], rows[1 + nnodes:]
+    coords = np.array([[float(x1), float(x2)] for x1, x2, _, _ in nodes])
+    depth = np.array([float(h) for _, _, h, _ in nodes])
+    tags = np.array([int(tag) for *_, tag in nodes])
+    triangles = np.array([[int(v) for v in element] for element in elements])
+    return coords, depth, tags, triangles
+
+
+def loop_mesh_geometry(coords, triangles, tags):
+    """Derived mesh arrays built one triangle and one edge at a time.
+
+    Returns the CCW triangles, areas, gradients, lumped areas, land
+    normals and corner flags that ``build_mesh`` derives, from a loop
+    over triangles and a Python-set walk over the directed edges.
+    """
+    from swsplit.mesh import CORNER_ANGLE_COS
+    coords = np.asarray(coords, dtype=float)
+    triangles = np.array(triangles)
+    n = len(coords)
+    areas = np.empty(len(triangles))
+    grads = np.empty((len(triangles), 3, 2))
+    lumped = np.zeros(n)
+    for t in range(len(triangles)):
+        p = coords[triangles[t]]
+        twice_signed = ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                        - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0]))
+        if twice_signed < 0:
+            triangles[t] = triangles[t][[0, 2, 1]]
+            p = coords[triangles[t]]
+        e1 = p[1] - p[0]
+        e2 = p[2] - p[0]
+        twice_signed = e1[0] * e2[1] - e1[1] * e2[0]
+        areas[t] = 0.5 * abs(twice_signed)
+        g1 = np.array([p[2, 1] - p[0, 1], p[0, 0] - p[2, 0]]) / twice_signed
+        g2 = np.array([p[0, 1] - p[1, 1], p[1, 0] - p[0, 0]]) / twice_signed
+        grads[t] = np.stack([-(g1 + g2), g1, g2])
+        for v in triangles[t]:
+            lumped[v] += areas[t] / 3.0
+
+    seen = set()
+    for i, j, k in triangles:
+        for a, b in ((i, j), (j, k), (k, i)):
+            if (b, a) in seen:
+                seen.discard((b, a))
+            else:
+                seen.add((int(a), int(b)))
+    normals_per_node = {}
+    for a, b in sorted(seen):
+        t = coords[b] - coords[a]
+        nvec = np.array([t[1], -t[0]])
+        nvec /= np.hypot(*nvec)
+        for node in (a, b):
+            assert tags[node] != INTERIOR, "oracle expects valid boundary tags"
+            normals_per_node.setdefault(node, []).append(nvec)
+    land_normals = np.zeros((n, 2))
+    land_corner = np.zeros(n, dtype=bool)
+    for node, normals in normals_per_node.items():
+        if len(normals) > 2 or (len(normals) == 2
+                                and float(normals[0] @ normals[1]) < CORNER_ANGLE_COS):
+            land_corner[node] = True
+            continue
+        mean = np.sum(normals, axis=0)
+        mean /= np.hypot(*mean)
+        land_normals[node] = mean
+    return dict(triangles=triangles, areas=areas, grads=grads, lumped_area=lumped,
+                land_normals=land_normals, land_corner=land_corner,
+                boundary_edges=sorted(seen))
 
 
 # ------------------------------------------------------- snapshot oracle

@@ -1,12 +1,15 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (basis_gradients, eval_basis, mesh_text, random_triangle,
-                     rect_mesh, rect_mesh_arrays)
-from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, build_mesh,
-                          load_mesh, triangle_geometry)
+from helpers import (basis_gradients, eval_basis, loop_mesh_geometry, mesh_text,
+                     random_triangle, rect_mesh, rect_mesh_arrays, token_parse)
+from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges,
+                          build_mesh, load_mesh, triangle_geometry)
+
+DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -148,6 +151,251 @@ class TestLoadMesh:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "nope.txt")
+
+
+# Four nodes, two triangles; `# ...` and blank lines are skipped but
+# counted, so the node lines are file lines 4-7 and the elements 9-10.
+SQUARE_LINES = ["# unit square", "", "4 2", "0 0 1 1", "1 0 1 1", "1 1 1 1",
+                "0 1 1 1", "# elements", "0 1 2", "0 2 3"]
+
+
+class TestLoadErrors:
+    """Every MeshError of the loader, with its exact text."""
+
+    def check(self, tmp_path, lines, expected, edit=None):
+        lines = list(lines)
+        if edit:
+            for lineno, line in edit.items():
+                lines[lineno - 1] = line
+        path = tmp_path / "mesh.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError) as excinfo:
+            load_mesh(path)
+        assert str(excinfo.value) == expected.format(path=path)
+
+    def test_square_loads(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("\n".join(SQUARE_LINES) + "\n")
+        mesh = load_mesh(path)
+        assert mesh.n_nodes == 4 and mesh.n_triangles == 2
+        assert np.array_equal(mesh.tags, [LAND] * 4)
+
+    def test_empty_file(self, tmp_path):
+        self.check(tmp_path, ["# nothing", "  "], "{path}: empty mesh file")
+
+    @pytest.mark.parametrize("header, expected", [
+        ("4", "{path}:3: expected header `nnodes nelems` (2 fields), got 1"),
+        ("4 2.0", "{path}:3: bad value '2.0' in header `nnodes nelems`"),
+        ("2 2", "{path}: need at least 3 nodes and 1 element"),
+        ("4 0", "{path}: need at least 3 nodes and 1 element"),
+    ])
+    def test_header(self, tmp_path, header, expected):
+        self.check(tmp_path, SQUARE_LINES, expected, {3: header})
+
+    @pytest.mark.parametrize("line, token", [
+        ("1 zero 1 1", "zero"), ("1 0 1.0.0 1", "1.0.0"), ("0x1 0 1 1", "0x1"),
+    ])
+    def test_bad_float_token(self, tmp_path, line, token):
+        self.check(tmp_path, SQUARE_LINES,
+                   f"{{path}}:5: bad value {token!r} in node line", {5: line})
+
+    @pytest.mark.parametrize("tag", ["1.5", "1e0", "1.", "one"])
+    def test_non_integer_tag(self, tmp_path, tag):
+        self.check(tmp_path, SQUARE_LINES,
+                   f"{{path}}:6: bad value {tag!r} in node line", {6: f"1 1 1 {tag}"})
+
+    def test_first_bad_token_of_the_line(self, tmp_path):
+        self.check(tmp_path, SQUARE_LINES, "{path}:7: bad value 'y' in node line",
+                   {5: "1 0 1 1", 7: "0 y z 1"})
+
+    def test_first_bad_line_reported(self, tmp_path):
+        self.check(tmp_path, SQUARE_LINES, "{path}:5: bad value 'a' in node line",
+                   {5: "1 0 1 a", 6: "1 1 b 1"})
+
+    @pytest.mark.parametrize("line, got", [("0 1 1", 3), ("0 1 1 1 1", 5)])
+    def test_node_field_count(self, tmp_path, line, got):
+        self.check(tmp_path, SQUARE_LINES,
+                   f"{{path}}:7: expected node line (4 fields), got {got}", {7: line})
+
+    @pytest.mark.parametrize("line, got", [("0 2", 2), ("0 2 3 1", 4)])
+    def test_element_field_count(self, tmp_path, line, got):
+        self.check(tmp_path, SQUARE_LINES,
+                   f"{{path}}:10: expected element line (3 fields), got {got}", {10: line})
+
+    @pytest.mark.parametrize("line, token", [("0 2 x", "x"), ("0 2.0 3", "2.0")])
+    def test_bad_element_token(self, tmp_path, line, token):
+        self.check(tmp_path, SQUARE_LINES,
+                   f"{{path}}:10: bad value {token!r} in element line", {10: line})
+
+    def test_data_line_count(self, tmp_path):
+        self.check(tmp_path, SQUARE_LINES + ["1 2 3"],
+                   "{path}: expected 7 data lines, found 8")
+        self.check(tmp_path, SQUARE_LINES[:-1], "{path}: expected 7 data lines, found 6")
+
+    @pytest.mark.parametrize("line", ["0 2 4", "0 -1 3"])
+    def test_index_out_of_range(self, tmp_path, line):
+        self.check(tmp_path, SQUARE_LINES, "triangle vertex index out of range", {10: line})
+
+    def test_non_finite_node_data(self, tmp_path):
+        self.check(tmp_path, SQUARE_LINES, "non-finite node data", {5: "1 0 nan 1"})
+
+    def test_tag_outside_set(self, tmp_path):
+        self.check(tmp_path, SQUARE_LINES, "node tag outside {{0, 1, 2}}", {5: "1 0 1 3"})
+
+    def test_repeated_vertex_reports_first_triangle(self, tmp_path):
+        lines = SQUARE_LINES[:2] + ["4 4"] + SQUARE_LINES[3:] + ["1 1 2", "3 0 3"]
+        self.check(tmp_path, lines, "triangle 2 repeats a vertex index")
+
+    def test_degenerate_element_reports_first_triangle(self, tmp_path):
+        # node 4 sits on the diagonal 0-2, node 5 on the edge 1-2
+        lines = (SQUARE_LINES[:2] + ["6 4"] + SQUARE_LINES[3:7]
+                 + ["0.5 0.5 1 1", "1 0.5 1 1", "# elements", "0 1 2", "0 4 2", "1 2 5", "0 2 3"])
+        self.check(tmp_path, lines, "triangle 1: degenerate triangle, area 0 m^2")
+
+    def test_interior_tagged_boundary_nodes_sorted(self, tmp_path):
+        coords, tris, depth, tags = rect_mesh_arrays(3, 3, 1.0, 1.0)
+        tags[[7, 2, 0]] = INTERIOR
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(coords, tris, depth, tags))
+        with pytest.raises(MeshError) as excinfo:
+            load_mesh(path)
+        assert str(excinfo.value) == "boundary nodes tagged interior: [0, 2, 7]"
+
+    def test_line_numbers_with_crlf_and_indent(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        text = "\r\n".join(["  " + line for line in SQUARE_LINES]) + "\r\n"
+        path.write_bytes(text.replace("  1 1 1 1", "  1 1 1 2.5").encode())
+        with pytest.raises(MeshError) as excinfo:
+            load_mesh(path)
+        assert str(excinfo.value) == f"{path}:6: bad value '2.5' in node line"
+
+
+class TestBuildMeshErrors:
+    def test_repeated_vertex_reports_first_triangle(self):
+        coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, [[0, 1, 2], [0, 2, 3], [3, 3, 1], [2, 2, 2]],
+                       [1.0] * 4, [LAND] * 4)
+        assert str(excinfo.value) == "triangle 2 repeats a vertex index"
+
+    def test_degenerate_reports_first_triangle_and_area(self):
+        coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 1e-12], [2.0, 0.0]]
+        # triangle 2 has area 5e-13 (below the floor), triangle 3 area 0
+        tris = [[0, 1, 2], [0, 2, 3], [0, 1, 4], [1, 5, 0]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, tris, [1.0] * 6, [LAND] * 6)
+        assert str(excinfo.value) == "triangle 2: degenerate triangle, area 5e-13 m^2"
+
+    def test_single_degenerate_triangle_message(self):
+        with pytest.raises(MeshError) as excinfo:
+            triangle_geometry([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert str(excinfo.value) == "degenerate triangle, area 0 m^2"
+
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def jittered_arrays(nx, ny, rng, open_west=False):
+    """Jittered rectangle with random depths, some below h_min."""
+    coords, tris, _, tags = rect_mesh_arrays(nx, ny, 3.0, 2.0)
+    h = 2.0 / (max(nx, ny) - 1)
+    interior = tags == INTERIOR
+    coords[interior] += rng.uniform(-0.3 * h, 0.3 * h, size=(interior.sum(), 2))
+    if open_west:
+        tags[(coords[:, 0] == 0.0) & (tags == LAND)] = OPEN
+    depth = rng.uniform(-0.5, 8.0, size=len(coords))
+    return coords, tris, depth, tags
+
+
+def holed_arrays(rng):
+    """Rectangle with a square hole; both boundaries tagged land."""
+    coords, tris, depth, tags = jittered_arrays(11, 11, rng)
+    centroid = coords[tris].mean(axis=1)
+    keep = ~np.all(np.abs(centroid - (1.5, 1.0)) < 0.45, axis=1)
+    tris = tris[keep]
+    used = np.unique(tris)
+    remap = np.full(len(coords), -1)
+    remap[used] = np.arange(len(used))
+    coords, depth, tags, tris = coords[used], depth[used], tags[used], remap[tris]
+    edges = loop_mesh_geometry(coords, tris, np.full(len(coords), LAND))["boundary_edges"]
+    tags[np.unique(edges)] = LAND
+    return coords, tris, depth, tags
+
+
+class TestMeshOracle:
+    """load_mesh/build_mesh against the token parser and the loop oracle."""
+
+    def check_file(self, path, h_min=0.05):
+        mesh = load_mesh(path, h_min=h_min)
+        coords, depth, tags, triangles = token_parse(path)
+        assert bitwise_equal(mesh.coords, coords)
+        assert bitwise_equal(mesh.depth, np.maximum(depth, h_min))
+        assert bitwise_equal(mesh.tags, tags)
+        oracle = loop_mesh_geometry(coords, triangles, tags)
+        for name in ("triangles", "areas", "grads", "lumped_area",
+                     "land_normals", "land_corner"):
+            assert bitwise_equal(getattr(mesh, name), oracle[name]), name
+        a, b = _boundary_edges(mesh)
+        assert sorted(zip(a.tolist(), b.tolist())) == oracle["boundary_edges"]
+        return mesh
+
+    def write(self, tmp_path, arrays):
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(*arrays))
+        return path
+
+    @pytest.mark.parametrize("seed, shape, open_west", [
+        (0, (5, 7), False), (1, (9, 9), True), (2, (13, 6), False), (3, (17, 17), True),
+    ])
+    def test_jittered(self, tmp_path, seed, shape, open_west):
+        arrays = jittered_arrays(*shape, np.random.default_rng(seed), open_west)
+        mesh = self.check_file(self.write(tmp_path, arrays))
+        assert mesh.land_corner.sum() == 4
+
+    def test_mixed_orientation(self, tmp_path, caplog):
+        rng = np.random.default_rng(7)
+        coords, tris, depth, tags = jittered_arrays(10, 8, rng, open_west=True)
+        flip = rng.random(len(tris)) < 0.5
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        with caplog.at_level(logging.WARNING, logger="swsplit.mesh"):
+            self.check_file(self.write(tmp_path, (coords, tris, depth, tags)))
+        assert f"reorienting {flip.sum()} clockwise triangles" in caplog.text
+
+    def test_hole(self, tmp_path):
+        mesh = self.check_file(self.write(tmp_path, holed_arrays(np.random.default_rng(5))))
+        assert len(mesh.land_nodes) > 4 * (11 - 1)   # outer walls plus the hole
+
+    def test_pinched_node(self, tmp_path):
+        # two squares touching at node 2: four boundary edges meet there
+        coords = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 1], [2, 2], [1, 2]]
+        tris = [[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 6]]
+        mesh = self.check_file(self.write(tmp_path, (coords, tris, [1.0] * 7, [LAND] * 7)))
+        assert mesh.land_corner[2]
+
+    def test_demo_channel(self):
+        mesh = self.check_file(DEMO_MESH)
+        assert mesh.n_nodes == 63 and mesh.n_triangles == 96
+
+    def test_number_formats(self, tmp_path):
+        """Parsed numbers equal float()/int() of each token, bit for bit."""
+        rng = np.random.default_rng(11)
+        coords, tris, _, tags = jittered_arrays(9, 7, rng, open_west=True)
+        depth = 10.0 ** rng.uniform(-320, 308, size=len(coords))
+        coords = coords * 10.0 ** rng.integers(-3, 4)
+        forms = ("{!r}", "{:.17e}", "{:.6g}", "{:E}", "+{!r}", "  {!r}\t")
+        lines = [f"{len(coords)} {len(tris)}"]
+        for (x, y), h, tag in zip(coords, depth, tags):
+            fx, fy, fh = (forms[i] for i in rng.integers(0, len(forms), size=3))
+            tag = ("+{}", "{}", "0{}")[rng.integers(0, 3)].format(tag)
+            lines.append(" ".join([fx.format(float(x)), fy.format(float(y)),
+                                   fh.format(float(h)), tag]))
+        lines += ["\t".join(f"{v:+d}" if v % 2 else f"{v:03d}" for v in tri) for tri in tris]
+        path = tmp_path / "mesh.txt"
+        path.write_text("\n".join(lines) + "\n")
+        self.check_file(path, h_min=5e-324)
 
 
 def test_interpolation_exactness_random_mesh(rng):

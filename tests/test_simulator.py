@@ -58,6 +58,20 @@ class TestRunConfig:
         cfg = RunConfig(tau_tilde=300.0)
         assert cfg.theta1 == cfg.theta2 == 0.5
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name, message", [
+        ("tau", "tau and tau_tilde must be positive and finite"),
+        ("tau_tilde", "tau and tau_tilde must be positive and finite"),
+        ("theta1", r"theta1 and theta2 must lie in \[0, 1\]"),
+        ("theta2", r"theta1 and theta2 must lie in \[0, 1\]"),
+        ("duration", "duration must be finite and >= 0"),
+        ("snapshot_interval", "snapshot_interval must be finite and >= 0"),
+        ("cg_tol", "cg_tol must be positive and finite"),
+    ])
+    def test_non_finite_rejected(self, name, message, value):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{name: value})
+
     def test_step_counts(self):
         cfg = RunConfig(duration=3000.0)
         assert cfg.n_steps == 10

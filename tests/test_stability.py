@@ -337,3 +337,16 @@ def test_params_validation():
         PhysicalParams(k1=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(k0=-1e-4)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name, message", [
+    ("g", "g and k1 must be positive and finite"),
+    ("k1", "g and k1 must be positive and finite"),
+    ("k0", "k0, xi must be finite and >= 0, h_min finite and > 0"),
+    ("xi", "k0, xi must be finite and >= 0, h_min finite and > 0"),
+    ("h_min", "k0, xi must be finite and >= 0, h_min finite and > 0"),
+])
+def test_params_non_finite_rejected(name, message, value):
+    with pytest.raises(ValueError, match=message):
+        PhysicalParams(**{name: value})
