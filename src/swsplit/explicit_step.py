@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import FemMatrices
 from .mesh import Mesh
-from .stability import PhysicalParams
+from .stability import PhysicalParams, drag_coefficient
 from .state import State
 
 
@@ -39,8 +40,7 @@ def _sources(u1, u2, drag, k0, w1, w2):
 
 def _frozen_coefficients(state: State, mesh: Mesh, params: PhysicalParams, wind):
     h_tot = total_height(state.eta, mesh, params)
-    speed = np.hypot(state.u1, state.u2)
-    drag = params.g * speed / (params.k1 ** 2 * h_tot)
+    drag = drag_coefficient(np.hypot(state.u1, state.u2), h_tot, params)
     v1, v2 = wind
     wind_speed = np.hypot(v1, v2)
     w1 = params.xi * wind_speed * v1 / h_tot
@@ -58,13 +58,14 @@ def source_terms(state: State, mesh: Mesh, params: PhysicalParams, wind=(0.0, 0.
     return _sources(state.u1, state.u2, drag, params.k0, w1, w2)
 
 
-def taylor_galerkin_increment(state: State, mesh: Mesh, params: PhysicalParams,
-                              wind, tau) -> SourceIncrement:
+def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: Mesh,
+                              params: PhysicalParams, tau) -> SourceIncrement:
     """One explicit sub-step of length ``tau``.
 
     Returns the velocity increment tau * R(half step) projected in the
     Galerkin sense: the right side integrates R(half) plus the deviation
-    of R(start) from its element means, the left side is the lumped mass.
+    of R(start) from its element means, the left side is the lumped mass
+    ``matrices.M_L``.
     For a spatially uniform field this reduces exactly to the 2x2 map of
     :func:`swsplit.stability.source_update_matrix`.
     """
@@ -75,17 +76,14 @@ def taylor_galerkin_increment(state: State, mesh: Mesh, params: PhysicalParams,
     u2_half = state.u2 + 0.5 * tau * r2_n
     r1_h, r2_h = _sources(u1_half, u2_half, drag, k0, w1, w2)
 
-    return SourceIncrement(d_u1=tau * _lumped_projection(mesh, r1_h, r1_n),
-                           d_u2=tau * _lumped_projection(mesh, r2_h, r2_n))
+    return SourceIncrement(d_u1=tau * _lumped_projection(matrices, r1_h, r1_n),
+                           d_u2=tau * _lumped_projection(matrices, r2_h, r2_n))
 
 
-def _lumped_projection(mesh: Mesh, r_half, r_start):
+def _lumped_projection(matrices: FemMatrices, r_half, r_start):
     """M_L^-1 [ M (r_half + r_start) - element-mean integral of r_start ].
 
-    Evaluated as M_L^-1 (M r_half + K r_start) with the sparse pair
-    (M, K = M - P) that the mesh assembles once and caches
-    (:attr:`swsplit.mesh.Mesh.projection_operators`); P is the
-    element-mean operator.
+    Evaluated as M_L^-1 (M r_half + K r_start) with the assembled
+    K = M - P, P the element-mean operator.
     """
-    M, K = mesh.projection_operators
-    return (M @ r_half + K @ r_start) / mesh.lumped_area
+    return (matrices.M @ r_half + matrices.K @ r_start) / matrices.M_L

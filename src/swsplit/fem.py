@@ -1,9 +1,10 @@
-"""Global sparse P1 matrices: mass, lumped mass, depth-weighted stiffness
-and the two gradient matrices.
+"""Global sparse P1 matrices: mass, lumped mass, the sub-step projection,
+depth-weighted stiffness and the two gradient matrices.
 
 Element contributions (area A, basis gradients grad phi_i constant):
 
     mass      (A/12) * [[2,1,1],[1,2,1],[1,1,2]]
+    K = M - P  mass block minus A/9 in every entry (P: element-mean operator)
     stiffness  A * Hbar * (grad phi_i . grad phi_j),  Hbar = mean nodal depth
     gradient  (A/3) * d(phi_j)/dx_k, identical for every test index i
 
@@ -25,10 +26,11 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class FemMatrices:
-    """Assembled global operators on one mesh (CSR, immutable)."""
+    """Assembled global operators on one mesh (CSR, immutable), built once per run."""
 
     M: sp.csr_matrix        # consistent mass, symmetric positive definite
     M_L: np.ndarray         # lumped mass diagonal (row sums of M)
+    K: sp.csr_matrix        # M - P, the sub-step projection of the start sources
     S: sp.csr_matrix        # depth-weighted stiffness, symmetric PSD
     Q1: sp.csr_matrix       # integral of phi_i d(phi_j)/dx1
     Q2: sp.csr_matrix       # integral of phi_i d(phi_j)/dx2
@@ -53,27 +55,11 @@ def _scatter(mesh: Mesh, el) -> sp.csr_matrix:
     return mat
 
 
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix M."""
-    return _scatter(mesh, mesh.areas[:, None, None] * _MASS_PATTERN)
-
-
-def projection_operators(mesh: Mesh):
-    """Pair (M, K) of the explicit sub-step's Galerkin projection.
-
-    K = M - P, where P is the element-mean operator with A/9 in every
-    entry of an element block, so the projected right side of a sub-step
-    is M r_half + K r_start.  :attr:`Mesh.projection_operators` caches
-    this pair on first use.
-    """
-    areas = mesh.areas[:, None, None]
-    return mass_matrix(mesh), _scatter(mesh, areas * (_MASS_PATTERN - 1.0 / 9.0))
-
-
 def assemble(mesh: Mesh) -> FemMatrices:
-    """Assemble M, M_L, S, Q1, Q2 over all elements of ``mesh``."""
+    """Assemble M, M_L, K, S, Q1, Q2 over all elements of ``mesh``."""
     tris = mesh.triangles
     areas = mesh.areas
+    area_el = areas[:, None, None]
     grads = mesh.grads
 
     hbar = mesh.depth[tris].mean(axis=1)
@@ -83,9 +69,10 @@ def assemble(mesh: Mesh) -> FemMatrices:
     q1_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 0])[:, None, :], shape)
     q2_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 1])[:, None, :], shape)
 
-    M = mass_matrix(mesh)
-    return FemMatrices(M=M, M_L=lump(M), S=_scatter(mesh, stiff_el),
-                       Q1=_scatter(mesh, q1_el), Q2=_scatter(mesh, q2_el))
+    M = _scatter(mesh, area_el * _MASS_PATTERN)
+    return FemMatrices(M=M, M_L=lump(M), K=_scatter(mesh, area_el * (_MASS_PATTERN - 1.0 / 9.0)),
+                       S=_scatter(mesh, stiff_el), Q1=_scatter(mesh, q1_el),
+                       Q2=_scatter(mesh, q2_el))
 
 
 def lump(M: sp.csr_matrix) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import FemMatrices
-from .forcing import TimeSeries
 from .mesh import Mesh
 from .multigrid import build_hierarchy
 from .state import State
@@ -39,14 +38,14 @@ class LinearSolveStats:
     residual: float   # final relative residual
 
 
-def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
+def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=None):
     """CG for SPD systems, zero initial guess, deterministic.
 
     Stops when ||r|| / ||b|| <= tol; raises :class:`SolverError` on
     non-convergence or on a non-positive curvature direction (matrix not
-    SPD).  ``precondition`` is False (plain CG), True (Jacobi) or a
-    callable r -> z applying a symmetric positive definite approximation
-    of A^-1, such as :meth:`multigrid.Hierarchy.vcycle`.
+    SPD).  ``precondition`` is None (plain CG) or a callable r -> z
+    applying a symmetric positive definite approximation of A^-1, such
+    as :meth:`multigrid.Hierarchy.vcycle`.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -56,18 +55,9 @@ def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
     if norm_b == 0.0:
         return np.zeros(n), LinearSolveStats(0, 0.0)
 
-    if precondition is True:
-        diag = A.diagonal()
-        if np.any(diag <= 0.0):
-            raise SolverError("non-positive diagonal, cannot precondition")
-        inv_diag = 1.0 / diag
-
-        def precondition(r):
-            return inv_diag * r
-
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r) if precondition else r
+    z = r if precondition is None else precondition(r)
     p = z.copy()
     rz = float(r @ z)
     rel = 1.0
@@ -83,7 +73,7 @@ def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=False):
         rel = float(np.linalg.norm(r)) / norm_b
         if rel <= tol:
             return x, LinearSolveStats(k, rel)
-        z = precondition(r) if precondition else r
+        z = r if precondition is None else precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -131,31 +121,24 @@ class ElevationSolver:
             self.A_ff, self.A_fo = A, sp.csr_matrix((self.n, 0))
         self.hierarchy = build_hierarchy(self.A_ff) if self.free.size else None
 
-    def solve(self, rhs, open_values, tol=1e-10):
-        """d_eta with A d_eta = rhs on the free nodes and d_eta = open_values
-        on the open nodes; returns (d_eta, stats)."""
-        open_values = np.asarray(open_values, dtype=float)
-        d_eta = np.zeros(self.n)
-        d_eta[self.open_nodes] = open_values
-        if self.free.size == 0:
-            return d_eta, LinearSolveStats(0, 0.0)
-        x_f, stats = conjugate_gradient(self.A_ff, rhs[self.free] - self.A_fo @ open_values,
-                                        tol=tol, precondition=self.hierarchy.vcycle)
-        d_eta[self.free] = x_f
-        return d_eta, stats
 
-
-def solve_elevation(A, rhs, open_nodes, open_values, tol=1e-10):
-    """Solve A d_eta = rhs with d_eta prescribed at ``open_nodes``.
+def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=1e-10):
+    """Solve A d_eta = rhs with d_eta prescribed at the open nodes.
 
     The Dirichlet rows/columns are eliminated symmetrically (reduced SPD
     system on the free nodes, right side shifted by the prescribed
-    column block).  ``A`` is the system matrix, or an
-    :class:`ElevationSolver` already built from it for these open nodes,
-    which skips the set-up.  Returns (d_eta, stats).
+    column block of ``solver``); ``open_values`` holds d_eta at
+    ``solver.open_nodes``.  Returns (d_eta, stats).
     """
-    solver = A if isinstance(A, ElevationSolver) else ElevationSolver(A, open_nodes)
-    return solver.solve(rhs, open_values, tol=tol)
+    open_values = np.asarray(open_values, dtype=float)
+    d_eta = np.zeros(solver.n)
+    d_eta[solver.open_nodes] = open_values
+    if solver.free.size == 0:
+        return d_eta, LinearSolveStats(0, 0.0)
+    x_f, stats = conjugate_gradient(solver.A_ff, rhs[solver.free] - solver.A_fo @ open_values,
+                                    tol=tol, precondition=solver.hierarchy.vcycle)
+    d_eta[solver.free] = x_f
+    return d_eta, stats
 
 
 def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, cfg, g):
@@ -203,12 +186,10 @@ def project_land_velocity(u1, u2, mesh: Mesh):
         u2[straight] -= un * ny
 
 
-def apply_boundaries(state: State, mesh: Mesh, tide: TimeSeries, t) -> State:
-    """Impose boundary data at time ``t``: tidal elevation on open nodes,
-    zero normal flow on land nodes.  Faults if t is outside the tide range.
+def apply_boundaries(state: State, mesh: Mesh, eta_open) -> State:
+    """Impose boundary data: the tidal elevation ``eta_open`` on open
+    nodes, zero normal flow on land nodes.
     """
-    open_nodes = mesh.open_nodes
-    if open_nodes.size:
-        state.eta[open_nodes] = float(tide.at(t)[0])
+    state.eta[mesh.open_nodes] = eta_open
     project_land_velocity(state.u1, state.u2, mesh)
     return state

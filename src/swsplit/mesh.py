@@ -16,7 +16,6 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +80,8 @@ def triangle_geometry(coords):
 class Mesh:
     """Validated triangulation with precomputed P1 geometry.
 
-    Immutable after construction apart from
-    :attr:`projection_operators`, which is assembled on first use and
-    then cached; safe for shared concurrent reads.
+    Geometry only, immutable after construction; the operators on it are
+    :class:`swsplit.fem.FemMatrices`.
     """
 
     coords: np.ndarray      # (n_nodes, 2)
@@ -92,7 +90,6 @@ class Mesh:
     triangles: np.ndarray   # (n_tris, 3) CCW vertex indices
     areas: np.ndarray = field(repr=False, default=None)
     grads: np.ndarray = field(repr=False, default=None)       # (n_tris, 3, 2)
-    lumped_area: np.ndarray = field(repr=False, default=None)  # (n_nodes,)
     # unit outward normal per node (rows valid for land nodes on straight
     # walls); corner land nodes are clamped to zero velocity instead
     land_normals: np.ndarray = field(repr=False, default=None)
@@ -117,24 +114,13 @@ class Mesh:
     def total_area(self) -> float:
         return float(np.sum(self.areas))
 
-    @cached_property
-    def projection_operators(self):
-        """Sparse pair (M, K) of the explicit sub-step's projection.
-
-        Built by :func:`swsplit.fem.projection_operators` on the first
-        sub-step rather than in :func:`build_mesh`, so it never adds to
-        the peak of the mesh parser.
-        """
-        from .fem import projection_operators   # fem imports this module
-        return projection_operators(self)
-
 
 def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
     """Validate raw arrays and derive element geometry.
 
     Clockwise triangles are reoriented (with a warning), depths below
-    ``h_min`` are clamped (with a warning), degenerate elements and bad
-    indices raise :class:`MeshError`.
+    ``h_min`` are clamped (with a warning), degenerate elements, bad
+    indices and non-manifold edges raise :class:`MeshError`.
     """
     coords = np.array(coords, dtype=float)
     depth = np.array(depth, dtype=float)
@@ -177,11 +163,8 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
         triangles[cw] = triangles[cw][:, [0, 2, 1]]
 
     areas, grads = triangle_geometry(coords[triangles])
-    lumped = np.zeros(n)
-    np.add.at(lumped, triangles.ravel(), np.repeat(areas / 3.0, 3))
-
     mesh = Mesh(coords=coords, depth=depth, tags=tags, triangles=triangles,
-                areas=areas, grads=grads, lumped_area=lumped)
+                areas=areas, grads=grads)
     mesh.land_normals, mesh.land_corner = _boundary_normals(mesh)
     return mesh
 
@@ -268,13 +251,26 @@ def _boundary_edges(mesh: Mesh):
 
     A boundary edge is one that a single triangle uses.  The edges come
     in the order of their sorted undirected keys (min(a, b), max(a, b)).
+    The same pass refuses a mesh that is not manifold, naming the first
+    triangle that repeats an edge already used by two triangles, or by
+    one in the same direction (a fold or an overlap, since both are
+    CCW).
     """
     n = mesh.n_nodes
     a = mesh.triangles.ravel()
     b = mesh.triangles[:, [1, 2, 0]].ravel()
     undirected = np.minimum(a, b) * n + np.maximum(a, b)
-    _, first, uses = np.unique(undirected, return_index=True, return_counts=True)
-    once = first[uses == 1]
+    order = np.argsort(undirected, kind="stable")   # an edge's uses in triangle order
+    keys, forward = undirected[order], (a < b)[order]
+    new = np.diff(keys, prepend=-1, append=-1) != 0  # use i starts an edge (last: the end)
+    repeat = ~new[1:-1]                               # use i + 1 repeats use i's edge
+    # a repeat is bad if it runs the way the use before it does, or is a third use
+    bad = order[1:][repeat & ((forward[1:] == forward[:-1]) | ~new[:-2])]
+    if bad.size:
+        e = bad.min()
+        raise MeshError(f"triangle {e // 3}: edge {a[e]}-{b[e]} is not manifold "
+                        f"(used by more than two triangles, or twice in the same direction)")
+    once = order[new[:-1] & new[1:]]
     return a[once], b[once]
 
 

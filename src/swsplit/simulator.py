@@ -25,7 +25,7 @@ from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
                             elevation_rhs, project_land_velocity, solve_elevation,
                             velocity_correction)
 from .mesh import Mesh
-from .stability import PhysicalParams, critical_time_step_for_drag
+from .stability import PhysicalParams, critical_time_step_for_drag, drag_coefficient
 from .state import State
 
 log = logging.getLogger(__name__)
@@ -158,7 +158,7 @@ def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> Gat
     speed = np.hypot(state.u1, state.u2)
     floor_active = bool(np.any(speed < U_FLOOR))
     speed = np.maximum(speed, U_FLOOR)
-    drag = params.g * speed / (params.k1 ** 2 * h_tot)
+    drag = drag_coefficient(speed, h_tot, params)
 
     tau_c = critical_time_step_for_drag(params.k0, drag)
     worst = int(np.argmin(tau_c))
@@ -204,7 +204,7 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     for s in range(cfg.n_sub):
         work.t = state.t + s * cfg.tau
         wind = forcings.wind_at(work.t)
-        inc = taylor_galerkin_increment(work, mesh, params, wind, cfg.tau)
+        inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau)
         acc1 += inc.d_u1
         acc2 += inc.d_u2
         work = State(state.eta, state.u1 + acc1, state.u2 + acc2, work.t)
@@ -224,17 +224,17 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     if solver is None:
         solver = elevation_solver(matrices, mesh, cfg, params.g)
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
-    open_nodes = mesh.open_nodes
-    open_values = (forcings.tide_at(t_next) - state.eta[open_nodes]
-                   if open_nodes.size else np.empty(0))
-    d_eta, cg_stats = solve_elevation(solver, rhs, open_nodes, open_values, tol=cfg.cg_tol)
+    # the one tide read of the step (a closed basin reads none)
+    eta_open = forcings.tide_at(t_next) if solver.open_nodes.size else 0.0
+    d_eta, cg_stats = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes],
+                                      tol=cfg.cg_tol)
     d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
 
     new_state = State(eta=state.eta + d_eta,
                       u1=state.u1 + d_star.d_u1 + d_u1c,
                       u2=state.u2 + d_star.d_u2 + d_u2c,
                       t=t_next)
-    apply_boundaries(new_state, mesh, forcings.tide, t_next)
+    apply_boundaries(new_state, mesh, eta_open)
     new_state.check()
     info = StepInfo(d_star=d_star, d_eta=d_eta, d_u1_corr=d_u1c,
                     d_u2_corr=d_u2c, cg=cg_stats, gate=verdict)

@@ -240,12 +240,12 @@ def critical_time_step_for_drag(k0, D):
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
     """Evaluate every analysis quantity for one (tau, |u|, H) operating point."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    if not depth > 0.0:
-        raise ValueError("depth must be positive")
-    if not speed >= 0.0:
-        raise ValueError("speed must be >= 0")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    if not 0.0 < depth < math.inf:
+        raise ValueError("depth must be positive and finite")
+    if not 0.0 <= speed < math.inf:
+        raise ValueError("speed must be finite and >= 0")
     D = drag_coefficient(speed, depth, params)
     alpha, beta = step_coefficients(tau, params.k0, D)
     cubic = cubic_coefficients(params.k0, D)

@@ -175,7 +175,8 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
 
     Element-level form of the explicit sub-step's projected right side:
     gathers each element's nodal values and scatters the consistent-mass
-    action and the mean term back in element index order.
+    action and the mean term back in element index order, and divides
+    by its own lumped area (a third of each element's area per vertex).
     """
     tris = mesh.triangles
     areas = mesh.areas
@@ -188,7 +189,9 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
         - (areas / 3.0 * mean_el)[:, None]
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, tris.ravel(), contrib.ravel())
-    return rhs / mesh.lumped_area
+    lumped = np.zeros(mesh.n_nodes)
+    np.add.at(lumped, tris.ravel(), np.repeat(areas / 3.0, 3))
+    return rhs / lumped
 
 
 # ----------------------------------------------------------- mesh oracle
@@ -213,7 +216,7 @@ def token_parse(path):
 def loop_mesh_geometry(coords, triangles, tags):
     """Derived mesh arrays built one triangle and one edge at a time.
 
-    Returns the CCW triangles, areas, gradients, lumped areas, land
+    Returns the CCW triangles, areas, gradients, land
     normals and corner flags that ``build_mesh`` derives, from a loop
     over triangles and a Python-set walk over the directed edges.
     """
@@ -223,7 +226,6 @@ def loop_mesh_geometry(coords, triangles, tags):
     n = len(coords)
     areas = np.empty(len(triangles))
     grads = np.empty((len(triangles), 3, 2))
-    lumped = np.zeros(n)
     for t in range(len(triangles)):
         p = coords[triangles[t]]
         twice_signed = ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
@@ -238,8 +240,6 @@ def loop_mesh_geometry(coords, triangles, tags):
         g1 = np.array([p[2, 1] - p[0, 1], p[0, 0] - p[2, 0]]) / twice_signed
         g2 = np.array([p[0, 1] - p[1, 1], p[1, 0] - p[0, 0]]) / twice_signed
         grads[t] = np.stack([-(g1 + g2), g1, g2])
-        for v in triangles[t]:
-            lumped[v] += areas[t] / 3.0
 
     seen = set()
     for i, j, k in triangles:
@@ -266,7 +266,7 @@ def loop_mesh_geometry(coords, triangles, tags):
         mean = np.sum(normals, axis=0)
         mean /= np.hypot(*mean)
         land_normals[node] = mean
-    return dict(triangles=triangles, areas=areas, grads=grads, lumped_area=lumped,
+    return dict(triangles=triangles, areas=areas, grads=grads,
                 land_normals=land_normals, land_corner=land_corner,
                 boundary_edges=sorted(seen))
 

@@ -132,13 +132,14 @@ def test_criterion_5_fem_quadrature_oracle(rng):
 def test_criterion_6_uniform_field_equivalence(params, rng):
     with criterion(6, "explicit sub-step equals the 2x2 recursion"):
         mesh = two_triangle_square(depth=0.1)
+        matrices = assemble(mesh)
         n = mesh.n_nodes
         cases = [(0.1, 0.0, 3.0)] + [
             tuple(rng.uniform(-0.3, 0.3, size=2)) + (rng.uniform(0.5, 5.0),)
             for _ in range(25)]
         for u1, u2, tau in cases:
             state = State(np.zeros(n), np.full(n, u1), np.full(n, u2))
-            inc = taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), tau)
+            inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, mesh, params, tau)
             drag = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * 0.1)
             T = source_update_matrix(tau, params.k0, drag)
             expected = T @ np.array([u1, u2]) - np.array([u1, u2])

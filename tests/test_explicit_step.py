@@ -56,9 +56,10 @@ DEMO_MESH = Path(__file__).resolve().parent.parent / "demo" / "channel.mesh"
 class TestLumpedProjection:
     @staticmethod
     def assert_matches_oracle(mesh, rng):
+        matrices = assemble(mesh)
         for _ in range(3):
             r_half, r_start = rng.standard_normal((2, mesh.n_nodes))
-            got = _lumped_projection(mesh, r_half, r_start)
+            got = _lumped_projection(matrices, r_half, r_start)
             want = element_lumped_projection(mesh, r_half, r_start)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -72,32 +73,24 @@ class TestLumpedProjection:
     def test_matches_element_form_on_demo_mesh(self, rng):
         self.assert_matches_oracle(load_mesh(DEMO_MESH), rng)
 
-    def test_operators_built_once_per_mesh(self, params):
-        mesh = rect_mesh(4, 4, 1.0, 1.0, depth=0.5)
-        assert "projection_operators" not in vars(mesh)   # not built with the mesh
-        state = uniform_state(mesh, 0.1, -0.05)
-        taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), 3.0)
-        ops = mesh.projection_operators
-        taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), 3.0)
-        assert mesh.projection_operators is ops
-
 
 class TestTaylorGalerkinIncrement:
     def test_quiescent_zero(self, params):
         mesh = rect_mesh(4, 4, 1.0, 1.0, depth=0.5)
-        inc = taylor_galerkin_increment(uniform_state(mesh, 0.0, 0.0), mesh,
-                                        params, (0.0, 0.0), 3.0)
+        inc = taylor_galerkin_increment(uniform_state(mesh, 0.0, 0.0), (0.0, 0.0),
+                                        assemble(mesh), mesh, params, 3.0)
         assert np.all(inc.d_u1 == 0.0) and np.all(inc.d_u2 == 0.0)
 
     def test_uniform_field_matches_recursion(self, params, rng):
         # any mesh, any uniform state: the sub-step is the 2x2 map
         for mesh in (two_triangle_square(depth=0.1), jittered_mesh(5, 4, rng, depth=0.3)):
+            matrices = assemble(mesh)
             for _ in range(20):
                 u1, u2 = rng.uniform(-0.3, 0.3, size=2)
                 eta = rng.uniform(-0.02, 0.1)
                 tau = rng.uniform(0.5, 4.0)
                 state = uniform_state(mesh, u1, u2, eta)
-                inc = taylor_galerkin_increment(state, mesh, params, (0.0, 0.0), tau)
+                inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, mesh, params, tau)
                 h = float(total_height(state.eta, mesh, params)[0])
                 D = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * h)
                 T = source_update_matrix(tau, params.k0, D)
@@ -111,7 +104,7 @@ class TestTaylorGalerkinIncrement:
         mesh = rect_mesh(5, 5, 10.0, 10.0, depth=0.2)
         state = uniform_state(mesh, 0.05, -0.02)
         tau = 2.0
-        inc = taylor_galerkin_increment(state, mesh, params, (1.0, 2.0), tau)
+        inc = taylor_galerkin_increment(state, (1.0, 2.0), assemble(mesh), mesh, params, tau)
         h = 0.2
         speed = np.hypot(0.05, -0.02)
         drag = params.g * speed / (params.k1 ** 2 * h)
@@ -135,7 +128,7 @@ class TestTaylorGalerkinIncrement:
         wind = (6.0, -3.0)
         tau = 3.0
         state = uniform_state(mesh, *u, eta=0.05)
-        inc = taylor_galerkin_increment(state, mesh, params, wind, tau)
+        inc = taylor_galerkin_increment(state, wind, assemble(mesh), mesh, params, tau)
         h = 0.45
         D = params.g * float(np.hypot(*u)) / (params.k1 ** 2 * h)
         wspeed = np.hypot(*wind)
@@ -151,10 +144,11 @@ class TestTaylorGalerkinIncrement:
         p = PhysicalParams(k0=1e-2, k1=1e12)
         mesh = two_triangle_square(depth=1.0)
         tau = 3.0
+        matrices = assemble(mesh)
         state = uniform_state(mesh, 1.0, 0.0)
         normsq = [1.0]
         for _ in range(200):
-            inc = taylor_galerkin_increment(state, mesh, p, (0.0, 0.0), tau)
+            inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, mesh, p, tau)
             state = State(state.eta, state.u1 + inc.d_u1, state.u2 + inc.d_u2)
             normsq.append(float(state.u1[0] ** 2 + state.u2[0] ** 2))
         normsq = np.array(normsq)
@@ -179,7 +173,7 @@ class TestTaylorGalerkinIncrement:
     def test_elevation_never_touched(self, params):
         # the increment carries no elevation component at all
         mesh = two_triangle_square(depth=0.2)
-        inc = taylor_galerkin_increment(uniform_state(mesh, 0.2, 0.1), mesh,
-                                        params, (0.0, 0.0), 1.0)
+        inc = taylor_galerkin_increment(uniform_state(mesh, 0.2, 0.1), (0.0, 0.0),
+                                        assemble(mesh), mesh, params, 1.0)
         assert not hasattr(inc, "d_eta")
         assert set(inc.__dataclass_fields__) == {"d_u1", "d_u2"}

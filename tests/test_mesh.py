@@ -98,10 +98,6 @@ class TestBuildMesh:
         assert mesh2.total_area() == pytest.approx(mesh.total_area(), rel=1e-14)
         assert mesh.total_area() == pytest.approx(2.0, rel=1e-12)
 
-    def test_lumped_area_sums_to_total(self):
-        mesh = rect_mesh(6, 6, 3.0, 3.0)
-        assert mesh.lumped_area.sum() == pytest.approx(mesh.total_area(), rel=1e-13)
-
     def test_corner_detection_on_rectangle(self):
         mesh = rect_mesh(4, 4, 1.0, 1.0)
         corners = {0, 3, 12, 15}
@@ -291,6 +287,33 @@ class TestBuildMeshErrors:
             triangle_geometry([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert str(excinfo.value) == "degenerate triangle, area 0 m^2"
 
+    NOT_MANIFOLD = "is not manifold (used by more than two triangles, or twice in the same direction)"
+
+    def test_edge_shared_by_three_triangles(self):
+        # edge 0-1 bounds triangles 0 and 1, and triangle 2 overlaps
+        # triangle 0 across it (the parent built this with total area 1.25)
+        coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [0.5, 0.5]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, [[0, 1, 2], [1, 0, 3], [0, 1, 4]], [1.0] * 5, [LAND] * 5)
+        assert str(excinfo.value) == f"triangle 2: edge 0-1 {self.NOT_MANIFOLD}"
+
+    def test_folded_edge_same_direction(self):
+        # node 3 lies on node 2's side of edge 0-1: once reoriented,
+        # triangle 1 runs 0 -> 1 like triangle 0 and folds over it
+        coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, [[0, 1, 2], [1, 0, 3]], [1.0] * 4, [LAND] * 4)
+        assert str(excinfo.value) == f"triangle 1: edge 0-1 {self.NOT_MANIFOLD}"
+
+    def test_first_offending_triangle_named(self):
+        # two folds; the lower-numbered repeating triangle is reported
+        coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5],
+                  [5.0, 0.0], [6.0, 0.0], [5.0, 1.0], [5.5, 0.5]]
+        tris = [[4, 5, 6], [0, 1, 2], [4, 5, 7], [0, 1, 3]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, tris, [1.0] * 8, [LAND] * 8)
+        assert str(excinfo.value) == f"triangle 2: edge 4-5 {self.NOT_MANIFOLD}"
+
 
 
 def bitwise_equal(a, b):
@@ -335,8 +358,7 @@ class TestMeshOracle:
         assert bitwise_equal(mesh.depth, np.maximum(depth, h_min))
         assert bitwise_equal(mesh.tags, tags)
         oracle = loop_mesh_geometry(coords, triangles, tags)
-        for name in ("triangles", "areas", "grads", "lumped_area",
-                     "land_normals", "land_corner"):
+        for name in ("triangles", "areas", "grads", "land_normals", "land_corner"):
             assert bitwise_equal(getattr(mesh, name), oracle[name]), name
         a, b = _boundary_edges(mesh)
         assert sorted(zip(a.tolist(), b.tolist())) == oracle["boundary_edges"]

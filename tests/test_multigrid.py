@@ -79,7 +79,7 @@ class TestPreconditionedSolve:
         open_nodes = (np.flatnonzero(mesh.coords[:, 0] == 0.0) if with_open
                       else np.empty(0, dtype=int))
         values = rng.uniform(-0.1, 0.1, open_nodes.size)
-        got, stats = solve_elevation(A, rhs, open_nodes, values, tol=1e-12)
+        got, stats = solve_elevation(ElevationSolver(A, open_nodes), rhs, values, tol=1e-12)
 
         free = np.setdiff1d(np.arange(mesh.n_nodes), open_nodes)
         A_csr = A.tocsr()
@@ -98,13 +98,14 @@ class TestPreconditionedSolve:
         for _ in range(3):
             rhs = rng.standard_normal(mesh.n_nodes)
             values = rng.uniform(-0.1, 0.1, open_nodes.size)
-            got, _ = solve_elevation(solver, rhs, open_nodes, values, tol=1e-12)
-            fresh, _ = solve_elevation(A, rhs, open_nodes, values, tol=1e-12)
+            got, _ = solve_elevation(solver, rhs, values, tol=1e-12)
+            fresh, _ = solve_elevation(ElevationSolver(A, open_nodes), rhs, values, tol=1e-12)
             assert np.array_equal(got, fresh)
 
     def test_iteration_bound_at_ten_thousand_nodes(self, rng):
         mesh, A = basin_matrix(100, 5, tau_tilde=600.0)
         assert mesh.n_nodes == 10_000
         rhs = A @ rng.standard_normal(mesh.n_nodes)
-        _, stats = solve_elevation(A, rhs, np.empty(0, dtype=int), np.empty(0), tol=1e-10)
+        _, stats = solve_elevation(ElevationSolver(A, np.empty(0, dtype=int)), rhs,
+                                   np.empty(0), tol=1e-10)
         assert stats.iterations <= 40

@@ -233,10 +233,22 @@ class TestStep:
                         u1=state.u1 + info.d_star.d_u1 + info.d_u1_corr,
                         u2=state.u2 + info.d_star.d_u2 + info.d_u2_corr,
                         t=new.t)
-        apply_boundaries(rebuilt, mesh, forcings.tide, new.t)
+        apply_boundaries(rebuilt, mesh, forcings.tide_at(new.t))
         assert np.array_equal(rebuilt.eta, new.eta)
         assert np.array_equal(rebuilt.u1, new.u1)
         assert np.array_equal(rebuilt.u2, new.u2)
+
+    def test_tide_read_once_per_step(self, params, monkeypatch):
+        # one read serves both the solve's open values and the boundary
+        mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
+        tide = TimeSeries([0.0, 1000.0], [[0.0], [0.2]], name="tide")
+        reads = []
+        at = TimeSeries.at
+        monkeypatch.setattr(TimeSeries, "at",
+                            lambda self, t: reads.append((self.name, t)) or at(self, t))
+        step(initial_state(mesh.n_nodes), mesh, assemble(mesh), params,
+             RunConfig(tau=5.0, tau_tilde=100.0), Forcings(tide=tide))
+        assert [read for read in reads if read[0] == "tide"] == [("tide", 100.0)]
 
     def test_open_boundary_tracks_tide(self, params):
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)

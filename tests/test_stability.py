@@ -329,6 +329,17 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             build_report(3.0, -0.1, 0.1, params)
 
+    @pytest.mark.parametrize("tau, speed, depth, message", [
+        (math.inf, 0.1, 0.1, "tau must be positive and finite"),
+        (3.0, math.inf, 0.1, "speed must be finite and >= 0"),
+        (3.0, 0.1, math.inf, "depth must be positive and finite"),
+    ], ids=["tau", "speed", "depth"])
+    def test_non_finite_inputs(self, params, tau, speed, depth, message):
+        # refused with a range message, not a bracket error, a nan tau_c
+        # or a silent verdict
+        with pytest.raises(ValueError, match=message):
+            build_report(tau, speed, depth, params)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
