@@ -8,6 +8,7 @@ with an element-mean correction; the lumped mass inverts the left side.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,21 +32,33 @@ def total_height(eta, mesh: Mesh, params: PhysicalParams):
     return np.maximum(mesh.depth + eta, params.h_min)
 
 
-def _sources(u1, u2, drag, k0, w1, w2):
-    """Source pair with a prescribed (frozen) drag rate and wind stress."""
-    r1 = k0 * u2 - drag * u1 + w1
-    r2 = -k0 * u1 - drag * u2 + w2
-    return r1, r2
+def speed(u1, u2):
+    """Nodal current speed |u| = sqrt(u1^2 + u2^2)."""
+    return np.sqrt(u1 * u1 + u2 * u2)
 
 
-def _frozen_coefficients(state: State, mesh: Mesh, params: PhysicalParams, wind):
-    h_tot = total_height(state.eta, mesh, params)
-    drag = drag_coefficient(np.hypot(state.u1, state.u2), h_tot, params)
+def frozen_coefficients(eta, mesh: Mesh, params: PhysicalParams):
+    """(g / (k1^2 h), xi / h) on the clamped total height h.
+
+    Times |u| the first is the drag rate, times |v| v the second is the
+    wind source.  Both stay fixed while eta does: over a whole sub-cycle.
+    """
+    h_tot = total_height(eta, mesh, params)
+    return drag_coefficient(1.0, h_tot, params), params.xi / h_tot
+
+
+def _start_sources(state: State, wind, frozen, k0):
+    """Drag rate and source pair (r1, r2) at ``state``."""
+    drag_per_speed, wind_factor = frozen
+    drag = drag_per_speed * speed(state.u1, state.u2)
+    r1 = k0 * state.u2 - drag * state.u1
+    r2 = -k0 * state.u1 - drag * state.u2
     v1, v2 = wind
-    wind_speed = np.hypot(v1, v2)
-    w1 = params.xi * wind_speed * v1 / h_tot
-    w2 = params.xi * wind_speed * v2 / h_tot
-    return drag, w1, w2
+    wind_speed = math.hypot(v1, v2)
+    if wind_speed:
+        r1 += wind_factor * (wind_speed * v1)
+        r2 += wind_factor * (wind_speed * v2)
+    return drag, r1, r2
 
 
 def source_terms(state: State, mesh: Mesh, params: PhysicalParams, wind=(0.0, 0.0)):
@@ -54,27 +67,34 @@ def source_terms(state: State, mesh: Mesh, params: PhysicalParams, wind=(0.0, 0.
     r1 = k0 u2 - g u1 |u| / (k1^2 h) + xi |v| v1 / h and the u1 <-> u2
     antisymmetric counterpart, with h the clamped total height.
     """
-    drag, w1, w2 = _frozen_coefficients(state, mesh, params, wind)
-    return _sources(state.u1, state.u2, drag, params.k0, w1, w2)
+    _, r1, r2 = _start_sources(state, wind, frozen_coefficients(state.eta, mesh, params),
+                               params.k0)
+    return r1, r2
 
 
 def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: Mesh,
-                              params: PhysicalParams, tau) -> SourceIncrement:
+                              params: PhysicalParams, tau, frozen=None) -> SourceIncrement:
     """One explicit sub-step of length ``tau``.
 
     Returns the velocity increment tau * R(half step) projected in the
     Galerkin sense: the right side integrates R(half) plus the deviation
     of R(start) from its element means, the left side is the lumped mass
-    ``matrices.M_L``.
+    ``matrices.M_L``.  ``frozen`` is :func:`frozen_coefficients` of
+    ``state.eta``; a sub-cycle computes it once, without it the sub-step
+    does.
     For a spatially uniform field this reduces exactly to the 2x2 map of
     :func:`swsplit.stability.source_update_matrix`.
     """
-    drag, w1, w2 = _frozen_coefficients(state, mesh, params, wind)
+    if frozen is None:
+        frozen = frozen_coefficients(state.eta, mesh, params)
     k0 = params.k0
-    r1_n, r2_n = _sources(state.u1, state.u2, drag, k0, w1, w2)
-    u1_half = state.u1 + 0.5 * tau * r1_n
-    u2_half = state.u2 + 0.5 * tau * r2_n
-    r1_h, r2_h = _sources(u1_half, u2_half, drag, k0, w1, w2)
+    drag, r1_n, r2_n = _start_sources(state, wind, frozen, k0)
+    # drag and wind frozen, the sources are affine in u: the half-step
+    # sources add tau/2 times their linear part applied to r_n, and the
+    # wind cancels
+    half = 0.5 * tau
+    r1_h = r1_n + half * (k0 * r2_n - drag * r1_n)
+    r2_h = r2_n - half * (k0 * r1_n + drag * r2_n)
 
     return SourceIncrement(d_u1=tau * _lumped_projection(matrices, r1_h, r1_n),
                            d_u2=tau * _lumped_projection(matrices, r2_h, r2_n))
@@ -83,7 +103,9 @@ def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: M
 def _lumped_projection(matrices: FemMatrices, r_half, r_start):
     """M_L^-1 [ M (r_half + r_start) - element-mean integral of r_start ].
 
-    Evaluated as M_L^-1 (M r_half + K r_start) with the assembled
-    K = M - P, P the element-mean operator.
+    Per element M_e = (A/12)(I + 11^T) and the mean term is (A/9)11^T;
+    the A/12 identity parts sum to M_L/4 at every node, which leaves
+    1/4 (r_half + r_start) + C (3 r_half - r_start) with the assembled
+    C = M_L^-1 P/4 (A/36 in every entry of an element block).
     """
-    return (matrices.M @ r_half + matrices.K @ r_start) / matrices.M_L
+    return 0.25 * (r_half + r_start) + matrices.C @ (3.0 * r_half - r_start)

@@ -4,7 +4,8 @@ depth-weighted stiffness and the two gradient matrices.
 Element contributions (area A, basis gradients grad phi_i constant):
 
     mass      (A/12) * [[2,1,1],[1,2,1],[1,1,2]]
-    K = M - P  mass block minus A/9 in every entry (P: element-mean operator)
+    P/4       A/36 in every entry (P: element-mean operator, A/9 per entry);
+              C = M_L^-1 P/4, each row divided by its lumped mass once
     stiffness  A * Hbar * (grad phi_i . grad phi_j),  Hbar = mean nodal depth
     gradient  (A/3) * d(phi_j)/dx_k, identical for every test index i
 
@@ -30,7 +31,7 @@ class FemMatrices:
 
     M: sp.csr_matrix        # consistent mass, symmetric positive definite
     M_L: np.ndarray         # lumped mass diagonal (row sums of M)
-    K: sp.csr_matrix        # M - P, the sub-step projection of the start sources
+    C: sp.csr_matrix        # M_L^-1 P/4, the sub-step's element-mean coupling
     S: sp.csr_matrix        # depth-weighted stiffness, symmetric PSD
     Q1: sp.csr_matrix       # integral of phi_i d(phi_j)/dx1
     Q2: sp.csr_matrix       # integral of phi_i d(phi_j)/dx2
@@ -56,7 +57,7 @@ def _scatter(mesh: Mesh, el) -> sp.csr_matrix:
 
 
 def assemble(mesh: Mesh) -> FemMatrices:
-    """Assemble M, M_L, K, S, Q1, Q2 over all elements of ``mesh``."""
+    """Assemble M, M_L, C, S, Q1, Q2 over all elements of ``mesh``."""
     tris = mesh.triangles
     areas = mesh.areas
     area_el = areas[:, None, None]
@@ -70,9 +71,11 @@ def assemble(mesh: Mesh) -> FemMatrices:
     q2_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 1])[:, None, :], shape)
 
     M = _scatter(mesh, area_el * _MASS_PATTERN)
-    return FemMatrices(M=M, M_L=lump(M), K=_scatter(mesh, area_el * (_MASS_PATTERN - 1.0 / 9.0)),
-                       S=_scatter(mesh, stiff_el), Q1=_scatter(mesh, q1_el),
-                       Q2=_scatter(mesh, q2_el))
+    M_L = lump(M)
+    C = _scatter(mesh, np.broadcast_to(area_el / 36.0, shape))
+    C.data /= np.repeat(M_L, np.diff(C.indptr))
+    return FemMatrices(M=M, M_L=M_L, C=C, S=_scatter(mesh, stiff_el),
+                       Q1=_scatter(mesh, q1_el), Q2=_scatter(mesh, q2_el))
 
 
 def lump(M: sp.csr_matrix) -> np.ndarray:

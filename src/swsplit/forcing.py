@@ -10,6 +10,8 @@ range are a fault, never extrapolated.
 """
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 
@@ -21,18 +23,21 @@ class TimeSeries:
     """Piecewise-linear series of one or more columns over time."""
 
     def __init__(self, times, values, name="series"):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
         self.name = name
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.times.ndim != 1 or self.times.shape[0] != self.values.shape[0]:
+        if values.ndim == 1:
+            values = values[:, None]
+        if times.ndim != 1 or times.shape[0] != values.shape[0]:
             raise ForcingError(f"{name}: times/values length mismatch")
-        if self.times.size == 0:
+        if times.size == 0:
             raise ForcingError(f"{name}: empty series")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0.0):
+        if times.size > 1 and np.any(np.diff(times) <= 0.0):
             raise ForcingError(f"{name}: times must be strictly increasing")
-        self.constant = self.times.size == 1
+        # a lookup reads Python floats: no array dispatch per call
+        self.times = times.tolist()
+        self.rows = [tuple(row) for row in values.tolist()]
+        self.constant = len(self.times) == 1
 
     @classmethod
     def constant_value(cls, values, name="constant"):
@@ -43,18 +48,19 @@ class TimeSeries:
         self.at(t_first)
         self.at(t_last)
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t: float) -> tuple:
+        """Column values at time ``t``, a tuple of floats."""
+        times = self.times
         if self.constant:
-            return self.values[0]
-        if not (self.times[0] <= t <= self.times[-1]):
+            return self.rows[0]
+        if not (times[0] <= t <= times[-1]):
             raise ForcingError(
                 f"{self.name}: t={t:g} s outside sampled range "
-                f"[{self.times[0]:g}, {self.times[-1]:g}]")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), self.times.size - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
+                f"[{times[0]:g}, {times[-1]:g}]")
+        k = min(bisect.bisect_right(times, t) - 1, len(times) - 2)
+        t0, t1 = times[k], times[k + 1]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return tuple([(1.0 - w) * a + w * b for a, b in zip(self.rows[k], self.rows[k + 1])])
 
 
 def _load_columns(path, ncols, name):
@@ -95,8 +101,7 @@ class Forcings:
         self.wind = wind if wind is not None else TimeSeries.constant_value((0.0, 0.0), "wind=0")
 
     def tide_at(self, t) -> float:
-        return float(self.tide.at(t)[0])
+        return self.tide.at(t)[0]
 
     def wind_at(self, t):
-        v = self.wind.at(t)
-        return float(v[0]), float(v[1])
+        return self.wind.at(t)

@@ -120,7 +120,8 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
 
     Clockwise triangles are reoriented (with a warning), depths below
     ``h_min`` are clamped (with a warning), degenerate elements, bad
-    indices and non-manifold edges raise :class:`MeshError`.
+    indices, nodes that no triangle uses, an empty triangulation and
+    non-manifold edges raise :class:`MeshError`.
     """
     coords = np.array(coords, dtype=float)
     depth = np.array(depth, dtype=float)
@@ -137,12 +138,18 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
         raise MeshError("non-finite node data")
     if np.any(~np.isin(tags, (INTERIOR, LAND, OPEN))):
         raise MeshError("node tag outside {0, 1, 2}")
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= n):
+    if triangles.shape[0] == 0:
+        raise MeshError("empty triangulation: no triangles")
+    if triangles.min() < 0 or triangles.max() >= n:
         raise MeshError("triangle vertex index out of range")
     i, j, k = triangles.T
     repeats = np.flatnonzero((i == j) | (j == k) | (i == k))
     if repeats.size:
         raise MeshError(f"triangle {repeats[0]} repeats a vertex index")
+    # a node outside every triangle would get a zero lumped mass
+    unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=n) == 0)
+    if unused.size:
+        raise MeshError(f"node {unused[0]} belongs to no triangle")
 
     n_shallow = int(np.sum(depth < h_min))
     if n_shallow:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explicit_step import SourceIncrement, taylor_galerkin_increment, total_height
+from .explicit_step import (SourceIncrement, frozen_coefficients, speed,
+                            taylor_galerkin_increment, total_height)
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
@@ -155,10 +156,9 @@ def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> Gat
     monotone in the drag); ties go to the lowest node index.
     """
     h_tot = total_height(state.eta, mesh, params)
-    speed = np.hypot(state.u1, state.u2)
-    floor_active = bool(np.any(speed < U_FLOOR))
-    speed = np.maximum(speed, U_FLOOR)
-    drag = drag_coefficient(speed, h_tot, params)
+    nodal_speed = speed(state.u1, state.u2)
+    floor_active = bool(np.any(nodal_speed < U_FLOOR))
+    drag = drag_coefficient(np.maximum(nodal_speed, U_FLOOR), h_tot, params)
 
     tau_c = critical_time_step_for_drag(params.k0, drag)
     worst = int(np.argmin(tau_c))
@@ -201,10 +201,13 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     acc1 = np.zeros(n)
     acc2 = np.zeros(n)
     work = State(state.eta, state.u1, state.u2, state.t)
+    # eta, and with it the drag and wind factors, is fixed over the sub-cycle
+    frozen = frozen_coefficients(state.eta, mesh, params)
     for s in range(cfg.n_sub):
         work.t = state.t + s * cfg.tau
         wind = forcings.wind_at(work.t)
-        inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau)
+        inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau,
+                                        frozen=frozen)
         acc1 += inc.d_u1
         acc2 += inc.d_u2
         work = State(state.eta, state.u1 + acc1, state.u2 + acc2, work.t)

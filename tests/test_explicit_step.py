@@ -5,8 +5,8 @@ import pytest
 
 from helpers import (element_lumped_projection, jittered_mesh, rect_mesh,
                      two_triangle_square)
-from swsplit import implicit_step
-from swsplit.explicit_step import (_lumped_projection, source_terms,
+from swsplit import explicit_step, implicit_step
+from swsplit.explicit_step import (_lumped_projection, frozen_coefficients, source_terms,
                                    taylor_galerkin_increment, total_height)
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
@@ -155,6 +155,36 @@ class TestTaylorGalerkinIncrement:
         growth = normsq[1:] / normsq[:-1]
         assert np.allclose(growth, 1.0 + tau ** 4 * p.k0 ** 4 / 4.0, rtol=1e-10)
         assert np.all(np.diff(normsq) > 0.0)   # monotone divergence
+
+    @staticmethod
+    def random_state(mesh, rng):
+        n = mesh.n_nodes
+        return State(rng.uniform(-0.2, 0.2, n), rng.uniform(-0.3, 0.3, n),
+                     rng.uniform(-0.3, 0.3, n), 0.0)
+
+    @pytest.mark.parametrize("wind", [(0.0, 0.0), (6.0, -3.0)])
+    def test_frozen_argument_is_bitwise_neutral(self, params, rng, wind):
+        mesh = jittered_mesh(7, 5, rng, scale=1e3)
+        matrices = assemble(mesh)
+        state = self.random_state(mesh, rng)
+        frozen = frozen_coefficients(state.eta, mesh, params)
+        a = taylor_galerkin_increment(state, wind, matrices, mesh, params, 3.0)
+        b = taylor_galerkin_increment(state, wind, matrices, mesh, params, 3.0, frozen=frozen)
+        assert a.d_u1.tobytes() == b.d_u1.tobytes()
+        assert a.d_u2.tobytes() == b.d_u2.tobytes()
+
+    @pytest.mark.parametrize("wind", [(0.0, 0.0), (6.0, -3.0)])
+    def test_stage_one_sources_are_source_terms(self, params, rng, monkeypatch, wind):
+        mesh = jittered_mesh(6, 6, rng, scale=1e3)
+        state = self.random_state(mesh, rng)
+        seen = []
+        project = explicit_step._lumped_projection
+        monkeypatch.setattr(explicit_step, "_lumped_projection",
+                            lambda m, r_half, r_start: seen.append(r_start)
+                            or project(m, r_half, r_start))
+        taylor_galerkin_increment(state, wind, assemble(mesh), mesh, params, 3.0)
+        r1, r2 = source_terms(state, mesh, params, wind)
+        assert [r.tobytes() for r in seen] == [r1.tobytes(), r2.tobytes()]
 
     def test_nonfinite_fault(self, params, monkeypatch):
         # the outer step scans the accumulated increment once, after the

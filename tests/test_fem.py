@@ -127,6 +127,28 @@ class TestGlobalProperties:
             assert np.max(np.abs(conj - b.toarray())) <= 1e-14
 
 
+class TestSubStepCoupling:
+    """C = M_L^-1 P/4: A/36 per element-block entry, each row over its M_L."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_sums_are_a_quarter(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(3, 25, size=2)
+        m = assemble(jittered_mesh(nx, ny, rng, scale=rng.uniform(1.0, 1e4)))
+        rowsum = np.asarray(m.C.sum(axis=1)).ravel()
+        assert np.max(np.abs(rowsum - 0.25)) <= 1e-15
+
+    def test_pattern_of_mass(self, rng):
+        m = assemble(jittered_mesh(5, 6, rng))
+        assert m.C.nnz == m.M.nnz
+        assert np.array_equal(m.C.indptr, m.M.indptr)
+        assert np.array_equal(m.C.indices, m.M.indices)
+
+    def test_unit_triangle(self):
+        m = assemble(unit_triangle_mesh())   # A = 1/2, M_L = 1/6 per node
+        assert np.allclose(m.C.toarray(), np.full((3, 3), 1.0 / 12.0), rtol=0, atol=1e-16)
+
+
 class TestHelmholtz:
     def test_theta_zero_gives_mass(self):
         m = assemble(two_triangle_square())

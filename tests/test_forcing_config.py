@@ -40,6 +40,20 @@ class TestTimeSeries:
         assert np.allclose(ts.at(1.0), [2.0, 0.0])
 
 
+    def test_same_values_as_array_interpolation(self, rng):
+        # the scalar lookup does the array formula's operations in its order
+        times = np.cumsum(rng.uniform(0.5, 50.0, 40))
+        values = rng.standard_normal((40, 2))
+        ts = TimeSeries(times, values)
+        for t in np.concatenate([times, rng.uniform(times[0], times[-1], 200)]):
+            k = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
+            w = (t - times[k]) / (times[k + 1] - times[k])
+            want = (1.0 - w) * values[k] + w * values[k + 1]
+            got = ts.at(float(t))
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()
+
+
 class TestForcingFiles:
     def test_tide_file(self, tmp_path):
         path = tmp_path / "tide.txt"

@@ -287,6 +287,24 @@ class TestBuildMeshErrors:
             triangle_geometry([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert str(excinfo.value) == "degenerate triangle, area 0 m^2"
 
+    def test_unused_node_named(self):
+        # node 3 lies outside the one triangle: its lumped mass would be 0
+        coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, [[0, 1, 2]], [1.0] * 4, [LAND, LAND, LAND, INTERIOR])
+        assert str(excinfo.value) == "node 3 belongs to no triangle"
+
+    def test_first_unused_node_named(self):
+        coords = [[9.0, 9.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, [[1, 2, 3]], [1.0] * 5, [INTERIOR] + [LAND] * 4)
+        assert str(excinfo.value) == "node 0 belongs to no triangle"
+
+    def test_empty_triangulation(self):
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(UNIT_TRI, np.empty((0, 3), dtype=int), [1.0] * 3, [LAND] * 3)
+        assert str(excinfo.value) == "empty triangulation: no triangles"
+
     NOT_MANIFOLD = "is not manifold (used by more than two triangles, or twice in the same direction)"
 
     def test_edge_shared_by_three_triangles(self):

@@ -150,7 +150,8 @@ class TestStabilityGate:
         worst = None
         floor_active = False
         for i in range(n):
-            speed = float(np.hypot(u1[i], u2[i]))
+            # |u| as the program defines it: sqrt(u1^2 + u2^2), not hypot
+            speed = float(np.sqrt(u1[i] * u1[i] + u2[i] * u2[i]))
             floor_active |= speed < U_FLOOR
             D = params.g * max(speed, U_FLOOR) / (params.k1 ** 2 * h_tot[i])
             tau_c = critical_time_step_for_drag(params.k0, D)
