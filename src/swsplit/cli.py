@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .config import Config, ConfigError, apply_overrides, load_config
@@ -17,7 +17,8 @@ from .fem import assemble
 from .forcing import Forcings, ForcingError, load_tide, load_wind
 from .implicit_step import SolverError
 from .mesh import MeshError, load_mesh
-from .simulator import GateError, OutputWriter, load_snapshot, run
+from .simulator import (GateError, OutputWriter, format_value, key_value_lines,
+                        load_snapshot, run)
 from .stability import StabilityReport, build_report
 from .state import initial_state
 
@@ -71,31 +72,14 @@ def _load_cfg(args) -> Config:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else repr(value)
-    return str(value)
-
-
 def report_lines(report: StabilityReport, machine: bool):
-    a, b, c, d = report.cubic
-    pairs = [
-        ("tau", report.tau), ("speed", report.speed), ("depth", report.depth),
-        ("drag", report.drag), ("alpha", report.alpha), ("beta", report.beta),
-        ("modulus", report.modulus),
-        ("cubic_a", a), ("cubic_b", b), ("cubic_c", c), ("cubic_d", d),
-        ("tau_c_cubic", report.tau_c_cubic),
-        ("tau_c_modulus", report.tau_c_modulus),
-        ("convergent_cubic", report.convergent_cubic),
-        ("convergent_modulus", report.convergent_modulus),
-    ]
+    """The report's fields, in order, as key=value lines or a table."""
+    items = asdict(report).items()
     if machine:
-        return [f"{key}={_fmt(value)}" for key, value in pairs]
-    width = max(len(key) for key, _ in pairs)
+        return key_value_lines(items)
+    width = max(len(key) for key, _ in items)
     lines = ["stability report"]
-    lines += [f"  {key:<{width}}  {_fmt(value)}" for key, value in pairs]
+    lines += [f"  {key:<{width}}  {format_value(value)}" for key, value in items]
     if math.isnan(report.tau_c_cubic):
         lines.append("  note: drag rate is zero, the source update never converges")
     return lines
@@ -120,31 +104,19 @@ def cmd_run(args) -> int:
         wind=load_wind(cfg.wind) if cfg.wind else None,
     )
     if cfg.restart:
-        state = load_snapshot(cfg.restart, mesh.n_nodes, coords=mesh.coords)
+        state = load_snapshot(cfg.restart, mesh)
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
     matrices = assemble(mesh)
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)
-    try:
-        summary = run(state, mesh, matrices, cfg.params(), cfg.run_config(), forcings,
-                      sinks=sinks)
-    except Exception as exc:
-        summary = getattr(exc, "run_summary", None)
-        if summary is not None:
-            _write_summary(cfg.out_dir, summary)
-        raise
-    _write_summary(cfg.out_dir, summary)
+    summary = run(state, mesh, matrices, cfg.params(), cfg.run_config(), forcings,
+                  sinks=sinks)
     if args.machine:
-        for line in summary.as_lines():
+        for line in key_value_lines(asdict(summary).items()):
             print(line)
     else:
         print(f"completed {summary.steps} steps; outputs in {cfg.out_dir}")
     return EXIT_OK
-
-
-def _write_summary(out_dir, summary):
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary.as_lines()) + "\n")
 
 
 def main(argv=None) -> int:

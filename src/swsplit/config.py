@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .simulator import RunConfig
+from .simulator import RunConfig, key_value_lines
 from .stability import PhysicalParams
 
 
@@ -90,19 +90,9 @@ class Config:
 
     def to_text(self) -> str:
         """Canonical key=value rendering; reloading it reproduces self."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "gauges":
-                value = ",".join(str(g) for g in value)
-            elif isinstance(value, bool):
-                value = str(value).lower()
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        values = {key: value for key, value in asdict(self).items() if value is not None}
+        values["gauges"] = ",".join(str(g) for g in self.gauges)
+        return "".join(line + "\n" for line in key_value_lines(values.items()))
 
 
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")

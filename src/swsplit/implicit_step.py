@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import FemMatrices
 from .mesh import Mesh
@@ -98,28 +97,25 @@ def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh, cfg, 
 class ElevationSolver:
     """Elevation system with prescribed values at open nodes, set up once.
 
-    Holds the free-node block A_ff of the system matrix A, the
+    Holds the free-node block A_ff of the CSR system matrix A, the
     free-by-open block A_fo that shifts the right side by the prescribed
     values, and a smoothed-aggregation multigrid hierarchy of A_ff that
     preconditions every solve's CG.  A, tau_tilde, theta and the open
     nodes are fixed over a run, so one solver serves every outer step.
+    The same split serves a closed basin (A_ff is all of A, A_fo has no
+    columns) and a mesh whose every node is open (A_ff is 0 x 0, and CG
+    returns at once).
     """
 
     def __init__(self, A, open_nodes):
-        # a copy holds nnz entries; a sparse sum such as the Helmholtz
-        # matrix can keep them in a buffer of up to twice that
-        A = sp.csr_matrix(A, copy=True)
         self.n = A.shape[0]
         self.open_nodes = np.asarray(open_nodes, dtype=int)
         free = np.ones(self.n, dtype=bool)
         free[self.open_nodes] = False
         self.free = np.flatnonzero(free)
-        if self.open_nodes.size:
-            rows = A[self.free]
-            self.A_ff, self.A_fo = rows[:, self.free], rows[:, self.open_nodes]
-        else:   # nothing to eliminate: no copy of A
-            self.A_ff, self.A_fo = A, sp.csr_matrix((self.n, 0))
-        self.hierarchy = build_hierarchy(self.A_ff) if self.free.size else None
+        rows = A[self.free]
+        self.A_ff, self.A_fo = rows[:, self.free], rows[:, self.open_nodes]
+        self.hierarchy = build_hierarchy(self.A_ff)
 
 
 def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=1e-10):
@@ -133,8 +129,6 @@ def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=1e-10):
     open_values = np.asarray(open_values, dtype=float)
     d_eta = np.zeros(solver.n)
     d_eta[solver.open_nodes] = open_values
-    if solver.free.size == 0:
-        return d_eta, LinearSolveStats(0, 0.0)
     x_f, stats = conjugate_gradient(solver.A_ff, rhs[solver.free] - solver.A_fo @ open_values,
                                     tol=tol, precondition=solver.hierarchy.vcycle)
     d_eta[solver.free] = x_f

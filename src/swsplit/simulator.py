@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,22 @@ GATE_MODES = ("enforce", "warn", "off")
 # the undamped recursion never converges, so the gate rates tau against
 # a minimal drag instead of refusing everything
 U_FLOOR = 1e-3  # m/s
+
+
+def format_value(value) -> str:
+    """The one rendering of a value in every key=value output: booleans
+    lower-case, floats by ``repr`` (shortest round-trip, ``nan``, ``inf``),
+    anything else by ``str``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))   # numpy 2's repr of np.float64 names the type
+    return str(value)
+
+
+def key_value_lines(items):
+    """``key=value`` strings of (key, value) items, each value by :func:`format_value`."""
+    return [f"{key}={format_value(value)}" for key, value in items]
 
 
 class GateError(RuntimeError):
@@ -105,29 +121,19 @@ class GateVerdict:
 
 @dataclass
 class RunSummary:
+    """Diagnostics of a run; the fields, in order, are the keys of
+    ``summary.txt``."""
+
     steps: int = 0
+    completed: bool = False
     eta_min: float = np.inf
     eta_max: float = -np.inf
     mass_initial: float = 0.0
     mass_final: float = 0.0
     mass_drift_rel: float = 0.0
-    cg_worst: LinearSolveStats = LinearSolveStats(0, 0.0)
+    cg_worst_iterations: int = 0
+    cg_worst_residual: float = 0.0
     gate_violations: int = 0
-    completed: bool = False
-
-    def as_lines(self):
-        return [
-            f"steps={self.steps}",
-            f"completed={str(self.completed).lower()}",
-            f"eta_min={self.eta_min!r}",
-            f"eta_max={self.eta_max!r}",
-            f"mass_initial={self.mass_initial!r}",
-            f"mass_final={self.mass_final!r}",
-            f"mass_drift_rel={self.mass_drift_rel!r}",
-            f"cg_worst_iterations={self.cg_worst.iterations}",
-            f"cg_worst_residual={self.cg_worst.residual!r}",
-            f"gate_violations={self.gate_violations}",
-        ]
 
 
 @dataclass
@@ -253,12 +259,14 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         cfg: RunConfig, forcings: Forcings, sinks=None) -> RunSummary:
     """Advance duration / tau_tilde outer steps, tracking diagnostics.
 
-    ``sinks`` is an optional :class:`OutputWriter`.  On a gate refusal or
-    solver fault the partial summary is attached to the raised exception.
-    The elevation solver is built in the first step, so its cost is part
-    of the stepping loop and a run with no steps never builds it.  The
-    mass drift is relative to |initial mass|, or, when that is 0, to the
-    largest |mass| of the run (1 if the mass never leaves 0).
+    ``sinks`` is an optional :class:`OutputWriter`; it receives the
+    summary, complete or partial, when the run ends.  On a gate refusal
+    or solver fault the partial summary is also attached to the raised
+    exception.  The elevation solver is built once, after the initial
+    output, so its cost falls in the first step's interval and a run
+    with no steps never builds it.  The mass drift is relative to
+    |initial mass|, or, when that is 0, to the largest |mass| of the run
+    (1 if the mass never leaves 0).
     """
     summary = RunSummary()
     summary.mass_initial = mass_integral(state.eta, matrices)
@@ -277,17 +285,17 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         if sinks is not None:
             sinks.snapshot(0, state)
             sinks.gauges(state)
-        solver = None
+        if cfg.n_steps:
+            solver = elevation_solver(matrices, mesh, cfg, params.g)
         for k in range(1, cfg.n_steps + 1):
-            if solver is None:
-                solver = elevation_solver(matrices, mesh, cfg, params.g)
             state, info = step(state, mesh, matrices, params, cfg, forcings, solver)
             summary.steps = k
             track(state)
             if info.gate is not None and not info.gate.passed:
                 summary.gate_violations += 1
-            if info.cg.iterations >= summary.cg_worst.iterations:
-                summary.cg_worst = info.cg
+            if info.cg.iterations >= summary.cg_worst_iterations:
+                summary.cg_worst_iterations = info.cg.iterations
+                summary.cg_worst_residual = info.cg.residual
             mass = mass_integral(state.eta, matrices)
             summary.mass_final = mass
             drift_max = max(drift_max, abs(mass - mass0))
@@ -309,6 +317,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         raise
     finally:
         if sinks is not None:
+            sinks.summary(summary)
             sinks.close()
     return summary
 
@@ -336,9 +345,10 @@ def _on_interval(t, interval):
 
 
 class OutputWriter:
-    """CSV snapshot/gauge files plus a plain-text run log.
+    """CSV snapshot/gauge files, a key=value run log and summary.
 
-    snap_<step>.csv: node,x1,x2,eta,u1,u2 ; gauge_<id>.csv: t,eta ; all
+    snap_<step>.csv: node,x1,x2,eta,u1,u2 ; gauge_<id>.csv: t,eta ;
+    run.log and summary.txt: key=value by :func:`format_value`; all
     floats written with repr for byte-reproducible output.
     """
 
@@ -377,12 +387,16 @@ class OutputWriter:
             fh.write(f"{float(state.t)!r},{float(state.eta[gid])!r}\n")
 
     def log_step(self, k, t, mass, info: StepInfo):
-        gate = ""
+        line = " ".join(key_value_lines([
+            ("step", k), ("t", t), ("mass", mass),
+            ("cg_iterations", info.cg.iterations), ("cg_residual", info.cg.residual)]))
         if info.gate is not None and not info.gate.passed:
-            gate = f" gate_violation tau_c={info.gate.min_tau_c!r}"
-        self._log.write(f"step={k} t={t!r} mass={mass!r} "
-                        f"cg_iterations={info.cg.iterations} "
-                        f"cg_residual={info.cg.residual!r}{gate}\n")
+            line += f" gate_violation tau_c={format_value(info.gate.min_tau_c)}"
+        self._log.write(line + "\n")
+
+    def summary(self, summary: RunSummary):
+        with open(os.path.join(self.out_dir, "summary.txt"), "w") as fh:
+            fh.writelines(line + "\n" for line in key_value_lines(asdict(summary).items()))
 
     def close(self):
         for fh in self._gauge_files.values():
@@ -390,13 +404,14 @@ class OutputWriter:
         self._log.close()
 
 
-def load_snapshot(path, n_nodes, coords=None) -> State:
-    """Read a snapshot CSV back into a State (restart path).
+def load_snapshot(path, mesh: Mesh) -> State:
+    """Read a snapshot CSV of ``mesh`` back into a State (restart path).
 
-    With ``coords`` (the mesh's node coordinates) every row's x1, x2 must
-    match its node to 1e-9 of the domain extent, so a snapshot written
-    on another mesh is refused even when the node counts agree.
+    Every node needs exactly one row, and the row's x1, x2 must match the
+    mesh node to 1e-9 of the domain extent, so a snapshot written on
+    another mesh is refused even when the node counts agree.
     """
+    n_nodes = mesh.n_nodes
     with open(path) as fh:
         if fh.readline().strip() != "node,x1,x2,eta,u1,u2":
             raise ValueError(f"{path}: not a snapshot file")
@@ -424,12 +439,11 @@ def load_snapshot(path, n_nodes, coords=None) -> State:
     values[ids] = rows[:, 1:]
     xy = values[:, :2]
     eta, u1, u2 = values[:, 2:].T.copy()
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-        off = np.flatnonzero(np.any(np.abs(xy - coords) > 1e-9 * np.ptp(coords, axis=0).max(),
-                                    axis=1))
-        if off.size:
-            i = int(off[0])
-            raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
-                             f"the mesh node at {tuple(coords[i].tolist())}")
+    coords = np.asarray(mesh.coords, dtype=float)
+    off = np.flatnonzero(np.any(np.abs(xy - coords) > 1e-9 * np.ptp(coords, axis=0).max(),
+                                axis=1))
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
+                         f"the mesh node at {tuple(coords[i].tolist())}")
     return State(eta, u1, u2).check()

@@ -60,7 +60,10 @@ class StabilityReport:
     alpha: float
     beta: float
     modulus: float                    # |velocity eigenpair| of the update
-    cubic: tuple                      # (a, b, c, d)
+    cubic_a: float                    # a t^3 - b t^2 + c t - d
+    cubic_b: float
+    cubic_c: float
+    cubic_d: float
     tau_c_cubic: float                # nan when D == 0 (never convergent)
     tau_c_modulus: float
     convergent_cubic: bool
@@ -248,12 +251,12 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
         raise ValueError("speed must be finite and >= 0")
     D = drag_coefficient(speed, depth, params)
     alpha, beta = step_coefficients(tau, params.k0, D)
-    cubic = cubic_coefficients(params.k0, D)
+    a, b, c, d = cubic_coefficients(params.k0, D)
     if D == 0.0:
         tau_c_cubic = math.nan
         tau_c_modulus = math.nan
     else:
-        tau_c_cubic = critical_time_step(*cubic)
+        tau_c_cubic = critical_time_step(a, b, c, d)
         tau_c_modulus = critical_time_step(*modulus_cubic_coefficients(params.k0, D))
     modulus = velocity_mode_modulus(alpha, beta)
     return StabilityReport(
@@ -264,7 +267,7 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
         alpha=alpha,
         beta=beta,
         modulus=modulus,
-        cubic=cubic,
+        cubic_a=a, cubic_b=b, cubic_c=c, cubic_d=d,
         tau_c_cubic=tau_c_cubic,
         tau_c_modulus=tau_c_modulus,
         convergent_cubic=is_convergent_cubic(tau, params.k0, D),

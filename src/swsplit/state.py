@@ -24,9 +24,6 @@ class State:
                 raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
         return self
 
-    def copy(self) -> "State":
-        return State(self.eta.copy(), self.u1.copy(), self.u2.copy(), self.t)
-
 
 def initial_state(n_nodes: int, eta0: float = 0.0, t: float = 0.0) -> State:
     """Constant elevation, zero velocity."""

@@ -1,12 +1,19 @@
+import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import mesh_text, rect_mesh_arrays
 from swsplit.cli import main
-from swsplit.config import Config
+from swsplit.config import Config, load_config
 from swsplit.mesh import OPEN
-from swsplit.stability import PhysicalParams, build_report
+from swsplit.simulator import RunSummary, format_value
+from swsplit.stability import PhysicalParams, StabilityReport, build_report
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "tidal.txt"
 
 
 def machine_map(capsys):
@@ -192,3 +199,101 @@ class TestRun:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "run" in out
+
+
+# The README "Outputs" rule: a line is key=value tokens separated by one
+# space; a value is a decimal integer, true/false, a float as its Python
+# repr, or plain text; run.log's gate_violation flag is the one bare token.
+RUN_LOG_KINDS = {"step": "int", "t": "float", "mass": "float", "cg_iterations": "int",
+                 "cg_residual": "float", "tau_c": "float"}
+
+
+def parse_tokens(tokens, kinds):
+    """(key, value) pairs of key=value tokens, each value checked against its kind."""
+    pairs = []
+    for token in tokens:
+        if token == "gate_violation":
+            continue
+        key, eq, value = token.partition("=")
+        assert eq and key in kinds, f"unexpected token {token!r}"
+        kind = kinds[key]
+        if kind == "int":
+            assert re.fullmatch(r"-?[0-9]+", value), token
+        elif kind == "float":
+            assert repr(float(value)) == value, token
+        elif kind == "bool":
+            assert value in ("true", "false"), token
+        pairs.append((key, value))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    """The demo run twice, plus a warn-mode run whose gate fails every step."""
+    root = tmp_path_factory.mktemp("demo")
+    for name, extra in (("a", []), ("b", []),
+                        ("warn", ["--set", "gate_mode=warn", "--set", "tau=100"])):
+        assert main(["run", "-c", str(DEMO_CONFIG), *extra,
+                     "--set", f"out_dir={root / name}"]) == 0
+    return root
+
+
+class TestFormats:
+    def test_format_value(self):
+        assert format_value(True) == "true" and format_value(False) == "false"
+        assert format_value(np.float64(0.1) + np.float64(0.2)) == "0.30000000000000004"
+        assert format_value(math.nan) == "nan" and format_value(-math.inf) == "-inf"
+        assert format_value(3) == "3" and format_value("enforce") == "enforce"
+
+    def test_analyze_machine_pinned_at_defaults(self, capsys):
+        assert main(["analyze", "--machine"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "tau=3.0",
+            "speed=0.1",
+            "depth=0.1",
+            "drag=0.00613125",
+            "alpha=-0.01822462998046875",
+            "beta=-0.05488125",
+            "modulus=0.9833081047050055",
+            "cubic_a=0.0003007378121241777",
+            "cubic_b=5.826704106445313e-06",
+            "cubic_c=0.00030073781250000004",
+            "cubic_d=0.04905",
+            "tau_c_cubic=5.409046260057776",
+            "tau_c_modulus=6.799675976782087",
+            "convergent_cubic=true",
+            "convergent_modulus=true",
+        ]
+
+    def test_analyze_keys_are_report_fields(self, capsys):
+        assert main(["analyze", "--machine", "--speed", "0"]) == 0
+        kinds = {f.name: f.type for f in fields(StabilityReport)}
+        keys = [key for line in capsys.readouterr().out.splitlines()
+                for key, _ in parse_tokens([line], kinds)]
+        assert keys == list(kinds)
+
+    def test_summary_follows_the_rule(self, demo_runs):
+        kinds = {f.name: f.type for f in fields(RunSummary)}
+        lines = (demo_runs / "a" / "summary.txt").read_text().splitlines()
+        assert [key for line in lines for key, _ in parse_tokens([line], kinds)] == list(kinds)
+        assert "completed=true" in lines and "steps=36" in lines
+
+    def test_run_log_follows_the_rule(self, demo_runs):
+        for name, flagged in (("a", False), ("warn", True)):
+            lines = (demo_runs / name / "run.log").read_text().splitlines()
+            assert len(lines) == 36
+            for k, line in enumerate(lines, start=1):
+                pairs = dict(parse_tokens(line.split(" "), RUN_LOG_KINDS))
+                assert pairs["step"] == str(k)
+                assert ("gate_violation tau_c=" in line) == flagged == ("tau_c" in pairs)
+
+    def test_config_text_follows_the_rule(self):
+        kinds = {f.name: f.type for f in fields(Config)}
+        text = load_config(DEMO_CONFIG).to_text()
+        pairs = [pair for line in text.splitlines() for pair in parse_tokens([line], kinds)]
+        assert dict(pairs)["gauges"] == "31,59" and dict(pairs)["tau"] == "3.0"
+
+    def test_reruns_byte_identical(self, demo_runs):
+        for name in ("run.log", "summary.txt"):
+            assert (demo_runs / "a" / name).read_bytes() == \
+                (demo_runs / "b" / name).read_bytes(), f"{name} differs"

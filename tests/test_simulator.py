@@ -1,5 +1,6 @@
 import filecmp
 import logging
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from helpers import channel_mesh, jittered_mesh, rect_mesh, row_by_row_snapshot
 from swsplit.explicit_step import total_height
 from swsplit.fem import assemble
 from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
+from swsplit import simulator
 from swsplit.mesh import OPEN
 from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
-                               load_snapshot, mass_integral, run,
+                               key_value_lines, load_snapshot, mass_integral, run,
                                stability_gate, step)
 from swsplit.stability import (PhysicalParams, critical_time_step_for_drag,
                                drag_coefficient, source_update_matrix)
@@ -260,6 +262,17 @@ class TestStep:
         new, _ = step(state, mesh, mats, params, cfg, Forcings(tide=tide))
         assert np.all(new.eta[mesh.open_nodes] == 0.05)
 
+    def test_every_node_open(self, params):
+        # a 0 x 0 free system: the elevation is the tide, with no CG iteration
+        mesh = rect_mesh(2, 3, 200.0, 400.0, depth=1.0, boundary_tag=OPEN)
+        assert mesh.open_nodes.size == mesh.n_nodes
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0)
+        tide = TimeSeries([0.0, 1000.0], [[0.0], [0.5]], name="tide")
+        new, info = step(initial_state(mesh.n_nodes), mesh, assemble(mesh), params, cfg,
+                         Forcings(tide=tide))
+        assert np.all(new.eta == 0.05)
+        assert info.cg.iterations == 0
+
 
 class TestRun:
     def test_zero_duration_initial_snapshot_only(self, params, tmp_path):
@@ -275,6 +288,32 @@ class TestRun:
         assert not (out / "snap_1.csv").exists()
         gauge = (out / "gauge_5.csv").read_text().splitlines()
         assert gauge == ["t,eta", "0.0,0.0"]
+
+    def test_zero_steps_build_no_solver(self, params, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elevation solver built for a run with no steps")
+
+        monkeypatch.setattr(simulator, "elevation_solver", refuse)
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        summary = run(initial_state(mesh.n_nodes), mesh, assemble(mesh), params,
+                      RunConfig(duration=0.0), Forcings())
+        assert summary.completed
+
+    def test_writer_gets_the_summary(self, params, tmp_path):
+        # a library caller's OutputWriter writes summary.txt, complete or partial
+        mesh, state = reference_basin()
+        mats = assemble(mesh)
+        summary = run(state, mesh, mats, params, RunConfig(duration=600.0), Forcings(),
+                      sinks=OutputWriter(tmp_path / "ok", mesh))
+        assert (tmp_path / "ok" / "summary.txt").read_text() == \
+            "".join(line + "\n" for line in key_value_lines(asdict(summary).items()))
+        with pytest.raises(GateError) as exc:
+            run(state, mesh, mats, params, RunConfig(tau=6.0, duration=600.0), Forcings(),
+                sinks=OutputWriter(tmp_path / "no", mesh))
+        text = (tmp_path / "no" / "summary.txt").read_text()
+        assert text == "".join(line + "\n" for line in
+                               key_value_lines(asdict(exc.value.run_summary).items()))
+        assert "steps=0\ncompleted=false\n" in text
 
     def test_closed_basin_mass_conservation_short(self, params):
         mesh = rect_mesh(10, 10, 1000.0, 1000.0, depth=2.0)
@@ -321,7 +360,7 @@ class TestRun:
             summary = run(State(eta0.copy(), np.zeros(n), np.zeros(n)), mesh, mats,
                           params, cfg, Forcings(), sinks=OutputWriter(out_dir, mesh))
             assert summary.completed and summary.mass_drift_rel <= 1e-6
-            out.append(load_snapshot(out_dir / f"snap_{cfg.n_steps}.csv", n))
+            out.append(load_snapshot(out_dir / f"snap_{cfg.n_steps}.csv", mesh))
         return out
 
     def test_consistent_correction_run_matches_lumped(self, params, tmp_path):
@@ -469,7 +508,7 @@ class TestSnapshotIO:
         writer = OutputWriter(tmp_path, mesh)
         writer.snapshot(3, state)
         writer.close()
-        back = load_snapshot(tmp_path / "snap_3.csv", n)
+        back = load_snapshot(tmp_path / "snap_3.csv", mesh)
         assert np.array_equal(back.eta, state.eta)
         assert np.array_equal(back.u1, state.u1)
         assert np.array_equal(back.u2, state.u2)
@@ -496,34 +535,34 @@ class TestSnapshotIO:
         writer.snapshot(0, initial_state(n, eta0=0.1))
         writer.close()
         path = tmp_path / "snap_0.csv"
-        assert np.all(load_snapshot(path, n, coords=mesh.coords).eta == 0.1)
+        assert np.all(load_snapshot(path, mesh).eta == 0.1)
         # the tolerance is 1e-9 of the 100 m extent
-        load_snapshot(path, n, coords=mesh.coords + 0.5e-7)
+        load_snapshot(path, replace(mesh, coords=mesh.coords + 0.5e-7))
         shifted = mesh.coords.copy()
         shifted[7, 1] += 2e-7
         with pytest.raises(ValueError, match="node 7 .* is not the mesh node"):
-            load_snapshot(path, n, coords=shifted)
+            load_snapshot(path, replace(mesh, coords=shifted))
         with pytest.raises(ValueError, match="node 0 "):
-            load_snapshot(path, n, coords=mesh.coords + 10.0)
+            load_snapshot(path, replace(mesh, coords=mesh.coords + 10.0))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="not a snapshot"):
-            load_snapshot(path, 4)
+            load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
 
     def test_missing_row_checked(self, params, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("node,x1,x2,eta,u1,u2\n0,0.0,0.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError, match="no row for node 1"):
-            load_snapshot(path, 4)
+            load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
 
     def test_duplicate_row_checked(self, params, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("node,x1,x2,eta,u1,u2\n"
                         "0,0.0,0.0,0.0,0.0,0.0\n0,0.0,0.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError, match="duplicate row"):
-            load_snapshot(path, 2)
+            load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
 
     def test_mass_integral_matches_direct_sum(self, params, rng):
         mesh = rect_mesh(5, 5, 100.0, 100.0, depth=1.0)
