@@ -8,8 +8,10 @@ analysis rates the explicit step before every outer iteration.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .config import Config, ConfigError, load_config
-from .explicit_step import SourceIncrement, source_terms, taylor_galerkin_increment
+from .explicit_step import SourceIncrement, taylor_galerkin_increment
 from .fem import AssemblyError, FemMatrices, assemble, helmholtz_matrix, lump
 from .forcing import Forcings, ForcingError, TimeSeries, load_tide, load_wind
 from .implicit_step import (ElevationSolver, LinearSolveStats, SolverError,
@@ -27,4 +29,6 @@ from .stability import (PhysicalParams, StabilityReport, build_report,
                         step_coefficients, velocity_mode_modulus)
 from .state import State, initial_state
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# no submodule: `import *` must not rebind a caller's `mesh` or `state`
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -36,10 +36,6 @@ class FemMatrices:
     Q1: sp.csr_matrix       # integral of phi_i d(phi_j)/dx1
     Q2: sp.csr_matrix       # integral of phi_i d(phi_j)/dx2
 
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 

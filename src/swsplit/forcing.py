@@ -1,6 +1,7 @@
 """Time-dependent boundary forcing: tidal elevation and uniform wind.
 
-File formats (whitespace separated, `#` comments, strictly increasing t):
+File formats (whitespace separated, `#` comments, finite samples,
+strictly increasing t):
 
     tide:  t eta          two columns
     wind:  t v1 v2        three columns
@@ -32,6 +33,9 @@ class TimeSeries:
             raise ForcingError(f"{name}: times/values length mismatch")
         if times.size == 0:
             raise ForcingError(f"{name}: empty series")
+        bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values).all(axis=1)))
+        if bad.size:
+            raise ForcingError(f"{name}: sample {bad[0]} is not finite")
         if times.size > 1 and np.any(np.diff(times) <= 0.0):
             raise ForcingError(f"{name}: times must be strictly increasing")
         # a lookup reads Python floats: no array dispatch per call

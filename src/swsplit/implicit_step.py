@@ -161,23 +161,16 @@ def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, 
 def project_land_velocity(u1, u2, mesh: Mesh):
     """Zero the velocity component normal to the land boundary, in place.
 
-    Straight-wall nodes lose the component along their outward normal;
-    corner nodes (distinct adjacent edge normals) are zeroed entirely,
-    the only vector with no flow through both edges.
+    Corner nodes (distinct adjacent edge normals) are zeroed entirely,
+    the only vector with no flow through both edges; wall nodes lose the
+    component along their outward normal.
     """
-    land = mesh.land_nodes
-    if land.size == 0:
-        return
-    corner = land[mesh.land_corner[land]]
-    u1[corner] = 0.0
-    u2[corner] = 0.0
-    straight = land[~mesh.land_corner[land]]
-    if straight.size:
-        nx = mesh.land_normals[straight, 0]
-        ny = mesh.land_normals[straight, 1]
-        un = u1[straight] * nx + u2[straight] * ny
-        u1[straight] -= un * nx
-        u2[straight] -= un * ny
+    u1[mesh.corner_nodes] = 0.0
+    u2[mesh.corner_nodes] = 0.0
+    walls, nx, ny = mesh.wall_nodes, mesh.wall_normals[:, 0], mesh.wall_normals[:, 1]
+    un = u1[walls] * nx + u2[walls] * ny
+    u1[walls] -= un * nx
+    u2[walls] -= un * ny
 
 
 def apply_boundaries(state: State, mesh: Mesh, eta_open) -> State:

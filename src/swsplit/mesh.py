@@ -1,8 +1,8 @@
 """Unstructured P1 triangular meshes with bathymetry and boundary tags.
 
 Provides loading/validation of the plain-text mesh format, per-element
-geometry (areas, linear basis gradients) and the boundary machinery
-(outward normals at land nodes) used by the boundary-condition code.
+geometry (areas, linear basis gradients) and the boundary node sets
+(open, wall with normals, corner) used by the boundary-condition code.
 
 Mesh file format (whitespace separated, `#` starts a comment line):
 
@@ -76,24 +76,26 @@ def triangle_geometry(coords):
     return (float(area) if coords.ndim == 2 else area), grads
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
-    """Validated triangulation with precomputed P1 geometry.
+    """Validated triangulation with precomputed P1 geometry and boundary
+    node sets, built complete by :func:`build_mesh` and never changed.
 
-    Geometry only, immutable after construction; the operators on it are
-    :class:`swsplit.fem.FemMatrices`.
+    Geometry only; the operators on it are :class:`swsplit.fem.FemMatrices`.
     """
 
     coords: np.ndarray      # (n_nodes, 2)
     depth: np.ndarray       # (n_nodes,) stationary depth H, clamped to h_min
     tags: np.ndarray        # (n_nodes,) INTERIOR/LAND/OPEN
     triangles: np.ndarray   # (n_tris, 3) CCW vertex indices
-    areas: np.ndarray = field(repr=False, default=None)
-    grads: np.ndarray = field(repr=False, default=None)       # (n_tris, 3, 2)
-    # unit outward normal per node (rows valid for land nodes on straight
-    # walls); corner land nodes are clamped to zero velocity instead
-    land_normals: np.ndarray = field(repr=False, default=None)
-    land_corner: np.ndarray = field(repr=False, default=None)
+    areas: np.ndarray = field(repr=False)
+    grads: np.ndarray = field(repr=False)          # (n_tris, 3, 2)
+    open_nodes: np.ndarray = field(repr=False)     # tagged OPEN, ascending
+    # boundary land nodes, ascending: on a straight wall, with unit outward
+    # normals (n_walls, 2), or corners, clamped to zero velocity instead
+    wall_nodes: np.ndarray = field(repr=False)
+    wall_normals: np.ndarray = field(repr=False)
+    corner_nodes: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -102,17 +104,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def open_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.tags == OPEN)
-
-    @property
-    def land_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.tags == LAND)
-
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
 
 
 def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
@@ -170,10 +161,10 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
         triangles[cw] = triangles[cw][:, [0, 2, 1]]
 
     areas, grads = triangle_geometry(coords[triangles])
-    mesh = Mesh(coords=coords, depth=depth, tags=tags, triangles=triangles,
-                areas=areas, grads=grads)
-    mesh.land_normals, mesh.land_corner = _boundary_normals(mesh)
-    return mesh
+    wall_nodes, wall_normals, corner_nodes = _boundary_normals(coords, tags, triangles)
+    return Mesh(coords=coords, depth=depth, tags=tags, triangles=triangles,
+                areas=areas, grads=grads, open_nodes=np.flatnonzero(tags == OPEN),
+                wall_nodes=wall_nodes, wall_normals=wall_normals, corner_nodes=corner_nodes)
 
 
 # A data line is neither blank nor a `#` comment.
@@ -253,7 +244,7 @@ def _converts(lines, dtype):
     return True
 
 
-def _boundary_edges(mesh: Mesh):
+def _boundary_edges(triangles, n_nodes):
     """Directed boundary edges (a, b), CCW around the domain.
 
     A boundary edge is one that a single triangle uses.  The edges come
@@ -263,10 +254,9 @@ def _boundary_edges(mesh: Mesh):
     one in the same direction (a fold or an overlap, since both are
     CCW).
     """
-    n = mesh.n_nodes
-    a = mesh.triangles.ravel()
-    b = mesh.triangles[:, [1, 2, 0]].ravel()
-    undirected = np.minimum(a, b) * n + np.maximum(a, b)
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    undirected = np.minimum(a, b) * n_nodes + np.maximum(a, b)
     order = np.argsort(undirected, kind="stable")   # an edge's uses in triangle order
     keys, forward = undirected[order], (a < b)[order]
     new = np.diff(keys, prepend=-1, append=-1) != 0  # use i starts an edge (last: the end)
@@ -281,15 +271,16 @@ def _boundary_edges(mesh: Mesh):
     return a[once], b[once]
 
 
-def _boundary_normals(mesh: Mesh):
-    """Per-node outward normal and corner flags; also validates tags.
+def _boundary_normals(coords, tags, triangles):
+    """Wall nodes, their outward normals and corner nodes; also validates tags.
 
     Every node on a boundary edge must be tagged land or open.  The
     outward normal of a CCW-directed boundary edge (a -> b) is the edge
-    tangent rotated clockwise.
+    tangent rotated clockwise; a wall node's is the normalised mean of
+    its edges' normals.
     """
-    a, b = _boundary_edges(mesh)
-    t = mesh.coords[b] - mesh.coords[a]
+    a, b = _boundary_edges(triangles, coords.shape[0])
+    t = coords[b] - coords[a]
     normals = np.column_stack([t[:, 1], -t[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     # group the two ends of every edge by node
@@ -297,7 +288,7 @@ def _boundary_normals(mesh: Mesh):
     order = np.argsort(ends)
     normals = np.concatenate([normals, normals])[order]
     nodes, first, count = np.unique(ends[order], return_index=True, return_counts=True)
-    bad = nodes[mesh.tags[nodes] == INTERIOR]
+    bad = nodes[tags[nodes] == INTERIOR]
     if bad.size:
         raise MeshError(f"boundary nodes tagged interior: {bad.tolist()}")
 
@@ -305,12 +296,9 @@ def _boundary_normals(mesh: Mesh):
     n0, n1 = normals[first], normals[first + pair]
     corner = (count > 2) | (pair & (n0[:, 0] * n1[:, 0] + n0[:, 1] * n1[:, 1]
                                     < CORNER_ANGLE_COS))
+    land = tags[nodes] == LAND
+    wall = land & ~corner
     # + 0.0: a sum starts from +0.0, so a -0.0 component reads +0.0
-    mean = np.where(pair[:, None], n0 + n1, n0)[~corner] + 0.0
+    mean = np.where(pair[:, None], n0 + n1, n0)[wall] + 0.0
     mean /= np.hypot(mean[:, 0], mean[:, 1])[:, None]
-
-    land_normals = np.zeros((mesh.n_nodes, 2))
-    land_corner = np.zeros(mesh.n_nodes, dtype=bool)
-    land_normals[nodes[~corner]] = mean
-    land_corner[nodes[corner]] = True
-    return land_normals, land_corner
+    return nodes[wall], mean, nodes[land & corner]

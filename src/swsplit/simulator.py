@@ -305,12 +305,9 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
             if sinks is not None:
                 sinks.log_step(k, state.t, mass, info)
                 sinks.gauges(state)
-                if cfg.snapshot_interval and _on_interval(state.t, cfg.snapshot_interval):
+                if k == cfg.n_steps or _on_interval(state.t, cfg.snapshot_interval):
                     sinks.snapshot(k, state)
         summary.completed = True
-        if sinks is not None and cfg.n_steps > 0 and not (
-                cfg.snapshot_interval and _on_interval(state.t, cfg.snapshot_interval)):
-            sinks.snapshot(summary.steps, state)
     except Exception as exc:
         # partial summary travels with the fault
         exc.run_summary = summary
@@ -340,8 +337,8 @@ def _check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
 
 
 def _on_interval(t, interval):
-    k = round(t / interval)
-    return abs(k * interval - t) <= 1e-9 * max(abs(t), interval)
+    """Whether the absolute time ``t`` is a multiple of ``interval`` (never for 0)."""
+    return interval > 0 and abs(round(t / interval) * interval - t) <= 1e-9 * max(abs(t), interval)
 
 
 class OutputWriter:
@@ -387,12 +384,11 @@ class OutputWriter:
             fh.write(f"{float(state.t)!r},{float(state.eta[gid])!r}\n")
 
     def log_step(self, k, t, mass, info: StepInfo):
-        line = " ".join(key_value_lines([
-            ("step", k), ("t", t), ("mass", mass),
-            ("cg_iterations", info.cg.iterations), ("cg_residual", info.cg.residual)]))
+        items = [("step", k), ("t", t), ("mass", mass),
+                 ("cg_iterations", info.cg.iterations), ("cg_residual", info.cg.residual)]
         if info.gate is not None and not info.gate.passed:
-            line += f" gate_violation tau_c={format_value(info.gate.min_tau_c)}"
-        self._log.write(line + "\n")
+            items += [("gate_passed", False), ("tau_c", info.gate.min_tau_c)]
+        self._log.write(" ".join(key_value_lines(items)) + "\n")
 
     def summary(self, summary: RunSummary):
         with open(os.path.join(self.out_dir, "summary.txt"), "w") as fh:

@@ -216,9 +216,10 @@ def token_parse(path):
 def loop_mesh_geometry(coords, triangles, tags):
     """Derived mesh arrays built one triangle and one edge at a time.
 
-    Returns the CCW triangles, areas, gradients, land
-    normals and corner flags that ``build_mesh`` derives, from a loop
-    over triangles and a Python-set walk over the directed edges.
+    Returns the CCW triangles, areas and gradients that ``build_mesh``
+    derives, and per node a boundary flag, a corner flag and the mean
+    outward normal (zero at corners), from a loop over triangles and a
+    Python-set walk over the directed edges.
     """
     from swsplit.mesh import CORNER_ANGLE_COS
     coords = np.asarray(coords, dtype=float)
@@ -256,19 +257,20 @@ def loop_mesh_geometry(coords, triangles, tags):
         for node in (a, b):
             assert tags[node] != INTERIOR, "oracle expects valid boundary tags"
             normals_per_node.setdefault(node, []).append(nvec)
-    land_normals = np.zeros((n, 2))
-    land_corner = np.zeros(n, dtype=bool)
+    boundary = np.zeros(n, dtype=bool)
+    node_normals = np.zeros((n, 2))
+    corner = np.zeros(n, dtype=bool)
     for node, normals in normals_per_node.items():
+        boundary[node] = True
         if len(normals) > 2 or (len(normals) == 2
                                 and float(normals[0] @ normals[1]) < CORNER_ANGLE_COS):
-            land_corner[node] = True
+            corner[node] = True
             continue
         mean = np.sum(normals, axis=0)
         mean /= np.hypot(*mean)
-        land_normals[node] = mean
-    return dict(triangles=triangles, areas=areas, grads=grads,
-                land_normals=land_normals, land_corner=land_corner,
-                boundary_edges=sorted(seen))
+        node_normals[node] = mean
+    return dict(triangles=triangles, areas=areas, grads=grads, boundary=boundary,
+                normals=node_normals, corner=corner, boundary_edges=sorted(seen))
 
 
 # ------------------------------------------------------- snapshot oracle

@@ -1,5 +1,6 @@
 import math
 import re
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -193,6 +194,30 @@ class TestRun:
         final = (tmp_path / "o" / "snap_6.csv").read_text()
         assert "0.03" in final   # open boundary reached tide(600) = 0.03
 
+    @pytest.mark.parametrize("key, text", [
+        ("tide", "0 0\nnan 0.1\n10000 0.5\n"),
+        ("tide", "0 0\n5000 nan\n10000 0.5\n"),
+        ("wind", "0 1 inf\n10000 1 1\n"),
+    ])
+    def test_non_finite_forcing_refused_before_run(self, tmp_path, capsys, monkeypatch,
+                                                   key, text):
+        coords, tris, depth, tags = rect_mesh_arrays(5, 4, 400.0, 300.0, depth=1.0)
+        tags[(coords[:, 0] == 0.0) & (tags == 1)] = OPEN
+        (tmp_path / "chan.mesh").write_text(mesh_text(coords, tris, depth, tags))
+        (tmp_path / "series.txt").write_text(text)
+        (tmp_path / "c.txt").write_text(f"mesh=chan.mesh\n{key}=series.txt\n"
+                                        "duration=600\ntau=5\ntau_tilde=100\nout_dir=o\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run started")
+        monkeypatch.setattr("swsplit.cli.run", unreachable)
+        assert main(["run", "-c", str(tmp_path / "c.txt")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{key} {tmp_path / 'series.txt'}: sample " in err[0]
+        assert err[0].endswith(" is not finite")
+        assert not (tmp_path / "o").exists()
+
     def test_version_and_help(self, capsys):
         assert main(["--version"]) == 0
         assert "swsplit" in capsys.readouterr().out
@@ -201,19 +226,29 @@ class TestRun:
         assert "analyze" in out and "run" in out
 
 
+class TestPackage:
+    def test_star_import_binds_no_module(self):
+        # `from swsplit import *` must not rebind a caller's `mesh` or `state`
+        import swsplit
+        namespace = {}
+        exec("from swsplit import *", namespace)
+        assert "mesh" not in namespace and "state" not in namespace
+        assert not [name for name in swsplit.__all__
+                    if isinstance(getattr(swsplit, name), types.ModuleType)]
+        assert {"Mesh", "run", "load_mesh", "State"} <= set(swsplit.__all__)
+
+
 # The README "Outputs" rule: a line is key=value tokens separated by one
 # space; a value is a decimal integer, true/false, a float as its Python
-# repr, or plain text; run.log's gate_violation flag is the one bare token.
+# repr, or plain text.
 RUN_LOG_KINDS = {"step": "int", "t": "float", "mass": "float", "cg_iterations": "int",
-                 "cg_residual": "float", "tau_c": "float"}
+                 "cg_residual": "float", "gate_passed": "bool", "tau_c": "float"}
 
 
 def parse_tokens(tokens, kinds):
     """(key, value) pairs of key=value tokens, each value checked against its kind."""
     pairs = []
     for token in tokens:
-        if token == "gate_violation":
-            continue
         key, eq, value = token.partition("=")
         assert eq and key in kinds, f"unexpected token {token!r}"
         kind = kinds[key]
@@ -285,7 +320,8 @@ class TestFormats:
             for k, line in enumerate(lines, start=1):
                 pairs = dict(parse_tokens(line.split(" "), RUN_LOG_KINDS))
                 assert pairs["step"] == str(k)
-                assert ("gate_violation tau_c=" in line) == flagged == ("tau_c" in pairs)
+                assert line.endswith(f" gate_passed=false tau_c={pairs.get('tau_c')}") \
+                    == flagged == ("gate_passed" in pairs) == ("tau_c" in pairs)
 
     def test_config_text_follows_the_rule(self):
         kinds = {f.name: f.type for f in fields(Config)}

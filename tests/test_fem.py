@@ -57,7 +57,7 @@ class TestLumping:
     def test_total_equals_mesh_area(self, rng):
         mesh = jittered_mesh(6, 5, rng)
         m = assemble(mesh)
-        assert m.M_L.sum() == pytest.approx(mesh.total_area(), rel=1e-13)
+        assert m.M_L.sum() == pytest.approx(mesh.areas.sum(), rel=1e-13)
 
     def test_nonpositive_rejected(self):
         bad = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))

@@ -30,6 +30,16 @@ class TestTimeSeries:
         with pytest.raises(ForcingError, match="strictly increasing"):
             TimeSeries([0.0, 0.0], [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("times, values, bad", [
+        ([0.0, np.nan, 20.0], [[0.0], [0.1], [0.2]], 1),   # passes the diff check
+        ([0.0, 10.0, 20.0], [[0.0], [np.nan], [0.2]], 1),
+        ([0.0, 10.0], [[1.0, np.inf], [1.0, 1.0]], 0),
+        ([0.0, np.inf], [[0.0], [0.1]], 1),
+    ])
+    def test_non_finite_sample_refused(self, times, values, bad):
+        with pytest.raises(ForcingError, match=f"^wind: sample {bad} is not finite$"):
+            TimeSeries(times, values, name="wind")
+
     def test_constant_covers_all_times(self):
         ts = TimeSeries.constant_value(0.25)
         assert ts.at(-1e9)[0] == 0.25

@@ -95,17 +95,18 @@ class TestBuildMesh:
         inv = np.argsort(perm)
         mesh2 = build_mesh(mesh.coords[inv], perm[mesh.triangles],
                            mesh.depth[inv], mesh.tags[inv])
-        assert mesh2.total_area() == pytest.approx(mesh.total_area(), rel=1e-14)
-        assert mesh.total_area() == pytest.approx(2.0, rel=1e-12)
+        assert mesh2.areas.sum() == pytest.approx(mesh.areas.sum(), rel=1e-14)
+        assert mesh.areas.sum() == pytest.approx(2.0, rel=1e-12)
 
     def test_corner_detection_on_rectangle(self):
         mesh = rect_mesh(4, 4, 1.0, 1.0)
         corners = {0, 3, 12, 15}
-        flagged = set(np.flatnonzero(mesh.land_corner))
-        assert flagged == corners
-        # straight wall node on the y=0 edge has outward normal (0, -1)
-        wall = 4  # (i=1, j=0)
-        assert np.allclose(mesh.land_normals[wall], [0.0, -1.0], atol=1e-14)
+        assert set(mesh.corner_nodes.tolist()) == corners
+        # every other boundary node is on a straight wall; the one at
+        # (i=1, j=0) on the y=0 edge has outward normal (0, -1)
+        assert mesh.wall_nodes.tolist() == [1, 2, 4, 7, 8, 11, 13, 14]
+        assert mesh.wall_normals.shape == (8, 2)
+        assert np.allclose(mesh.wall_normals[2], [0.0, -1.0], atol=1e-14)
 
 
 class TestLoadMesh:
@@ -127,7 +128,8 @@ class TestLoadMesh:
         tags[tags == LAND] = OPEN
         mesh = load_mesh(self.write(tmp_path, mesh_text(coords, tris, depth, tags)))
         assert len(mesh.open_nodes) == 8
-        assert len(mesh.land_nodes) == 0
+        assert mesh.wall_nodes.size == mesh.corner_nodes.size == 0
+        assert mesh.wall_normals.shape == (0, 2)
 
     def test_wrong_counts(self, tmp_path):
         text = "3 1\n0 0 1 1\n1 0 1 1\n0 1 1 1\n0 1 2\n0 1 2\n"
@@ -376,9 +378,15 @@ class TestMeshOracle:
         assert bitwise_equal(mesh.depth, np.maximum(depth, h_min))
         assert bitwise_equal(mesh.tags, tags)
         oracle = loop_mesh_geometry(coords, triangles, tags)
-        for name in ("triangles", "areas", "grads", "land_normals", "land_corner"):
+        for name in ("triangles", "areas", "grads"):
             assert bitwise_equal(getattr(mesh, name), oracle[name]), name
-        a, b = _boundary_edges(mesh)
+        land = oracle["boundary"] & (tags == LAND)
+        walls = np.flatnonzero(land & ~oracle["corner"])
+        assert bitwise_equal(mesh.wall_nodes, walls)
+        assert bitwise_equal(mesh.wall_normals, oracle["normals"][walls])
+        assert bitwise_equal(mesh.corner_nodes, np.flatnonzero(land & oracle["corner"]))
+        assert bitwise_equal(mesh.open_nodes, np.flatnonzero(tags == OPEN))
+        a, b = _boundary_edges(mesh.triangles, mesh.n_nodes)
         assert sorted(zip(a.tolist(), b.tolist())) == oracle["boundary_edges"]
         return mesh
 
@@ -393,7 +401,8 @@ class TestMeshOracle:
     def test_jittered(self, tmp_path, seed, shape, open_west):
         arrays = jittered_arrays(*shape, np.random.default_rng(seed), open_west)
         mesh = self.check_file(self.write(tmp_path, arrays))
-        assert mesh.land_corner.sum() == 4
+        # an open west side takes two of the four corners off the land
+        assert mesh.corner_nodes.size == (2 if open_west else 4)
 
     def test_mixed_orientation(self, tmp_path, caplog):
         rng = np.random.default_rng(7)
@@ -406,14 +415,15 @@ class TestMeshOracle:
 
     def test_hole(self, tmp_path):
         mesh = self.check_file(self.write(tmp_path, holed_arrays(np.random.default_rng(5))))
-        assert len(mesh.land_nodes) > 4 * (11 - 1)   # outer walls plus the hole
+        # outer walls plus the hole
+        assert mesh.wall_nodes.size + mesh.corner_nodes.size > 4 * (11 - 1)
 
     def test_pinched_node(self, tmp_path):
         # two squares touching at node 2: four boundary edges meet there
         coords = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 1], [2, 2], [1, 2]]
         tris = [[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 6]]
         mesh = self.check_file(self.write(tmp_path, (coords, tris, [1.0] * 7, [LAND] * 7)))
-        assert mesh.land_corner[2]
+        assert 2 in mesh.corner_nodes
 
     def test_demo_channel(self):
         mesh = self.check_file(DEMO_MESH)

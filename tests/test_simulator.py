@@ -425,16 +425,20 @@ class TestRun:
         assert np.isfinite([summary.eta_min, summary.eta_max]).all()
         assert -0.1 < summary.eta_min <= summary.eta_max < 0.1
 
-    def test_snapshot_interval(self, params, tmp_path):
+    @pytest.mark.parametrize("duration, steps", [
+        (400.0, [0, 2, 4]),
+        (500.0, [0, 2, 4, 5]),   # the final step is off the interval
+    ])
+    def test_snapshot_interval(self, params, tmp_path, duration, steps):
         mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
         mats = assemble(mesh)
-        cfg = RunConfig(tau=5.0, tau_tilde=100.0, duration=400.0,
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0, duration=duration,
                         snapshot_interval=200.0)
         sinks = OutputWriter(tmp_path / "o", mesh)
         run(initial_state(mesh.n_nodes), mesh, mats, params, cfg, Forcings(),
             sinks=sinks)
         names = sorted(p.name for p in (tmp_path / "o").glob("snap_*.csv"))
-        assert names == ["snap_0.csv", "snap_2.csv", "snap_4.csv"]
+        assert names == sorted(f"snap_{k}.csv" for k in steps)
 
     def test_determinism_byte_identical(self, params, tmp_path):
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
