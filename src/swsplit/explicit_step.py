@@ -27,11 +27,6 @@ class SourceIncrement:
     d_u2: np.ndarray
 
 
-def total_height(eta, mesh: Mesh, params: PhysicalParams):
-    """Instantaneous water column H + eta, clamped away from zero."""
-    return np.maximum(mesh.depth + eta, params.h_min)
-
-
 def speed(u1, u2):
     """Nodal current speed |u| = sqrt(u1^2 + u2^2)."""
     return np.sqrt(u1 * u1 + u2 * u2)
@@ -43,33 +38,8 @@ def frozen_coefficients(eta, mesh: Mesh, params: PhysicalParams):
     Times |u| the first is the drag rate, times |v| v the second is the
     wind source.  Both stay fixed while eta does: over a whole sub-cycle.
     """
-    h_tot = total_height(eta, mesh, params)
+    h_tot = np.maximum(mesh.depth + eta, params.h_min)
     return drag_coefficient(1.0, h_tot, params), params.xi / h_tot
-
-
-def _start_sources(state: State, wind, frozen, k0):
-    """Drag rate and source pair (r1, r2) at ``state``."""
-    drag_per_speed, wind_factor = frozen
-    drag = drag_per_speed * speed(state.u1, state.u2)
-    r1 = k0 * state.u2 - drag * state.u1
-    r2 = -k0 * state.u1 - drag * state.u2
-    v1, v2 = wind
-    wind_speed = math.hypot(v1, v2)
-    if wind_speed:
-        r1 += wind_factor * (wind_speed * v1)
-        r2 += wind_factor * (wind_speed * v2)
-    return drag, r1, r2
-
-
-def source_terms(state: State, mesh: Mesh, params: PhysicalParams, wind=(0.0, 0.0)):
-    """Nodal source pair (r1, r2) evaluated at ``state``.
-
-    r1 = k0 u2 - g u1 |u| / (k1^2 h) + xi |v| v1 / h and the u1 <-> u2
-    antisymmetric counterpart, with h the clamped total height.
-    """
-    _, r1, r2 = _start_sources(state, wind, frozen_coefficients(state.eta, mesh, params),
-                               params.k0)
-    return r1, r2
 
 
 def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: Mesh,
@@ -88,7 +58,15 @@ def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: M
     if frozen is None:
         frozen = frozen_coefficients(state.eta, mesh, params)
     k0 = params.k0
-    drag, r1_n, r2_n = _start_sources(state, wind, frozen, k0)
+    drag_per_speed, wind_factor = frozen
+    drag = drag_per_speed * speed(state.u1, state.u2)
+    r1_n = k0 * state.u2 - drag * state.u1
+    r2_n = -k0 * state.u1 - drag * state.u2
+    v1, v2 = wind
+    wind_speed = math.hypot(v1, v2)
+    if wind_speed:
+        r1_n += wind_factor * (wind_speed * v1)
+        r2_n += wind_factor * (wind_speed * v2)
     # drag and wind frozen, the sources are affine in u: the half-step
     # sources add tau/2 times their linear part applied to r_n, and the
     # wind cancels

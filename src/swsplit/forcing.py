@@ -1,7 +1,7 @@
 """Time-dependent boundary forcing: tidal elevation and uniform wind.
 
-File formats (whitespace separated, `#` comments, finite samples,
-strictly increasing t):
+File formats (whitespace separated, `#` comments, at least two finite
+samples, strictly increasing t):
 
     tide:  t eta          two columns
     wind:  t v1 v2        three columns
@@ -83,6 +83,8 @@ def _load_columns(path, ncols, name):
                 raise ForcingError(f"{path}:{lineno}: bad number") from None
     if not rows:
         raise ForcingError(f"{path}: no samples")
+    if len(rows) < 2:   # one sample would read as a constant: no extrapolation
+        raise ForcingError(f"{path}: need at least two samples")
     data = np.array(rows)
     return TimeSeries(data[:, 0], data[:, 1:], name=name)
 

@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .explicit_step import (SourceIncrement, frozen_coefficients, speed,
-                            taylor_galerkin_increment, total_height)
+                            taylor_galerkin_increment)
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
                             elevation_rhs, project_land_velocity, solve_elevation,
                             velocity_correction)
 from .mesh import Mesh
-from .stability import PhysicalParams, critical_time_step_for_drag, drag_coefficient
+from .stability import PhysicalParams, critical_time_step_for_drag
 from .state import State
 
 log = logging.getLogger(__name__)
@@ -153,18 +153,18 @@ class StepInfo:
     gate: GateVerdict
 
 
-def stability_gate(state: State, mesh: Mesh, params: PhysicalParams, tau) -> GateVerdict:
+def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVerdict:
     """Rate ``tau`` against the critical step of the worst node.
 
-    Nodal drag rates use the current speed (floored at U_FLOOR) and the
-    clamped total height; the verdict is tau < min over nodes of tau_c.
-    tau_c is evaluated at every node in one array call (it is not assumed
-    monotone in the drag); ties go to the lowest node index.
+    ``frozen`` is the sub-cycle's :func:`frozen_coefficients` pair; the
+    nodal drag rate is its first factor times the speed floored at
+    U_FLOOR, and the verdict is tau < min over nodes of tau_c.  tau_c is
+    evaluated at every node in one array call (it is not assumed monotone
+    in the drag); ties go to the lowest node index.
     """
-    h_tot = total_height(state.eta, mesh, params)
     nodal_speed = speed(state.u1, state.u2)
     floor_active = bool(np.any(nodal_speed < U_FLOOR))
-    drag = drag_coefficient(np.maximum(nodal_speed, U_FLOOR), h_tot, params)
+    drag = frozen[0] * np.maximum(nodal_speed, U_FLOOR)
 
     tau_c = critical_time_step_for_drag(params.k0, drag)
     worst = int(np.argmin(tau_c))
@@ -192,9 +192,11 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     FloatingPointError when the sub-cycle's increment is not finite;
     solver faults propagate.
     """
+    # eta is fixed over the sub-cycle; the gate and every sub-step read this pair
+    frozen = frozen_coefficients(state.eta, mesh, params)
     verdict = None
     if cfg.gate_mode != "off":
-        verdict = stability_gate(state, mesh, params, cfg.tau)
+        verdict = stability_gate(state, frozen, params, cfg.tau)
         if not verdict.passed:
             msg = (f"stability gate: tau={cfg.tau:g} s >= critical step "
                    f"tau_c={verdict.min_tau_c:.4g} s at node {verdict.worst_node} "
@@ -203,20 +205,16 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
                 raise GateError(msg, verdict=verdict)
             log.warning(msg)
 
-    n = mesh.n_nodes
-    acc1 = np.zeros(n)
-    acc2 = np.zeros(n)
-    work = State(state.eta, state.u1, state.u2, state.t)
-    # eta, and with it the drag and wind factors, is fixed over the sub-cycle
-    frozen = frozen_coefficients(state.eta, mesh, params)
+    acc1 = np.zeros(mesh.n_nodes)
+    acc2 = np.zeros(mesh.n_nodes)
+    work = state
     for s in range(cfg.n_sub):
-        work.t = state.t + s * cfg.tau
-        wind = forcings.wind_at(work.t)
+        wind = forcings.wind_at(state.t + s * cfg.tau)
         inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau,
                                         frozen=frozen)
         acc1 += inc.d_u1
         acc2 += inc.d_u2
-        work = State(state.eta, state.u1 + acc1, state.u2 + acc2, work.t)
+        work = State(state.eta, state.u1 + acc1, state.u2 + acc2)
     # one scan per outer step: a non-finite right side would spin CG to
     # its iteration limit instead of failing
     for name, acc in (("d_u1", acc1), ("d_u2", acc2)):
@@ -352,11 +350,13 @@ class OutputWriter:
     def __init__(self, out_dir, mesh: Mesh, gauge_nodes=()):
         self.out_dir = out_dir
         self.mesh = mesh
-        os.makedirs(out_dir, exist_ok=True)
         self.gauge_nodes = tuple(int(g) for g in gauge_nodes)
-        for gid in self.gauge_nodes:
+        for i, gid in enumerate(self.gauge_nodes):
             if not (0 <= gid < mesh.n_nodes):
                 raise ValueError(f"gauge node {gid} outside mesh (n={mesh.n_nodes})")
+            if gid in self.gauge_nodes[:i]:   # a second handle on one file would leak
+                raise ValueError(f"gauge node {gid} listed twice")
+        os.makedirs(out_dir, exist_ok=True)
         self._gauge_files = {
             gid: open(os.path.join(out_dir, f"gauge_{gid}.csv"), "w")
             for gid in self.gauge_nodes

@@ -3,12 +3,14 @@
 The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
 three-point Gauss rule (edge midpoints, exact for quadratics), the
-sub-step projection from an element gather/scatter, roots from
-bisection, snapshot text from a row-by-row writer, mesh geometry from a
-per-triangle loop and a set walk over the edges, mesh numbers from
-`float`/`int` on each token.
+sub-step projection from an element gather/scatter, the nodal sources
+term by term, roots from bisection, snapshot text from a row-by-row
+writer, mesh geometry from a per-triangle loop and a set walk over the
+edges, mesh numbers from `float`/`int` on each token.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -192,6 +194,29 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
     lumped = np.zeros(mesh.n_nodes)
     np.add.at(lumped, tris.ravel(), np.repeat(areas / 3.0, 3))
     return rhs / lumped
+
+
+# ------------------------------------------------------- source oracle
+
+def source_terms(state, mesh: Mesh, params, wind=(0.0, 0.0)):
+    """Nodal source pair (r1, r2) evaluated at ``state``.
+
+    r1 = k0 u2 - g u1 |u| / (k1^2 h) + xi |v| v1 / h and the u1 <-> u2
+    antisymmetric counterpart, with h = max(H + eta, h_min).  The floats
+    are formed in the sub-step's order, so the stage-one sources of
+    ``taylor_galerkin_increment`` equal these bitwise.
+    """
+    h = np.maximum(mesh.depth + state.eta, params.h_min)
+    drag = params.g / (params.k1 ** 2 * h) * np.sqrt(state.u1 * state.u1
+                                                     + state.u2 * state.u2)
+    r1 = params.k0 * state.u2 - drag * state.u1
+    r2 = -params.k0 * state.u1 - drag * state.u2
+    v1, v2 = wind
+    wind_speed = math.hypot(v1, v2)
+    if wind_speed:
+        r1 += params.xi / h * (wind_speed * v1)
+        r2 += params.xi / h * (wind_speed * v2)
+    return r1, r2
 
 
 # ----------------------------------------------------------- mesh oracle

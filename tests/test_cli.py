@@ -194,13 +194,10 @@ class TestRun:
         final = (tmp_path / "o" / "snap_6.csv").read_text()
         assert "0.03" in final   # open boundary reached tide(600) = 0.03
 
-    @pytest.mark.parametrize("key, text", [
-        ("tide", "0 0\nnan 0.1\n10000 0.5\n"),
-        ("tide", "0 0\n5000 nan\n10000 0.5\n"),
-        ("wind", "0 1 inf\n10000 1 1\n"),
-    ])
-    def test_non_finite_forcing_refused_before_run(self, tmp_path, capsys, monkeypatch,
-                                                   key, text):
+    @staticmethod
+    def refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text):
+        """stderr lines of `run` on a channel whose ``key`` file holds ``text``;
+        the run must exit 1 before it starts or writes anything."""
         coords, tris, depth, tags = rect_mesh_arrays(5, 4, 400.0, 300.0, depth=1.0)
         tags[(coords[:, 0] == 0.0) & (tags == 1)] = OPEN
         (tmp_path / "chan.mesh").write_text(mesh_text(coords, tris, depth, tags))
@@ -212,11 +209,35 @@ class TestRun:
             raise AssertionError("run started")
         monkeypatch.setattr("swsplit.cli.run", unreachable)
         assert main(["run", "-c", str(tmp_path / "c.txt")]) == 1
-        err = capsys.readouterr().err.splitlines()
+        assert not (tmp_path / "o").exists()
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("key, text", [
+        ("tide", "0 0\nnan 0.1\n10000 0.5\n"),
+        ("tide", "0 0\n5000 nan\n10000 0.5\n"),
+        ("wind", "0 1 inf\n10000 1 1\n"),
+    ])
+    def test_non_finite_forcing_refused_before_run(self, tmp_path, capsys, monkeypatch,
+                                                   key, text):
+        err = self.refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text)
         assert len(err) == 1
         assert f"{key} {tmp_path / 'series.txt'}: sample " in err[0]
         assert err[0].endswith(" is not finite")
-        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, text", [("tide", "0 0.5\n"), ("wind", "0 1 2\n")])
+    def test_single_sample_forcing_refused_before_run(self, tmp_path, capsys, monkeypatch,
+                                                      key, text):
+        err = self.refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text)
+        assert err == [f"swsplit: {tmp_path / 'series.txt'}: need at least two samples"]
+
+    def test_repeated_gauge_refused_before_run(self, basin_dir, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run started")
+        monkeypatch.setattr("swsplit.cli.run", unreachable)
+        assert main(["run", "-c", str(basin_dir / "config.txt"),
+                     "--set", "gauges=5,3,5"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["swsplit: gauge node 5 listed twice"]
+        assert not (basin_dir / "out").exists()
 
     def test_version_and_help(self, capsys):
         assert main(["--version"]) == 0

@@ -3,11 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (element_lumped_projection, jittered_mesh, rect_mesh,
+from helpers import (element_lumped_projection, jittered_mesh, rect_mesh, source_terms,
                      two_triangle_square)
 from swsplit import explicit_step, implicit_step
-from swsplit.explicit_step import (_lumped_projection, frozen_coefficients, source_terms,
-                                   taylor_galerkin_increment, total_height)
+from swsplit.explicit_step import (_lumped_projection, frozen_coefficients,
+                                   taylor_galerkin_increment)
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import load_mesh
@@ -43,11 +43,12 @@ class TestSourceTerms:
         assert np.allclose(r1, 3.2e-6 * 10.0 * 10.0 / 0.1, rtol=1e-12)
         assert np.all(r2 == 0.0)
 
-    def test_total_height_clamp(self, params):
+    def test_frozen_coefficients_clamp(self, params):
         mesh = two_triangle_square(depth=0.1)
         eta = np.full(mesh.n_nodes, -0.2)   # would drive H + eta negative
-        h = total_height(eta, mesh, params)
-        assert np.all(h == params.h_min)
+        drag_per_speed, wind_factor = frozen_coefficients(eta, mesh, params)
+        assert np.all(drag_per_speed == params.g / (params.k1 ** 2 * params.h_min))
+        assert np.all(wind_factor == params.xi / params.h_min)
 
 
 DEMO_MESH = Path(__file__).resolve().parent.parent / "demo" / "channel.mesh"
@@ -91,7 +92,7 @@ class TestTaylorGalerkinIncrement:
                 tau = rng.uniform(0.5, 4.0)
                 state = uniform_state(mesh, u1, u2, eta)
                 inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, mesh, params, tau)
-                h = float(total_height(state.eta, mesh, params)[0])
+                h = max(float(mesh.depth[0]) + eta, params.h_min)
                 D = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * h)
                 T = source_update_matrix(tau, params.k0, D)
                 expected = T @ np.array([u1, u2]) - np.array([u1, u2])

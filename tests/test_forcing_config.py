@@ -95,6 +95,16 @@ class TestForcingFiles:
         with pytest.raises(ForcingError, match="no samples"):
             load_tide(path)
 
+    @pytest.mark.parametrize("load, text", [(load_tide, "0 0.5\n"),
+                                            (load_wind, "# one row\n0 1.0 2.0\n")])
+    def test_single_sample_refused(self, tmp_path, load, text):
+        # one sample would read as a constant at every time: extrapolation
+        path = tmp_path / "one.txt"
+        path.write_text(text)
+        with pytest.raises(ForcingError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: need at least two samples"
+
     def test_default_bundle_is_quiet(self):
         f = Forcings()
         assert f.tide_at(12345.0) == 0.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import channel_mesh, jittered_mesh, rect_mesh, row_by_row_snapshot
-from swsplit.explicit_step import total_height
+from swsplit.explicit_step import frozen_coefficients
 from swsplit.fem import assemble
 from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
 from swsplit import simulator
@@ -80,24 +80,29 @@ class TestRunConfig:
         assert RunConfig(duration=0.0).n_steps == 0
 
 
+def gate(state, mesh, params, tau):
+    """The verdict ``step`` forms: the gate reads the sub-cycle's frozen pair."""
+    return stability_gate(state, frozen_coefficients(state.eta, mesh, params), params, tau)
+
+
 class TestStabilityGate:
     def test_reference_state_passes_tau3(self, params):
         mesh, state = reference_basin()
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
         assert verdict.passed
         assert verdict.min_tau_c == pytest.approx(5.41, abs=0.02)
         assert not verdict.floor_active
 
     def test_reference_state_refuses_tau6(self, params):
         mesh, state = reference_basin()
-        verdict = stability_gate(state, mesh, params, 6.0)
+        verdict = gate(state, mesh, params, 6.0)
         assert not verdict.passed
 
     def test_minimum_over_nodes(self, params):
         # halving one node's depth doubles its drag; the gate must pick it
         mesh, state = reference_basin()
         mesh.depth[7] = 0.05
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
         d_worst = drag_coefficient(0.1, 0.05, params)
         assert verdict.worst_node == 7
         assert verdict.worst_drag == pytest.approx(d_worst, rel=1e-12)
@@ -109,14 +114,14 @@ class TestStabilityGate:
         # critical step; the verdict stays with the unmodified nodes
         mesh, state = reference_basin()
         mesh.depth[7] = 0.2
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
         assert verdict.min_tau_c == pytest.approx(5.41, abs=0.02)
         d_half = drag_coefficient(0.1, 0.2, params)
         assert critical_time_step_for_drag(params.k0, d_half) > verdict.min_tau_c
 
     def test_velocity_floor(self, params):
         mesh, state = reference_basin(u1=0.0)
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
         assert verdict.floor_active
         d_floor = drag_coefficient(1e-3, 0.1, params)
         assert verdict.worst_drag == pytest.approx(d_floor, rel=1e-12)
@@ -124,11 +129,10 @@ class TestStabilityGate:
 
     def test_monotone_in_tau(self, params):
         mesh, state = reference_basin()
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
         for tau in (0.01, 0.3, 1.0, 2.0):
-            assert stability_gate(state, mesh, params, tau).passed
-        assert not stability_gate(state, mesh, params,
-                                  verdict.min_tau_c + 0.01).passed
+            assert gate(state, mesh, params, tau).passed
+        assert not gate(state, mesh, params, verdict.min_tau_c + 0.01).passed
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), quantized=st.booleans())
@@ -146,16 +150,16 @@ class TestStabilityGate:
             u1, u2 = rng.uniform(-0.3, 0.3, (2, mesh.n_nodes))
         n = mesh.n_nodes
         state = State(eta, u1, u2, 0.0)
-        verdict = stability_gate(state, mesh, params, 3.0)
+        verdict = gate(state, mesh, params, 3.0)
 
-        h_tot = total_height(eta, mesh, params)
         worst = None
         floor_active = False
         for i in range(n):
             # |u| as the program defines it: sqrt(u1^2 + u2^2), not hypot
             speed = float(np.sqrt(u1[i] * u1[i] + u2[i] * u2[i]))
             floor_active |= speed < U_FLOOR
-            D = params.g * max(speed, U_FLOOR) / (params.k1 ** 2 * h_tot[i])
+            h = max(mesh.depth[i] + eta[i], params.h_min)
+            D = params.g / (params.k1 ** 2 * h) * max(speed, U_FLOOR)
             tau_c = critical_time_step_for_drag(params.k0, D)
             if worst is None or tau_c < worst[0]:
                 worst = (tau_c, i, D)
@@ -211,6 +215,28 @@ class TestStep:
         assert "stability gate" in caplog.text
         assert not info.gate.passed
         assert new.t == 300.0
+
+    def test_gate_rates_the_frozen_pair_of_the_sub_cycle(self, params, monkeypatch):
+        # one derivation of the drag per outer step: the gate and every
+        # sub-step read the pair that frozen_coefficients returned
+        mesh, state = reference_basin()
+        made, read = [], []
+        frozen_coefficients = simulator.frozen_coefficients
+        gate_fn = simulator.stability_gate
+        substep = simulator.taylor_galerkin_increment
+        monkeypatch.setattr(simulator, "frozen_coefficients",
+                            lambda *args: made.append(frozen_coefficients(*args)) or made[-1])
+        monkeypatch.setattr(simulator, "stability_gate",
+                            lambda st, frozen, *args: read.append(("gate", frozen))
+                            or gate_fn(st, frozen, *args))
+        monkeypatch.setattr(simulator, "taylor_galerkin_increment",
+                            lambda *args, frozen: read.append(("substep", frozen))
+                            or substep(*args, frozen=frozen))
+        cfg = RunConfig(tau=3.0, tau_tilde=30.0)
+        step(state, mesh, assemble(mesh), params, cfg, Forcings())
+        assert len(made) == 1
+        assert [name for name, _ in read] == ["gate"] + ["substep"] * cfg.n_sub
+        assert all(frozen is made[0] for _, frozen in read)
 
     def test_gate_off_skips_verdict(self, params):
         mesh, state = reference_basin()

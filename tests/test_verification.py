@@ -1,13 +1,18 @@
-"""Verification of the solver against analytic solutions."""
+"""Verification of the solver against analytic solutions and refinement."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import rect_mesh
 from swsplit.fem import assemble
-from swsplit.forcing import Forcings
-from swsplit.simulator import OutputWriter, RunConfig, run
+from swsplit.forcing import Forcings, load_tide, load_wind
+from swsplit.mesh import load_mesh
+from swsplit.simulator import OutputWriter, RunConfig, run, step
 from swsplit.stability import PhysicalParams
-from swsplit.state import State
+from swsplit.state import State, initial_state
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
 def zero_crossings(t, y):
@@ -51,3 +56,34 @@ def test_seiche_period_matches_analytic(tmp_path):
     assert measured == pytest.approx(period, rel=5e-3)
     # small amplitude and almost no drag: the wave keeps its height
     assert np.max(np.abs(eta[-60:])) > 0.9 * amplitude
+
+
+def test_sub_cycle_is_first_order_in_tau():
+    """Observed time order of the explicit sub-cycle: first order in tau.
+
+    The demo channel with its tide and wind runs 6 outer steps of 300 s
+    with the gate off, at tau = 30, 100 and 300 s, against a tau = 3 s
+    reference.  The largest nodal velocity difference is 1.30e-4,
+    4.74e-4 and 1.52e-3 m/s: observed orders 1.08 and 1.06 (a likely
+    cause: both stages use the drag rate D(u_n) of the sub-step start,
+    while the drag is nonlinear in u).  The bounds keep the order near
+    1, away from 2.
+    """
+    mesh = load_mesh(DEMO / "channel.mesh")
+    matrices = assemble(mesh)
+    forcings = Forcings(tide=load_tide(DEMO / "tide.txt"), wind=load_wind(DEMO / "wind.txt"))
+    params = PhysicalParams()
+
+    def final_velocity(tau):
+        cfg = RunConfig(tau=tau, tau_tilde=300.0, gate_mode="off")
+        state = initial_state(mesh.n_nodes)
+        for _ in range(6):
+            state, _ = step(state, mesh, matrices, params, cfg, forcings)
+        return np.concatenate([state.u1, state.u2])
+
+    reference = final_velocity(3.0)
+    taus = np.array([30.0, 100.0, 300.0])
+    errors = np.array([np.max(np.abs(final_velocity(tau) - reference)) for tau in taus])
+    orders = np.log(errors[1:] / errors[:-1]) / np.log(taus[1:] / taus[:-1])
+    assert errors == pytest.approx([1.30e-4, 4.74e-4, 1.52e-3], rel=0.01)
+    assert np.all((0.9 < orders) & (orders < 1.2))
