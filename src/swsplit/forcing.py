@@ -11,8 +11,6 @@ range are a fault, never extrapolated.
 """
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 
@@ -21,7 +19,7 @@ class ForcingError(ValueError):
 
 
 class TimeSeries:
-    """Piecewise-linear series of one or more columns over time."""
+    """Piecewise-linear series of one or more columns over two or more times."""
 
     def __init__(self, times, values, name="series"):
         times = np.asarray(times, dtype=float)
@@ -31,40 +29,33 @@ class TimeSeries:
             values = values[:, None]
         if times.ndim != 1 or times.shape[0] != values.shape[0]:
             raise ForcingError(f"{name}: times/values length mismatch")
-        if times.size == 0:
-            raise ForcingError(f"{name}: empty series")
+        if times.size < 2:   # one sample would hold its value at every time
+            raise ForcingError(f"{name}: need at least two samples")
         bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values).all(axis=1)))
         if bad.size:
             raise ForcingError(f"{name}: sample {bad[0]} is not finite")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
+        if np.any(np.diff(times) <= 0.0):
             raise ForcingError(f"{name}: times must be strictly increasing")
-        # a lookup reads Python floats: no array dispatch per call
-        self.times = times.tolist()
-        self.rows = [tuple(row) for row in values.tolist()]
-        self.constant = len(self.times) == 1
-
-    @classmethod
-    def constant_value(cls, values, name="constant"):
-        return cls([0.0], [np.atleast_1d(values)], name=name)
+        self.times = times
+        self.values = values
 
     def require(self, t_first: float, t_last: float):
         """Raise ForcingError unless [t_first, t_last] is sampled."""
-        self.at(t_first)
-        self.at(t_last)
+        self.at((t_first, t_last))
 
-    def at(self, t: float) -> tuple:
-        """Column values at time ``t``, a tuple of floats."""
+    def at(self, t) -> np.ndarray:
+        """Column values at time ``t``: one row, or one row per time of an array."""
+        t = np.asarray(t, dtype=float)
         times = self.times
-        if self.constant:
-            return self.rows[0]
-        if not (times[0] <= t <= times[-1]):
+        outside = ~((times[0] <= t) & (t <= times[-1]))
+        if outside.any():
             raise ForcingError(
-                f"{self.name}: t={t:g} s outside sampled range "
+                f"{self.name}: t={t[outside][0]:g} s outside sampled range "
                 f"[{times[0]:g}, {times[-1]:g}]")
-        k = min(bisect.bisect_right(times, t) - 1, len(times) - 2)
+        k = np.minimum(np.searchsorted(times, t, side="right") - 1, times.size - 2)
         t0, t1 = times[k], times[k + 1]
-        w = (t - t0) / (t1 - t0)
-        return tuple([(1.0 - w) * a + w * b for a, b in zip(self.rows[k], self.rows[k + 1])])
+        w = ((t - t0) / (t1 - t0))[..., None]
+        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
 
 def _load_columns(path, ncols, name):
@@ -83,8 +74,6 @@ def _load_columns(path, ncols, name):
                 raise ForcingError(f"{path}:{lineno}: bad number") from None
     if not rows:
         raise ForcingError(f"{path}: no samples")
-    if len(rows) < 2:   # one sample would read as a constant: no extrapolation
-        raise ForcingError(f"{path}: need at least two samples")
     data = np.array(rows)
     return TimeSeries(data[:, 0], data[:, 1:], name=name)
 
@@ -100,14 +89,17 @@ def load_wind(path) -> TimeSeries:
 
 
 class Forcings:
-    """Bundle of optional tide/wind series with quiet-zero defaults."""
+    """Optional tide and wind series; an absent one is still water or calm."""
 
     def __init__(self, tide: TimeSeries | None = None, wind: TimeSeries | None = None):
-        self.tide = tide if tide is not None else TimeSeries.constant_value(0.0, "tide=0")
-        self.wind = wind if wind is not None else TimeSeries.constant_value((0.0, 0.0), "wind=0")
+        self.tide = tide
+        self.wind = wind
 
     def tide_at(self, t) -> float:
-        return self.tide.at(t)[0]
+        return 0.0 if self.tide is None else float(self.tide.at(t)[0])
 
-    def wind_at(self, t):
-        return self.wind.at(t)
+    def wind_at(self, times) -> np.ndarray:
+        """One (v1, v2) row per time of ``times``."""
+        if self.wind is None:
+            return np.zeros(np.shape(times) + (2,))
+        return self.wind.at(times)

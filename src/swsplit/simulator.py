@@ -9,6 +9,7 @@ the worst node before every outer step.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -208,8 +209,8 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     acc1 = np.zeros(mesh.n_nodes)
     acc2 = np.zeros(mesh.n_nodes)
     work = state
-    for s in range(cfg.n_sub):
-        wind = forcings.wind_at(state.t + s * cfg.tau)
+    # the wind at every sub-step start, in one read
+    for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
         inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau,
                                         frozen=frozen)
         acc1 += inc.d_u1
@@ -318,7 +319,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
 
 
 def _check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
-    """Raise ForcingError unless the series cover every time the run reads.
+    """Raise ForcingError unless the present series cover every time the run reads.
 
     The wind is read at each sub-step start, up to t_end - tau, and the
     tide (only with open nodes) at each step end, up to t_end.  Step
@@ -329,8 +330,9 @@ def _check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
     t_last = t0
     for _ in range(cfg.n_steps - 1):
         t_last += cfg.tau_tilde
-    forcings.wind.require(t0, t_last + (cfg.n_sub - 1) * cfg.tau)
-    if mesh.open_nodes.size:
+    if forcings.wind is not None:
+        forcings.wind.require(t0, t_last + (cfg.n_sub - 1) * cfg.tau)
+    if mesh.open_nodes.size and forcings.tide is not None:
         forcings.tide.require(t0 + cfg.tau_tilde, t_last + cfg.tau_tilde)
 
 
@@ -357,13 +359,15 @@ class OutputWriter:
             if gid in self.gauge_nodes[:i]:   # a second handle on one file would leak
                 raise ValueError(f"gauge node {gid} listed twice")
         os.makedirs(out_dir, exist_ok=True)
-        self._gauge_files = {
-            gid: open(os.path.join(out_dir, f"gauge_{gid}.csv"), "w")
-            for gid in self.gauge_nodes
-        }
+        with contextlib.ExitStack() as opened:   # a failed open closes the earlier ones
+            self._gauge_files = {
+                gid: opened.enter_context(open(os.path.join(out_dir, f"gauge_{gid}.csv"), "w"))
+                for gid in self.gauge_nodes
+            }
+            self._log = opened.enter_context(open(os.path.join(out_dir, "run.log"), "w"))
+            self._files = opened.pop_all()
         for fh in self._gauge_files.values():
             fh.write("t,eta\n")
-        self._log = open(os.path.join(out_dir, "run.log"), "w")
 
     @functools.cached_property
     def _node_fields(self):
@@ -395,9 +399,7 @@ class OutputWriter:
             fh.writelines(line + "\n" for line in key_value_lines(asdict(summary).items()))
 
     def close(self):
-        for fh in self._gauge_files.values():
-            fh.close()
-        self._log.close()
+        self._files.close()
 
 
 def load_snapshot(path, mesh: Mesh) -> State:

@@ -228,7 +228,7 @@ class TestRun:
     def test_single_sample_forcing_refused_before_run(self, tmp_path, capsys, monkeypatch,
                                                       key, text):
         err = self.refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text)
-        assert err == [f"swsplit: {tmp_path / 'series.txt'}: need at least two samples"]
+        assert err == [f"swsplit: {key} {tmp_path / 'series.txt'}: need at least two samples"]
 
     def test_repeated_gauge_refused_before_run(self, basin_dir, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

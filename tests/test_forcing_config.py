@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ class TestTimeSeries:
             ts.at(-0.1)
         with pytest.raises(ForcingError, match="outside"):
             ts.at(10.1)
+        # an array of times: the error names the first one outside
+        with pytest.raises(ForcingError, match=r"^series: t=12 s outside sampled range "
+                                               r"\[0, 10\]$"):
+            ts.at([5.0, 12.0, -3.0, 20.0])
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ForcingError, match="strictly increasing"):
@@ -40,10 +46,10 @@ class TestTimeSeries:
         with pytest.raises(ForcingError, match=f"^wind: sample {bad} is not finite$"):
             TimeSeries(times, values, name="wind")
 
-    def test_constant_covers_all_times(self):
-        ts = TimeSeries.constant_value(0.25)
-        assert ts.at(-1e9)[0] == 0.25
-        assert ts.at(1e9)[0] == 0.25
+    def test_single_sample_series_refused(self):
+        # one sample would hold its value at every time: extrapolation
+        with pytest.raises(ForcingError, match="^tide: need at least two samples$"):
+            TimeSeries([0.0], [[0.5]], name="tide")
 
     def test_vector_columns(self):
         ts = TimeSeries([0.0, 2.0], [[1.0, -1.0], [3.0, 1.0]])
@@ -51,17 +57,22 @@ class TestTimeSeries:
 
 
     def test_same_values_as_array_interpolation(self, rng):
-        # the scalar lookup does the array formula's operations in its order
+        # the array lookup does the scalar formula's operations in its order
         times = np.cumsum(rng.uniform(0.5, 50.0, 40))
         values = rng.standard_normal((40, 2))
         ts = TimeSeries(times, values)
-        for t in np.concatenate([times, rng.uniform(times[0], times[-1], 200)]):
-            k = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
-            w = (t - times[k]) / (times[k + 1] - times[k])
-            want = (1.0 - w) * values[k] + w * values[k + 1]
-            got = ts.at(float(t))
-            assert all(type(v) is float for v in got)
-            assert np.array(got).tobytes() == want.tobytes()
+        ts_list, rows = times.tolist(), values.tolist()
+        queries = np.concatenate([times, rng.uniform(times[0], times[-1], 200)])
+        want = []
+        for t in queries.tolist():
+            k = min(bisect.bisect_right(ts_list, t) - 1, len(ts_list) - 2)
+            w = (t - ts_list[k]) / (ts_list[k + 1] - ts_list[k])
+            want.append([(1.0 - w) * a + w * b for a, b in zip(rows[k], rows[k + 1])])
+        got = ts.at(queries)
+        assert got.shape == (queries.size, 2)
+        assert got.tobytes() == np.array(want).tobytes()
+        for t, row in zip(queries[:50].tolist(), want):   # a scalar time: that one row
+            assert ts.at(t).tobytes() == np.array(row).tobytes()
 
 
 class TestForcingFiles:
@@ -103,12 +114,15 @@ class TestForcingFiles:
         path.write_text(text)
         with pytest.raises(ForcingError) as exc:
             load(path)
-        assert str(exc.value) == f"{path}: need at least two samples"
+        name = "tide" if load is load_tide else "wind"
+        assert str(exc.value) == f"{name} {path}: need at least two samples"
 
     def test_default_bundle_is_quiet(self):
         f = Forcings()
+        assert f.tide is None and f.wind is None
         assert f.tide_at(12345.0) == 0.0
-        assert f.wind_at(-5.0) == (0.0, 0.0)
+        winds = f.wind_at(np.array([-5.0, 0.0, 1e9]))
+        assert winds.shape == (3, 2) and not winds.any()
 
 
 class TestConfig:

@@ -279,6 +279,22 @@ class TestStep:
              RunConfig(tau=5.0, tau_tilde=100.0), Forcings(tide=tide))
         assert [read for read in reads if read[0] == "tide"] == [("tide", 100.0)]
 
+    def test_wind_read_once_per_step(self, params, monkeypatch):
+        # one read at every sub-step start, bitwise the times t + s * tau
+        mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
+        wind = TimeSeries([0.0, 10000.0], [[2.0, 1.0], [4.0, -1.0]], name="wind")
+        reads = []
+        at = TimeSeries.at
+        monkeypatch.setattr(TimeSeries, "at",
+                            lambda self, t: reads.append((self.name, t)) or at(self, t))
+        state = initial_state(mesh.n_nodes, t=1234.5678)
+        cfg = RunConfig(tau=0.3, tau_tilde=3.0, gate_mode="off")
+        step(state, mesh, assemble(mesh), params, cfg, Forcings(wind=wind))
+        winds = [t for name, t in reads if name == "wind"]
+        assert len(winds) == 1
+        want = [state.t + s * cfg.tau for s in range(cfg.n_sub)]
+        assert np.asarray(winds[0]).tobytes() == np.array(want).tobytes()
+
     def test_open_boundary_tracks_tide(self, params):
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
         state = initial_state(mesh.n_nodes)
@@ -605,3 +621,17 @@ class TestSnapshotIO:
         mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
         with pytest.raises(ValueError, match="gauge node"):
             OutputWriter(tmp_path / "g", mesh, gauge_nodes=(99,))
+
+    def test_failed_open_closes_earlier_files(self, tmp_path, monkeypatch):
+        # run.log is a directory: its open fails after both gauge files opened
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        (tmp_path / "run.log").mkdir()
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+        monkeypatch.setattr(simulator, "open", recording_open, raising=False)
+        with pytest.raises(IsADirectoryError):
+            OutputWriter(tmp_path, mesh, gauge_nodes=(3, 5))
+        assert len(handles) == 2 and all(fh.closed for fh in handles)
