@@ -28,15 +28,6 @@ def _parse_float(tok: str) -> float:
     return value
 
 
-def _parse_bool(tok: str) -> bool:
-    low = tok.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {tok!r}")
-
-
 def _parse_node_ids(tok: str):
     """Comma-separated gauge node ids; an empty value gives none."""
     ids = tuple(int(part) for part in tok.split(",")) if tok else ()
@@ -73,9 +64,6 @@ class Config:
     wind: str | None = None
     eta0: float = 0.0
     restart: str | None = None
-    # solver
-    cg_tol: float = RunConfig.cg_tol
-    consistent_correction: bool = RunConfig.consistent_correction
 
     def params(self) -> PhysicalParams:
         """The physics keys; ValueError names a range rule they break."""
@@ -98,8 +86,8 @@ class Config:
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")
 _RESOLVED_KEYS = _PATH_KEYS + ("out_dir",)   # out_dir is created, not checked
 
-_TYPE_PARSERS = {"float": _parse_float, "bool": _parse_bool, "str": str,
-                 "str | None": str, "tuple": _parse_node_ids}
+_TYPE_PARSERS = {"float": _parse_float, "str": str, "str | None": str,
+                 "tuple": _parse_node_ids}
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(Config)}
 
 

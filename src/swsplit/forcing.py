@@ -89,9 +89,17 @@ def load_wind(path) -> TimeSeries:
 
 
 class Forcings:
-    """Optional tide and wind series; an absent one is still water or calm."""
+    """Optional tide and wind series; an absent one is still water or calm.
+
+    A tide has one value column (eta) and a wind two (v1, v2); any other
+    count is refused here, before a run reads either.
+    """
 
     def __init__(self, tide: TimeSeries | None = None, wind: TimeSeries | None = None):
+        for kind, series, ncols in (("tide", tide, 1), ("wind", wind, 2)):
+            if series is not None and series.values.shape[1] != ncols:
+                raise ForcingError(f"{series.name}: a {kind} needs {ncols} value column(s), "
+                                   f"got {series.values.shape[1]}")
         self.tide = tide
         self.wind = wind
 

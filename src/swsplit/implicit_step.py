@@ -7,9 +7,9 @@ The elevation increment solves the symmetric positive definite system
                      + tau_tilde theta1 g S eta ]
 
 with prescribed values at open-boundary nodes eliminated symmetrically,
-solved by CG preconditioned with smoothed-aggregation multigrid; then
-the velocity increments follow from a (lumped by default) mass solve of
-M d_ui = -tau_tilde g Qi (eta + theta2 d_eta).
+solved to ||r|| / ||b|| <= CG_TOL by CG preconditioned with
+smoothed-aggregation multigrid; then the velocity increments follow
+from the lumped mass, M_L d_ui = -tau_tilde g Qi (eta + theta2 d_eta).
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ from .fem import FemMatrices
 from .mesh import Mesh
 from .multigrid import build_hierarchy
 from .state import State
+
+CG_TOL = 1e-10   # relative residual at which every CG solve stops
 
 
 class SolverError(RuntimeError):
@@ -37,7 +39,7 @@ class LinearSolveStats:
     residual: float   # final relative residual
 
 
-def conjugate_gradient(A, b, tol=1e-10, maxiter=None, precondition=None):
+def conjugate_gradient(A, b, tol=CG_TOL, maxiter=None, precondition=None):
     """CG for SPD systems, zero initial guess, deterministic.
 
     Stops when ||r|| / ||b|| <= tol; raises :class:`SolverError` on
@@ -118,7 +120,7 @@ class ElevationSolver:
         self.hierarchy = build_hierarchy(self.A_ff)
 
 
-def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=1e-10):
+def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=CG_TOL):
     """Solve A d_eta = rhs with d_eta prescribed at the open nodes.
 
     The Dirichlet rows/columns are eliminated symmetrically (reduced SPD
@@ -138,22 +140,15 @@ def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=1e-10):
 def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, cfg, g):
     """Velocity increments from the updated surface gradient.
 
-    Solves M d_ui = -tau_tilde g Qi (eta + theta2 d_eta) with the lumped
-    mass, or, when the :class:`swsplit.simulator.RunConfig` ``cfg`` sets
-    consistent_correction, by CG to cg_tol with the consistent mass
-    (verification path).  Land nodes get their normal component removed
-    so no flow is injected through closed boundaries.
+    Solves M_L d_ui = -tau_tilde g Qi (eta + theta2 d_eta) with the lumped
+    mass; tau_tilde and theta2 come from the
+    :class:`swsplit.simulator.RunConfig` ``cfg``.  Land nodes get their
+    normal component removed so no flow is injected through closed
+    boundaries.
     """
     target = state.eta + cfg.theta2 * d_eta
-    out = []
-    for Q in (matrices.Q1, matrices.Q2):
-        rhs = -cfg.tau_tilde * g * (Q @ target)
-        if cfg.consistent_correction:
-            d, _ = conjugate_gradient(matrices.M, rhs, tol=cfg.cg_tol)
-        else:
-            d = rhs / matrices.M_L
-        out.append(d)
-    d_u1, d_u2 = out
+    d_u1, d_u2 = ((-cfg.tau_tilde * g * (Q @ target)) / matrices.M_L
+                  for Q in (matrices.Q1, matrices.Q2))
     project_land_velocity(d_u1, d_u2, mesh)
     return d_u1, d_u2
 

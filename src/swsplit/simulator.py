@@ -78,8 +78,6 @@ class RunConfig:
     duration: float = 0.0
     snapshot_interval: float = 0.0   # 0: initial and final snapshot only
     gate_mode: str = "enforce"
-    cg_tol: float = 1e-10
-    consistent_correction: bool = False
     n_sub: int = field(init=False, repr=False)   # tau_tilde / tau
 
     def __post_init__(self):
@@ -102,8 +100,6 @@ class RunConfig:
                                  f"tau_tilde={self.tau_tilde:g}")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate_mode must be one of {GATE_MODES}")
-        if not 0.0 < self.cg_tol < math.inf:
-            raise ValueError("cg_tol must be positive and finite")
 
     @property
     def n_steps(self) -> int:
@@ -234,8 +230,7 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
     # the one tide read of the step (a closed basin reads none)
     eta_open = forcings.tide_at(t_next) if solver.open_nodes.size else 0.0
-    d_eta, cg_stats = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes],
-                                      tol=cfg.cg_tol)
+    d_eta, cg_stats = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes])
     d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
 
     new_state = State(eta=state.eta + d_eta,

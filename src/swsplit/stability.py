@@ -17,7 +17,10 @@ velocity eigenpair alone.  Two verdicts are exposed:
 * the modulus criterion: (1+alpha)^2 + beta^2 < 1 evaluated directly.
 
 The two disagree slightly because the cubic is not the exact expansion
-of the modulus condition; both are reported.  With the Chezy drag off
+of the modulus condition; both are reported.  The modulus criterion is
+exact for the paper's (alpha, beta) pair only: the sub-step the code
+runs (:func:`source_update_matrix`) has the rotation entry
+tau k0 - tau^2 D k0, not beta = tau k0 - tau^2 D.  With the Chezy drag off
 (D = 0) the recursion has modulus >= 1 for every tau, so neither verdict
 can ever pass.
 """
@@ -221,7 +224,7 @@ def is_convergent_cubic(tau, k0, D):
 
 
 def is_convergent_modulus(tau, k0, D):
-    """Exact modulus verdict: (1 + alpha)^2 + beta^2 < 1 (strict)."""
+    """Modulus verdict of the analysis pair: (1 + alpha)^2 + beta^2 < 1 (strict)."""
     alpha, beta = step_coefficients(tau, k0, D)
     return (1.0 + alpha) ** 2 + beta ** 2 < 1.0
 

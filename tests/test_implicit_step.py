@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -194,20 +192,25 @@ class TestVelocityCorrection:
         b1, b2 = velocity_correction(state, rng.standard_normal(n), m, mesh, cfg, G)
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
-    def test_consistent_mass_agrees_on_linear_fields(self):
-        # Q (eta + theta2 d) is in the range where lumped and consistent
-        # solves coincide for a constant answer
-        mesh = rect_mesh(5, 5, 1.0, 1.0, depth=1.0)
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: rect_mesh(6, 5, 1.0, 1.0, depth=1.0),
+        lambda: jittered_mesh(7, 7, np.random.default_rng(7)),
+    ], ids=["rect", "jittered"])
+    def test_lumped_correction_exact_on_linear_fields(self, make_mesh):
+        # Q1 @ x1 and Q2 @ x2 equal the lumped mass row by row on any mesh,
+        # so eta = a x1 + b x2 + c gives d_u = -tau_tilde g (a, b) at every
+        # interior node, to rounding
+        mesh = make_mesh()
         m = assemble(mesh)
         n = mesh.n_nodes
-        state = State(mesh.coords[:, 0].copy(), np.zeros(n), np.zeros(n))
+        a, b, c = 0.3, -0.7, 0.05
+        x1, x2 = mesh.coords[:, 0], mesh.coords[:, 1]
+        state = State(a * x1 + b * x2 + c, np.zeros(n), np.zeros(n))
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
-        l1, l2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
-        consistent = replace(cfg, consistent_correction=True, cg_tol=1e-13)
-        c1, c2 = velocity_correction(state, np.zeros(n), m, mesh, consistent, G)
+        d1, d2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
-        assert np.max(np.abs(l1[interior] - c1[interior])) < 1e-7
-        assert np.max(np.abs(l2[interior] - c2[interior])) < 1e-7
+        assert np.max(np.abs(d1[interior] + cfg.tau_tilde * G * a)) <= 1e-12
+        assert np.max(np.abs(d2[interior] + cfg.tau_tilde * G * b)) <= 1e-12
 
 
 class TestLandProjection:
