@@ -149,6 +149,25 @@ class TestRun:
             assert f"bad value for {key}: not a finite number" in err[0]
         assert not (basin_dir / "out").exists()
 
+    @pytest.mark.parametrize("via", ["file", "set"])
+    @pytest.mark.parametrize("key, value", [("cg_tol", "1e-12"),
+                                            ("consistent_correction", "true")])
+    def test_removed_solver_key_refused(self, basin_dir, capsys, key, value, via):
+        # the two dropped solver knobs are unknown keys now: refused when the
+        # config is read, nothing run or written
+        if via == "file":
+            cfg = basin_dir / "old.txt"
+            cfg.write_text(f"mesh=basin.mesh\nout_dir=out\n{key}={value}\n")
+            args = ["-c", str(cfg)]
+        else:
+            args = ["-c", str(basin_dir / "config.txt"), "--set", f"{key}={value}"]
+        for command in ("analyze", "run"):
+            assert main([command, *args]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("swsplit: ")
+            assert f"unknown key {key!r}" in err[0]
+        assert not (basin_dir / "out").exists()
+
     def test_missing_mesh_exit_fault(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("duration=0\n")

@@ -6,7 +6,7 @@ from helpers import dense_global_oracle, jittered_mesh, rect_mesh, two_triangle_
 from swsplit.explicit_step import SourceIncrement
 from swsplit.fem import assemble, helmholtz_matrix
 from swsplit.forcing import ForcingError, Forcings, TimeSeries
-from swsplit.implicit_step import (ElevationSolver, LinearSolveStats, SolverError,
+from swsplit.implicit_step import (CG_TOL, ElevationSolver, LinearSolveStats, SolverError,
                                    apply_boundaries, conjugate_gradient,
                                    elevation_rhs, project_land_velocity,
                                    solve_elevation, velocity_correction)
@@ -53,6 +53,24 @@ class TestConjugateGradient:
         A = sp.csr_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(SolverError, match="positive definite"):
             conjugate_gradient(A, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("solve", [
+        lambda A, b, **kw: conjugate_gradient(A, b, **kw),
+        lambda A, b, **kw: solve_elevation(ElevationSolver(A, np.empty(0, dtype=int)), b,
+                                           np.empty(0), **kw),
+    ], ids=["conjugate_gradient", "solve_elevation"])
+    def test_default_tolerance_is_cg_tol(self, rng, solve):
+        # every caller that passes no tol= stops at the one module constant;
+        # 625 nodes, so the multigrid hierarchy is more than its dense level
+        mesh = jittered_mesh(25, 25, rng)
+        A = helmholtz_matrix(assemble(mesh), 300.0, 0.5, 0.5, G)
+        b = rng.standard_normal(mesh.n_nodes)
+        x_default, stats_default = solve(A, b)
+        x_explicit, stats_explicit = solve(A, b, tol=CG_TOL)
+        assert np.array_equal(x_default, x_explicit) and stats_default == stats_explicit
+        assert 0.0 < stats_default.residual <= CG_TOL
+        _, tighter = solve(A, b, tol=CG_TOL / 100)
+        assert tighter.iterations > stats_default.iterations
 
     def test_nonconvergence_faults_with_stats(self, rng):
         mesh = jittered_mesh(5, 5, rng)

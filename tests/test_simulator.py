@@ -72,6 +72,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             RunConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("cg_tol", 1e-12),
+                                             ("consistent_correction", True)])
+    def test_removed_solver_knobs_not_accepted(self, name, value):
+        # one lumped velocity correction and one CG tolerance: neither is a field
+        with pytest.raises(TypeError, match=name):
+            RunConfig(**{name: value})
+
     def test_step_counts(self):
         cfg = RunConfig(duration=3000.0)
         assert cfg.n_steps == 10
