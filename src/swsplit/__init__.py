@@ -23,10 +23,9 @@ from .simulator import (GateError, GateVerdict, OutputWriter, RunConfig,
                         stability_gate, step)
 from .stability import (PhysicalParams, StabilityReport, build_report,
                         critical_time_step, cubic_coefficients, drag_coefficient,
-                        is_convergent_cubic, is_convergent_modulus,
-                        modulus_cubic_coefficients, source_amplification_matrix,
-                        coupled_amplification_matrix, source_update_matrix,
-                        step_coefficients, velocity_mode_modulus)
+                        is_convergent_cubic, modulus_cubic_coefficients,
+                        source_amplification_matrix, coupled_amplification_matrix,
+                        source_update_matrix, step_coefficients, velocity_mode_modulus)
 from .state import State, initial_state
 
 # no submodule: `import *` must not rebind a caller's `mesh` or `state`

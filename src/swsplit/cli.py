@@ -17,8 +17,8 @@ from .fem import assemble
 from .forcing import Forcings, ForcingError, load_tide, load_wind
 from .implicit_step import SolverError
 from .mesh import MeshError, load_mesh
-from .simulator import (GateError, OutputWriter, format_value, key_value_lines,
-                        load_snapshot, run)
+from .simulator import (GateError, OutputWriter, check_forcing_coverage, format_value,
+                        key_value_lines, load_snapshot, run)
 from .stability import StabilityReport, build_report
 from .state import initial_state
 
@@ -107,10 +107,12 @@ def cmd_run(args) -> int:
         state = load_snapshot(cfg.restart, mesh)
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
+    run_cfg = cfg.run_config()
+    # a forcing gap is refused before assembly and before any output file
+    check_forcing_coverage(state.t, mesh, run_cfg, forcings)
     matrices = assemble(mesh)
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)
-    summary = run(state, mesh, matrices, cfg.params(), cfg.run_config(), forcings,
-                  sinks=sinks)
+    summary = run(state, mesh, matrices, cfg.params(), run_cfg, forcings, sinks=sinks)
     if args.machine:
         for line in key_value_lines(asdict(summary).items()):
             print(line)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
-from .simulator import RunConfig, key_value_lines
+from .simulator import RunConfig
 from .stability import PhysicalParams
 
 
@@ -75,12 +75,6 @@ class Config:
 
     def _fields_of(self, cls):
         return {f.name: getattr(self, f.name) for f in fields(cls) if f.init}
-
-    def to_text(self) -> str:
-        """Canonical key=value rendering; reloading it reproduces self."""
-        values = {key: value for key, value in asdict(self).items() if value is not None}
-        values["gauges"] = ",".join(str(g) for g in self.gauges)
-        return "".join(line + "\n" for line in key_value_lines(values.items()))
 
 
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")

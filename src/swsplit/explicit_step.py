@@ -42,21 +42,18 @@ def frozen_coefficients(eta, mesh: Mesh, params: PhysicalParams):
     return drag_coefficient(1.0, h_tot, params), params.xi / h_tot
 
 
-def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices, mesh: Mesh,
-                              params: PhysicalParams, tau, frozen=None) -> SourceIncrement:
+def taylor_galerkin_increment(state: State, wind, matrices: FemMatrices,
+                              params: PhysicalParams, tau, *, frozen) -> SourceIncrement:
     """One explicit sub-step of length ``tau``.
 
     Returns the velocity increment tau * R(half step) projected in the
     Galerkin sense: the right side integrates R(half) plus the deviation
     of R(start) from its element means, the left side is the lumped mass
     ``matrices.M_L``.  ``frozen`` is :func:`frozen_coefficients` of
-    ``state.eta``; a sub-cycle computes it once, without it the sub-step
-    does.
+    ``state.eta``, computed once per sub-cycle by the caller.
     For a spatially uniform field this reduces exactly to the 2x2 map of
     :func:`swsplit.stability.source_update_matrix`.
     """
-    if frozen is None:
-        frozen = frozen_coefficients(state.eta, mesh, params)
     k0 = params.k0
     drag_per_speed, wind_factor = frozen
     drag = drag_per_speed * speed(state.u1, state.u2)

@@ -103,7 +103,7 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return 0 if self.duration == 0.0 else round(self.duration / self.tau_tilde)
+        return round(self.duration / self.tau_tilde)
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,11 @@ def elevation_solver(matrices: FemMatrices, mesh: Mesh, cfg: RunConfig, g) -> El
 
 
 def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
-         cfg: RunConfig, forcings: Forcings, solver: ElevationSolver | None = None):
+         cfg: RunConfig, forcings: Forcings, solver: ElevationSolver):
     """Advance one outer step of tau_tilde seconds.
 
-    ``solver`` is the run's :func:`elevation_solver`; without one the step
-    builds its own.  Returns (new_state, StepInfo).  Raises
+    ``solver`` is the run's :func:`elevation_solver`, built once by
+    :func:`run`.  Returns (new_state, StepInfo).  Raises
     :class:`GateError` in enforce mode when the gate fails and
     FloatingPointError when the sub-cycle's increment is not finite;
     solver faults propagate.
@@ -207,8 +207,7 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     work = state
     # the wind at every sub-step start, in one read
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
-        inc = taylor_galerkin_increment(work, wind, matrices, mesh, params, cfg.tau,
-                                        frozen=frozen)
+        inc = taylor_galerkin_increment(work, wind, matrices, params, cfg.tau, frozen=frozen)
         acc1 += inc.d_u1
         acc2 += inc.d_u2
         work = State(state.eta, state.u1 + acc1, state.u2 + acc2)
@@ -225,8 +224,6 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     d_star = SourceIncrement(acc1, acc2)
 
     t_next = state.t + cfg.tau_tilde
-    if solver is None:
-        solver = elevation_solver(matrices, mesh, cfg, params.g)
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
     # the one tide read of the step (a closed basin reads none)
     eta_open = forcings.tide_at(t_next) if solver.open_nodes.size else 0.0
@@ -275,7 +272,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
     track(state)
     summary.mass_final = mass0
     try:
-        _check_forcing_coverage(state.t, mesh, cfg, forcings)
+        check_forcing_coverage(state.t, mesh, cfg, forcings)
         if sinks is not None:
             sinks.snapshot(0, state)
             sinks.gauges(state)
@@ -313,7 +310,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
     return summary
 
 
-def _check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
+def check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
     """Raise ForcingError unless the present series cover every time the run reads.
 
     The wind is read at each sub-step start, up to t_end - tau, and the

@@ -9,15 +9,15 @@ reduces to a 2x2 damping/rotation recursion with coefficients
 
 and the full three-field amplification matrix is block triangular, so
 convergence is governed by the modulus sqrt((1+alpha)^2 + beta^2) of the
-velocity eigenpair alone.  Two verdicts are exposed:
+velocity eigenpair alone.  :func:`build_report` gives two verdicts:
 
 * the cubic criterion: a tau^3 - b tau^2 + c tau - d < 0 with the
   closed-form coefficients below, whose real root is the critical step
   tau_c (this is the stricter bound and the one the simulator gate uses);
-* the modulus criterion: (1+alpha)^2 + beta^2 < 1 evaluated directly.
+* the modulus criterion: the modulus of the velocity eigenpair < 1.
 
 The two disagree slightly because the cubic is not the exact expansion
-of the modulus condition; both are reported.  The modulus criterion is
+of the modulus condition.  The modulus criterion is
 exact for the paper's (alpha, beta) pair only: the sub-step the code
 runs (:func:`source_update_matrix`) has the rotation entry
 tau k0 - tau^2 D k0, not beta = tau k0 - tau^2 D.  With the Chezy drag off
@@ -223,25 +223,16 @@ def is_convergent_cubic(tau, k0, D):
     return ((a * tau - b) * tau + c) * tau - d < 0.0
 
 
-def is_convergent_modulus(tau, k0, D):
-    """Modulus verdict of the analysis pair: (1 + alpha)^2 + beta^2 < 1 (strict)."""
-    alpha, beta = step_coefficients(tau, k0, D)
-    return (1.0 + alpha) ** 2 + beta ** 2 < 1.0
-
-
 def critical_time_step_for_drag(k0, D):
-    """tau_c of the cubic criterion, nan where D == 0.
+    """tau_c of the cubic criterion for drag rates D > 0.
 
     ``D`` is a scalar (returns a float) or an array (returns an array,
     one tau_c per entry, all evaluated in one pass of
-    :func:`critical_time_step`); ``k0`` is a scalar.
+    :func:`critical_time_step`); ``k0`` is a scalar.  A zero drag rate
+    has no critical step and raises :func:`critical_time_step`'s
+    ``ValueError``; :func:`build_report` handles D = 0 itself.
     """
-    D = np.asarray(D, dtype=float)
-    tau_c = np.full(D.shape, np.nan)
-    live = D != 0.0
-    if np.any(live):
-        tau_c[live] = critical_time_step(*cubic_coefficients(k0, D[live]))
-    return float(tau_c) if tau_c.ndim == 0 else tau_c
+    return critical_time_step(*cubic_coefficients(k0, D))
 
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:

@@ -15,11 +15,11 @@ from helpers import (bisect_root, cubic_value, element_matrices_oracle,
                      jittered_mesh, mesh_text, random_triangle,
                      rect_mesh, rect_mesh_arrays, two_triangle_square)
 from swsplit.cli import main
-from swsplit.explicit_step import taylor_galerkin_increment
+from swsplit.explicit_step import frozen_coefficients, taylor_galerkin_increment
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import LAND, build_mesh
-from swsplit.simulator import RunConfig, run, step
+from swsplit.simulator import RunConfig, elevation_solver, run, step
 from swsplit.stability import (build_report,
                                coupled_amplification_matrix,
                                critical_time_step, cubic_coefficients,
@@ -139,7 +139,8 @@ def test_criterion_6_uniform_field_equivalence(params, rng):
             for _ in range(25)]
         for u1, u2, tau in cases:
             state = State(np.zeros(n), np.full(n, u1), np.full(n, u2))
-            inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, mesh, params, tau)
+            inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, params, tau,
+                                            frozen=frozen_coefficients(state.eta, mesh, params))
             drag = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * 0.1)
             T = source_update_matrix(tau, params.k0, drag)
             expected = T @ np.array([u1, u2]) - np.array([u1, u2])
@@ -153,8 +154,9 @@ def test_criterion_7_lake_at_rest_exact(params):
         mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
         state = State(np.zeros(36), np.zeros(36), np.zeros(36), 0.0)
+        solver = elevation_solver(mats, mesh, cfg, params.g)
         for k in range(100):
-            state, _ = step(state, mesh, mats, params, cfg, Forcings())
+            state, _ = step(state, mesh, mats, params, cfg, Forcings(), solver)
             assert np.all(state.eta == 0.0)
             assert np.all(state.u1 == 0.0) and np.all(state.u2 == 0.0)
         assert state.t == 100 * 300.0

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import mesh_text, rect_mesh_arrays
 from swsplit.cli import main
-from swsplit.config import Config, load_config
+from swsplit.config import Config
 from swsplit.mesh import OPEN
 from swsplit.simulator import RunSummary, format_value
 from swsplit.stability import PhysicalParams, StabilityReport, build_report
@@ -249,6 +249,18 @@ class TestRun:
         err = self.refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text)
         assert err == [f"swsplit: {key} {tmp_path / 'series.txt'}: need at least two samples"]
 
+    @pytest.mark.parametrize("key, text, outside", [
+        ("tide", "0 0\n500 0.5\n", "t=600 s outside sampled range [0, 500]"),
+        ("wind", "0 1 2\n500 1 2\n", "t=595 s outside sampled range [0, 500]"),
+    ])
+    def test_forcing_gap_refused_before_assembly(self, tmp_path, capsys, monkeypatch,
+                                                 key, text, outside):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("assembly started")
+        monkeypatch.setattr("swsplit.cli.assemble", unreachable)
+        err = self.refused_forcing_errors(tmp_path, capsys, monkeypatch, key, text)
+        assert err == [f"swsplit: {key} {tmp_path / 'series.txt'}: {outside}"]
+
     def test_repeated_gauge_refused_before_run(self, basin_dir, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("run started")
@@ -362,12 +374,6 @@ class TestFormats:
                 assert pairs["step"] == str(k)
                 assert line.endswith(f" gate_passed=false tau_c={pairs.get('tau_c')}") \
                     == flagged == ("gate_passed" in pairs) == ("tau_c" in pairs)
-
-    def test_config_text_follows_the_rule(self):
-        kinds = {f.name: f.type for f in fields(Config)}
-        text = load_config(DEMO_CONFIG).to_text()
-        pairs = [pair for line in text.splitlines() for pair in parse_tokens([line], kinds)]
-        assert dict(pairs)["gauges"] == "31,59" and dict(pairs)["tau"] == "3.0"
 
     def test_reruns_byte_identical(self, demo_runs):
         for name in ("run.log", "summary.txt"):

@@ -190,15 +190,6 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.tide == str(tmp_path / "tide.txt")
 
-    def test_roundtrip_identity(self, tmp_path):
-        (tmp_path / "tide.txt").write_text("0 0\n600 1\n")
-        path = tmp_path / "c.txt"
-        path.write_text("tau=2\ntau_tilde=100\ntide=tide.txt\ngauges=1,2\n"
-                        "eta0=0.25\n")
-        cfg = load_config(path)
-        again = parse_config_text(cfg.to_text())
-        assert again == cfg
-
     def test_readme_table_lists_every_key(self):
         # the README "Config format" table is the key contract: one row per
         # key or per comma-separated group, no key missing, none extra

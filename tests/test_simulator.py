@@ -15,8 +15,8 @@ from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
 from swsplit import simulator
 from swsplit.mesh import OPEN
 from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
-                               key_value_lines, load_snapshot, mass_integral, run,
-                               stability_gate, step)
+                               elevation_solver, key_value_lines, load_snapshot,
+                               mass_integral, run, stability_gate, step)
 from swsplit.stability import (PhysicalParams, critical_time_step_for_drag,
                                drag_coefficient, source_update_matrix)
 from swsplit.state import State, initial_state
@@ -180,7 +180,8 @@ class TestStep:
         state = initial_state(mesh.n_nodes)
         mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
-        new, info = step(state, mesh, mats, params, cfg, Forcings())
+        new, info = step(state, mesh, mats, params, cfg, Forcings(),
+                         elevation_solver(mats, mesh, cfg, params.g))
         assert new.t == 300.0
         assert np.all(new.eta == 0.0)
         assert np.all(new.u1 == 0.0) and np.all(new.u2 == 0.0)
@@ -192,7 +193,8 @@ class TestStep:
         mesh, state = reference_basin(boundary=OPEN)
         mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
-        new, info = step(state, mesh, mats, params, cfg, Forcings())
+        new, info = step(state, mesh, mats, params, cfg, Forcings(),
+                         elevation_solver(mats, mesh, cfg, params.g))
 
         u = np.array([0.1, 0.0])
         for _ in range(cfg.n_sub):
@@ -208,7 +210,8 @@ class TestStep:
         mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="enforce")
         with pytest.raises(GateError, match="tau_c=5.409") as exc:
-            step(state, mesh, mats, params, cfg, Forcings())
+            step(state, mesh, mats, params, cfg, Forcings(),
+                 elevation_solver(mats, mesh, cfg, params.g))
         assert exc.value.verdict.min_tau_c == pytest.approx(5.41, abs=0.02)
 
     def test_gate_warn_continues(self, params, caplog):
@@ -216,7 +219,8 @@ class TestStep:
         mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="warn")
         with caplog.at_level(logging.WARNING, logger="swsplit.simulator"):
-            new, info = step(state, mesh, mats, params, cfg, Forcings())
+            new, info = step(state, mesh, mats, params, cfg, Forcings(),
+                             elevation_solver(mats, mesh, cfg, params.g))
         assert "stability gate" in caplog.text
         assert not info.gate.passed
         assert new.t == 300.0
@@ -238,7 +242,9 @@ class TestStep:
                             lambda *args, frozen: read.append(("substep", frozen))
                             or substep(*args, frozen=frozen))
         cfg = RunConfig(tau=3.0, tau_tilde=30.0)
-        step(state, mesh, assemble(mesh), params, cfg, Forcings())
+        mats = assemble(mesh)
+        step(state, mesh, mats, params, cfg, Forcings(),
+             elevation_solver(mats, mesh, cfg, params.g))
         assert len(made) == 1
         assert [name for name, _ in read] == ["gate"] + ["substep"] * cfg.n_sub
         assert all(frozen is made[0] for _, frozen in read)
@@ -247,7 +253,8 @@ class TestStep:
         mesh, state = reference_basin()
         mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="off")
-        _, info = step(state, mesh, mats, params, cfg, Forcings())
+        _, info = step(state, mesh, mats, params, cfg, Forcings(),
+                       elevation_solver(mats, mesh, cfg, params.g))
         assert info.gate is None
 
     def test_increment_sum_reproduces_state_bitwise(self, params, rng):
@@ -260,7 +267,8 @@ class TestStep:
         cfg = RunConfig(tau=5.0, tau_tilde=100.0, gate_mode="off")
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.2]], name="tide")
         forcings = Forcings(tide=tide)
-        new, info = step(state, mesh, mats, params, cfg, forcings)
+        new, info = step(state, mesh, mats, params, cfg, forcings,
+                         elevation_solver(mats, mesh, cfg, params.g))
 
         from swsplit.implicit_step import apply_boundaries
         rebuilt = State(eta=state.eta + info.d_eta,
@@ -280,8 +288,10 @@ class TestStep:
         at = TimeSeries.at
         monkeypatch.setattr(TimeSeries, "at",
                             lambda self, t: reads.append((self.name, t)) or at(self, t))
-        step(initial_state(mesh.n_nodes), mesh, assemble(mesh), params,
-             RunConfig(tau=5.0, tau_tilde=100.0), Forcings(tide=tide))
+        mats = assemble(mesh)
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0)
+        step(initial_state(mesh.n_nodes), mesh, mats, params, cfg, Forcings(tide=tide),
+             elevation_solver(mats, mesh, cfg, params.g))
         assert [read for read in reads if read[0] == "tide"] == [("tide", 100.0)]
 
     def test_wind_read_once_per_step(self, params, monkeypatch):
@@ -294,7 +304,9 @@ class TestStep:
                             lambda self, t: reads.append((self.name, t)) or at(self, t))
         state = initial_state(mesh.n_nodes, t=1234.5678)
         cfg = RunConfig(tau=0.3, tau_tilde=3.0, gate_mode="off")
-        step(state, mesh, assemble(mesh), params, cfg, Forcings(wind=wind))
+        mats = assemble(mesh)
+        step(state, mesh, mats, params, cfg, Forcings(wind=wind),
+             elevation_solver(mats, mesh, cfg, params.g))
         winds = [t for name, t in reads if name == "wind"]
         assert len(winds) == 1
         want = [state.t + s * cfg.tau for s in range(cfg.n_sub)]
@@ -306,7 +318,8 @@ class TestStep:
         mats = assemble(mesh)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0)
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.5]], name="tide")
-        new, _ = step(state, mesh, mats, params, cfg, Forcings(tide=tide))
+        new, _ = step(state, mesh, mats, params, cfg, Forcings(tide=tide),
+                      elevation_solver(mats, mesh, cfg, params.g))
         assert np.all(new.eta[mesh.open_nodes] == 0.05)
 
     def test_every_node_open(self, params):
@@ -315,8 +328,9 @@ class TestStep:
         assert mesh.open_nodes.size == mesh.n_nodes
         cfg = RunConfig(tau=5.0, tau_tilde=100.0)
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.5]], name="tide")
-        new, info = step(initial_state(mesh.n_nodes), mesh, assemble(mesh), params, cfg,
-                         Forcings(tide=tide))
+        mats = assemble(mesh)
+        new, info = step(initial_state(mesh.n_nodes), mesh, mats, params, cfg,
+                         Forcings(tide=tide), elevation_solver(mats, mesh, cfg, params.g))
         assert np.all(new.eta == 0.05)
         assert info.cg.iterations == 0
 

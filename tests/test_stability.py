@@ -12,8 +12,7 @@ from swsplit.stability import (PhysicalParams, build_report,
                                coupled_amplification_matrix,
                                critical_time_step, critical_time_step_for_drag,
                                cubic_coefficients, drag_coefficient,
-                               is_convergent_cubic, is_convergent_modulus,
-                               modulus_cubic_coefficients,
+                               is_convergent_cubic, modulus_cubic_coefficients,
                                source_amplification_matrix,
                                source_update_matrix, step_coefficients,
                                velocity_mode_modulus)
@@ -21,6 +20,11 @@ from swsplit.stability import (PhysicalParams, build_report,
 # reference operating point: |u| = 0.1 m/s over H = 0.1 m of water
 D_REF = 0.00613125
 K0_REF = 1e-4
+
+
+def modulus_converges(tau, k0, D):
+    """The report's modulus verdict: |velocity eigenpair| < 1 (strict)."""
+    return velocity_mode_modulus(*step_coefficients(tau, k0, D)) < 1.0
 
 
 class TestDragCoefficient:
@@ -149,7 +153,8 @@ class TestCriticalTimeStep:
     def test_drag_free_raises(self):
         with pytest.raises(ValueError, match="no positive root"):
             critical_time_step(*cubic_coefficients(K0_REF, 0.0))
-        assert math.isnan(critical_time_step_for_drag(K0_REF, 0.0))
+        with pytest.raises(ValueError, match="no positive root"):
+            critical_time_step_for_drag(K0_REF, 0.0)
 
     def test_monotone_onset(self):
         tau_c = critical_time_step(*cubic_coefficients(K0_REF, D_REF))
@@ -178,10 +183,12 @@ class TestCriticalTimeStepArrays:
     @settings(max_examples=50, deadline=None)
     @given(drags=arrays(float, st.integers(1, 40),
                         elements=st.one_of(st.just(0.0), log_drags)), k0=coriolis)
-    def test_zero_drag_gives_nan_at_exactly_those_entries(self, drags, k0):
-        tau_c = critical_time_step_for_drag(k0, drags)
-        assert np.array_equal(np.isnan(tau_c), drags == 0.0)
-        assert np.all(tau_c[drags != 0.0] > 0.0)
+    def test_zero_drag_entry_raises(self, drags, k0):
+        if np.any(drags == 0.0):
+            with pytest.raises(ValueError, match="no positive root"):
+                critical_time_step_for_drag(k0, drags)
+        else:
+            assert np.all(critical_time_step_for_drag(k0, drags) > 0.0)
 
     def test_special_branches_inside_an_array_call(self, monkeypatch):
         bisected = []
@@ -224,7 +231,7 @@ class TestVerdicts:
         # the modulus excess is t^4 k0^4 / 4; assert the predicate where
         # that exceeds float resolution around 1.0
         for tau, k0 in ((10.0, 1e-4), (100.0, 1e-4), (1.0, 1e-2), (0.1, 0.5)):
-            assert not is_convergent_modulus(tau, k0, 0.0)
+            assert not modulus_converges(tau, k0, 0.0)
 
     def test_boundary_is_strict(self):
         tau_c = critical_time_step(*cubic_coefficients(K0_REF, D_REF))
@@ -234,7 +241,7 @@ class TestVerdicts:
             not is_convergent_cubic(tau_c, K0_REF, D_REF)
 
     def test_small_tau_with_drag_converges(self):
-        assert is_convergent_modulus(1e-3, K0_REF, D_REF)
+        assert modulus_converges(1e-3, K0_REF, D_REF)
         assert is_convergent_cubic(1e-3, K0_REF, D_REF)
 
     def test_modulus_equals_expanded_inequality(self, rng):
@@ -243,7 +250,7 @@ class TestVerdicts:
             k0 = rng.uniform(0.0, 1e-2)
             D = rng.uniform(0.0, 0.1)
             alpha, beta = step_coefficients(tau, k0, D)
-            assert is_convergent_modulus(tau, k0, D) == \
+            assert modulus_converges(tau, k0, D) == \
                 (2.0 * alpha + alpha ** 2 + beta ** 2 < 0.0)
 
     def test_drag_free_modulus_identity(self):

@@ -8,7 +8,7 @@ from helpers import rect_mesh
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings, load_tide, load_wind
 from swsplit.mesh import load_mesh
-from swsplit.simulator import OutputWriter, RunConfig, run, step
+from swsplit.simulator import OutputWriter, RunConfig, elevation_solver, run, step
 from swsplit.stability import PhysicalParams
 from swsplit.state import State, initial_state
 
@@ -77,8 +77,9 @@ def test_sub_cycle_is_first_order_in_tau():
     def final_velocity(tau):
         cfg = RunConfig(tau=tau, tau_tilde=300.0, gate_mode="off")
         state = initial_state(mesh.n_nodes)
+        solver = elevation_solver(matrices, mesh, cfg, params.g)
         for _ in range(6):
-            state, _ = step(state, mesh, matrices, params, cfg, forcings)
+            state, _ = step(state, mesh, matrices, params, cfg, forcings, solver)
         return np.concatenate([state.u1, state.u2])
 
     reference = final_velocity(3.0)
