@@ -108,10 +108,11 @@ def cmd_run(args) -> int:
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
     run_cfg = cfg.run_config()
-    # a forcing gap is refused before assembly and before any output file
+    # a forcing gap or a bad gauge id is refused before assembly and any
+    # output file; assembly cannot fail on a mesh build_mesh accepted
     check_forcing_coverage(state.t, mesh, run_cfg, forcings)
-    matrices = assemble(mesh)
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)
+    matrices = assemble(mesh)
     summary = run(state, mesh, matrices, cfg.params(), run_cfg, forcings, sinks=sinks)
     if args.machine:
         for line in key_value_lines(asdict(summary).items()):

@@ -274,10 +274,10 @@ def _boundary_edges(triangles, n_nodes):
 def _boundary_normals(coords, tags, triangles):
     """Wall nodes, their outward normals and corner nodes; also validates tags.
 
-    Every node on a boundary edge must be tagged land or open.  The
-    outward normal of a CCW-directed boundary edge (a -> b) is the edge
-    tangent rotated clockwise; a wall node's is the normalised mean of
-    its edges' normals.
+    Every node on a boundary edge must be tagged land or open, and only
+    those may be tagged open.  The outward normal of a CCW-directed
+    boundary edge (a -> b) is the edge tangent rotated clockwise; a wall
+    node's is the normalised mean of its edges' normals.
     """
     a, b = _boundary_edges(triangles, coords.shape[0])
     t = coords[b] - coords[a]
@@ -288,9 +288,12 @@ def _boundary_normals(coords, tags, triangles):
     order = np.argsort(ends)
     normals = np.concatenate([normals, normals])[order]
     nodes, first, count = np.unique(ends[order], return_index=True, return_counts=True)
-    bad = nodes[tags[nodes] == INTERIOR]
-    if bad.size:
-        raise MeshError(f"boundary nodes tagged interior: {bad.tolist()}")
+    on_boundary = np.zeros(tags.shape, dtype=bool)
+    on_boundary[nodes] = True
+    for bad, what in ((on_boundary & (tags == INTERIOR), "boundary nodes tagged interior"),
+                      (~on_boundary & (tags == OPEN), "interior nodes tagged open")):
+        if bad.any():
+            raise MeshError(f"{what}: {np.flatnonzero(bad).tolist()}")
 
     pair = count == 2
     n0, n1 = normals[first], normals[first + pair]

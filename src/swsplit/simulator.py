@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .explicit_step import (SourceIncrement, frozen_coefficients, speed,
-                            taylor_galerkin_increment)
+from .explicit_step import SourceIncrement, frozen_coefficients, taylor_galerkin_increment
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
@@ -159,7 +158,7 @@ def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVer
     evaluated at every node in one array call (it is not assumed monotone
     in the drag); ties go to the lowest node index.
     """
-    nodal_speed = speed(state.u1, state.u2)
+    nodal_speed = np.sqrt(state.u1 * state.u1 + state.u2 * state.u2)
     floor_active = bool(np.any(nodal_speed < U_FLOOR))
     drag = frozen[0] * np.maximum(nodal_speed, U_FLOOR)
 
@@ -202,26 +201,26 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
                 raise GateError(msg, verdict=verdict)
             log.warning(msg)
 
-    acc1 = np.zeros(mesh.n_nodes)
-    acc2 = np.zeros(mesh.n_nodes)
-    work = state
+    # the sub-cycle advances w = u1 + i u2 in place, with work arrays made
+    # once; not u1 + 1j * u2, where 1j * inf would put a nan in the real part
+    w = np.empty(mesh.n_nodes, dtype=complex)
+    w.real, w.imag = state.u1, state.u2
+    work = tuple(np.empty((4, mesh.n_nodes), dtype=complex))
     # the wind at every sub-step start, in one read
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
-        inc = taylor_galerkin_increment(work, wind, matrices, params, cfg.tau, frozen=frozen)
-        acc1 += inc.d_u1
-        acc2 += inc.d_u2
-        work = State(state.eta, state.u1 + acc1, state.u2 + acc2)
+        w += taylor_galerkin_increment(w, wind, matrices, params, cfg.tau,
+                                       frozen=frozen, work=work)
+    d_star = SourceIncrement(w.real - state.u1, w.imag - state.u2)
     # one scan per outer step: a non-finite right side would spin CG to
     # its iteration limit instead of failing
-    for name, acc in (("d_u1", acc1), ("d_u2", acc2)):
+    for name, acc in (("d_u1", d_star.d_u1), ("d_u2", d_star.d_u2)):
         bad = np.flatnonzero(~np.isfinite(acc))
         if bad.size:
             raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
     # the wall constraint acts on the source increment where it couples to
     # the wave step: without this the flux H (u + theta1 du*) pushes water
     # through closed boundaries and the basin mass drifts
-    project_land_velocity(acc1, acc2, mesh)
-    d_star = SourceIncrement(acc1, acc2)
+    project_land_velocity(d_star.d_u1, d_star.d_u2, mesh)
 
     t_next = state.t + cfg.tau_tilde
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)

@@ -4,9 +4,10 @@ The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
 three-point Gauss rule (edge midpoints, exact for quadratics), the
 sub-step projection from an element gather/scatter, the nodal sources
-term by term, roots from bisection, snapshot text from a row-by-row
-writer, mesh geometry from a per-triangle loop and a set walk over the
-edges, mesh numbers from `float`/`int` on each token.
+term by term, the sub-step in its real two-stage form, roots from
+bisection, snapshot text from a row-by-row writer, mesh geometry from a
+per-triangle loop and a set walk over the edges, mesh numbers from
+`float`/`int` on each token.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import math
 
 import numpy as np
 
+from swsplit.explicit_step import taylor_galerkin_increment
 from swsplit.mesh import INTERIOR, LAND, OPEN, Mesh, build_mesh
+from swsplit.state import State
 
 
 # ---------------------------------------------------------------- meshes
@@ -202,9 +205,7 @@ def source_terms(state, mesh: Mesh, params, wind=(0.0, 0.0)):
     """Nodal source pair (r1, r2) evaluated at ``state``.
 
     r1 = k0 u2 - g u1 |u| / (k1^2 h) + xi |v| v1 / h and the u1 <-> u2
-    antisymmetric counterpart, with h = max(H + eta, h_min).  The floats
-    are formed in the sub-step's order, so the stage-one sources of
-    ``taylor_galerkin_increment`` equal these bitwise.
+    antisymmetric counterpart, with h = max(H + eta, h_min).
     """
     h = np.maximum(mesh.depth + state.eta, params.h_min)
     drag = params.g / (params.k1 ** 2 * h) * np.sqrt(state.u1 * state.u1
@@ -217,6 +218,38 @@ def source_terms(state, mesh: Mesh, params, wind=(0.0, 0.0)):
         r1 += params.xi / h * (wind_speed * v1)
         r2 += params.xi / h * (wind_speed * v2)
     return r1, r2
+
+
+# ------------------------------------------------------- sub-step oracle
+
+def real_taylor_galerkin_increment(state, mesh: Mesh, params, tau, wind=(0.0, 0.0)):
+    """(d_u1, d_u2) of one explicit sub-step in its real two-stage form.
+
+    Stage one is :func:`source_terms` at ``state``; stage two evaluates
+    the sources at the half-step velocities u + tau/2 r with the drag
+    rate of the start and the wind held; the increment is tau times
+    :func:`element_lumped_projection` of (r_half, r_start), per component.
+    """
+    r1, r2 = source_terms(state, mesh, params, wind)
+    zero = np.zeros(mesh.n_nodes)
+    w1, w2 = source_terms(State(state.eta, zero, zero), mesh, params, wind)
+    h = np.maximum(mesh.depth + state.eta, params.h_min)
+    drag = params.g / (params.k1 ** 2 * h) * np.hypot(state.u1, state.u2)
+    u1_half, u2_half = state.u1 + 0.5 * tau * r1, state.u2 + 0.5 * tau * r2
+    r1_half = params.k0 * u2_half - drag * u1_half + w1
+    r2_half = -params.k0 * u1_half - drag * u2_half + w2
+    return (tau * element_lumped_projection(mesh, r1_half, r1),
+            tau * element_lumped_projection(mesh, r2_half, r2))
+
+
+def substep_increment(state, wind, matrices, params, tau, frozen):
+    """(d_u1, d_u2) of ``taylor_galerkin_increment`` called as the sub-cycle
+    calls it, on w = u1 + i u2 with fresh work arrays."""
+    w = np.empty(len(state.u1), dtype=complex)
+    w.real, w.imag = state.u1, state.u2
+    inc = taylor_galerkin_increment(w, wind, matrices, params, tau, frozen=frozen,
+                                    work=tuple(np.empty((4, w.size), dtype=complex)))
+    return inc.real.copy(), inc.imag.copy()
 
 
 # ----------------------------------------------------------- mesh oracle

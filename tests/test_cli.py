@@ -270,6 +270,21 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == ["swsplit: gauge node 5 listed twice"]
         assert not (basin_dir / "out").exists()
 
+    @pytest.mark.parametrize("gauges, message", [
+        ("999", "gauge node 999 outside mesh (n=63)"),
+        ("3,3", "gauge node 3 listed twice"),
+    ])
+    def test_bad_gauge_refused_before_assembly(self, tmp_path, capsys, monkeypatch,
+                                               gauges, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("assembly started")
+        monkeypatch.setattr("swsplit.cli.assemble", unreachable)
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(DEMO_CONFIG), "--set", f"gauges={gauges}",
+                     "--set", f"out_dir={out}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"swsplit: {message}"]
+        assert not out.exists()
+
     def test_version_and_help(self, capsys):
         assert main(["--version"]) == 0
         assert "swsplit" in capsys.readouterr().out

@@ -3,11 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (element_lumped_projection, jittered_mesh, rect_mesh, source_terms,
-                     two_triangle_square)
-from swsplit import explicit_step, implicit_step
-from swsplit.explicit_step import (_lumped_projection, frozen_coefficients,
-                                   taylor_galerkin_increment)
+from helpers import (jittered_mesh, real_taylor_galerkin_increment, rect_mesh, source_terms,
+                     substep_increment, two_triangle_square)
+from swsplit import implicit_step
+from swsplit.explicit_step import frozen_coefficients, taylor_galerkin_increment
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import load_mesh
@@ -54,34 +53,59 @@ class TestSourceTerms:
 DEMO_MESH = Path(__file__).resolve().parent.parent / "demo" / "channel.mesh"
 
 
-class TestLumpedProjection:
+def random_state(mesh, rng):
+    n = mesh.n_nodes
+    return State(rng.uniform(-0.2, 0.2, n), rng.uniform(-0.3, 0.3, n),
+                 rng.uniform(-0.3, 0.3, n), 0.0)
+
+
+class TestRealTwoStageOracle:
+    """The complex sub-step against the real two-stage form it rewrites."""
+
     @staticmethod
-    def assert_matches_oracle(mesh, rng):
+    def assert_matches_oracle(mesh, rng, params, wind):
         matrices = assemble(mesh)
         for _ in range(3):
-            r_half, r_start = rng.standard_normal((2, mesh.n_nodes))
-            got = _lumped_projection(matrices, r_half, r_start)
-            want = element_lumped_projection(mesh, r_half, r_start)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            state = random_state(mesh, rng)
+            tau = rng.uniform(0.5, 4.0)
+            got = substep_increment(state, wind, matrices, params, tau,
+                                    frozen_coefficients(state.eta, mesh, params))
+            want = real_taylor_galerkin_increment(state, mesh, params, tau, wind)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
+    @pytest.mark.parametrize("wind", [(0.0, 0.0), (6.0, -3.0)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_element_form_on_jittered_meshes(self, seed):
+    def test_matches_real_form_on_jittered_meshes(self, params, seed, wind):
         rng = np.random.default_rng(seed)
         nx, ny = rng.integers(4, 30, size=2)
         mesh = jittered_mesh(nx, ny, rng, scale=rng.uniform(1.0, 1e4))
-        self.assert_matches_oracle(mesh, rng)
+        self.assert_matches_oracle(mesh, rng, params, wind)
 
-    def test_matches_element_form_on_demo_mesh(self, rng):
-        self.assert_matches_oracle(load_mesh(DEMO_MESH), rng)
+    @pytest.mark.parametrize("wind", [(0.0, 0.0), (6.0, -3.0)])
+    def test_matches_real_form_on_demo_mesh(self, params, rng, wind):
+        self.assert_matches_oracle(load_mesh(DEMO_MESH), rng, params, wind)
+
+
+def test_paired_product_equals_two_real_products(rng):
+    # the sub-step applies C to w's real and imaginary parts as the two
+    # columns of one product; it must equal the two real products bitwise
+    for mesh in (load_mesh(DEMO_MESH), jittered_mesh(9, 7, rng, scale=1e3)):
+        C = assemble(mesh).C
+        x = np.empty(mesh.n_nodes, dtype=complex)
+        x.real, x.imag = rng.standard_normal((2, mesh.n_nodes))
+        paired = (C @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        assert paired.real.tobytes() == (C @ x.real).tobytes()
+        assert paired.imag.tobytes() == (C @ x.imag).tobytes()
 
 
 class TestTaylorGalerkinIncrement:
     def test_quiescent_zero(self, params):
         mesh = rect_mesh(4, 4, 1.0, 1.0, depth=0.5)
         state = uniform_state(mesh, 0.0, 0.0)
-        inc = taylor_galerkin_increment(state, (0.0, 0.0), assemble(mesh), params, 3.0,
-                                        frozen=frozen_coefficients(state.eta, mesh, params))
-        assert np.all(inc.d_u1 == 0.0) and np.all(inc.d_u2 == 0.0)
+        d_u1, d_u2 = substep_increment(state, (0.0, 0.0), assemble(mesh), params, 3.0,
+                                       frozen_coefficients(state.eta, mesh, params))
+        assert np.all(d_u1 == 0.0) and np.all(d_u2 == 0.0)
 
     def test_uniform_field_matches_recursion(self, params, rng):
         # any mesh, any uniform state: the sub-step is the 2x2 map
@@ -92,15 +116,15 @@ class TestTaylorGalerkinIncrement:
                 eta = rng.uniform(-0.02, 0.1)
                 tau = rng.uniform(0.5, 4.0)
                 state = uniform_state(mesh, u1, u2, eta)
-                inc = taylor_galerkin_increment(
+                d_u1, d_u2 = substep_increment(
                     state, (0.0, 0.0), matrices, params, tau,
-                    frozen=frozen_coefficients(state.eta, mesh, params))
+                    frozen_coefficients(state.eta, mesh, params))
                 h = max(float(mesh.depth[0]) + eta, params.h_min)
                 D = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * h)
                 T = source_update_matrix(tau, params.k0, D)
                 expected = T @ np.array([u1, u2]) - np.array([u1, u2])
-                assert np.max(np.abs(inc.d_u1 - expected[0])) < 1e-12
-                assert np.max(np.abs(inc.d_u2 - expected[1])) < 1e-12
+                assert np.max(np.abs(d_u1 - expected[0])) < 1e-12
+                assert np.max(np.abs(d_u2 - expected[1])) < 1e-12
 
     def test_uniform_sources_skip_galerkin_correction(self, params):
         # spatially uniform sources: the increment is the pointwise
@@ -108,8 +132,8 @@ class TestTaylorGalerkinIncrement:
         mesh = rect_mesh(5, 5, 10.0, 10.0, depth=0.2)
         state = uniform_state(mesh, 0.05, -0.02)
         tau = 2.0
-        inc = taylor_galerkin_increment(state, (1.0, 2.0), assemble(mesh), params, tau,
-                                        frozen=frozen_coefficients(state.eta, mesh, params))
+        d_u1, d_u2 = substep_increment(state, (1.0, 2.0), assemble(mesh), params, tau,
+                                       frozen_coefficients(state.eta, mesh, params))
         h = 0.2
         speed = np.hypot(0.05, -0.02)
         drag = params.g * speed / (params.k1 ** 2 * h)
@@ -123,8 +147,8 @@ class TestTaylorGalerkinIncrement:
 
         r1, r2 = src(0.05, -0.02)
         r1h, r2h = src(0.05 + 0.5 * tau * r1, -0.02 + 0.5 * tau * r2)
-        assert np.allclose(inc.d_u1, tau * r1h, rtol=0, atol=1e-15)
-        assert np.allclose(inc.d_u2, tau * r2h, rtol=0, atol=1e-15)
+        assert np.allclose(d_u1, tau * r1h, rtol=0, atol=1e-15)
+        assert np.allclose(d_u2, tau * r2h, rtol=0, atol=1e-15)
 
     def test_wind_enters_with_frozen_height(self, params, rng):
         # uniform state + wind: compare against the affine closed form
@@ -133,8 +157,8 @@ class TestTaylorGalerkinIncrement:
         wind = (6.0, -3.0)
         tau = 3.0
         state = uniform_state(mesh, *u, eta=0.05)
-        inc = taylor_galerkin_increment(state, wind, assemble(mesh), params, tau,
-                                        frozen=frozen_coefficients(state.eta, mesh, params))
+        d_u1, d_u2 = substep_increment(state, wind, assemble(mesh), params, tau,
+                                       frozen_coefficients(state.eta, mesh, params))
         h = 0.45
         D = params.g * float(np.hypot(*u)) / (params.k1 ** 2 * h)
         wspeed = np.hypot(*wind)
@@ -142,7 +166,7 @@ class TestTaylorGalerkinIncrement:
         G = np.array([[-D, params.k0], [-params.k0, -D]])
         half = u + 0.5 * tau * (G @ u + w)
         expected = tau * (G @ half + w)
-        assert np.max(np.abs([inc.d_u1[0], inc.d_u2[0]] - expected)) < 1e-15
+        assert np.max(np.abs([d_u1[0], d_u2[0]] - expected)) < 1e-15
 
     def test_coriolis_only_norm_defect(self, params):
         # drag off (zero speed never happens; emulate with huge k1):
@@ -151,37 +175,18 @@ class TestTaylorGalerkinIncrement:
         mesh = two_triangle_square(depth=1.0)
         tau = 3.0
         matrices = assemble(mesh)
-        state = uniform_state(mesh, 1.0, 0.0)
-        frozen = frozen_coefficients(state.eta, mesh, p)   # eta never changes here
+        frozen = frozen_coefficients(np.zeros(mesh.n_nodes), mesh, p)   # eta never changes
+        w = np.ones(mesh.n_nodes, dtype=complex)
+        work = tuple(np.empty((4, mesh.n_nodes), dtype=complex))
         normsq = [1.0]
         for _ in range(200):
-            inc = taylor_galerkin_increment(state, (0.0, 0.0), matrices, p, tau, frozen=frozen)
-            state = State(state.eta, state.u1 + inc.d_u1, state.u2 + inc.d_u2)
-            normsq.append(float(state.u1[0] ** 2 + state.u2[0] ** 2))
+            w += taylor_galerkin_increment(w, (0.0, 0.0), matrices, p, tau,
+                                           frozen=frozen, work=work)
+            normsq.append(float(w[0].real ** 2 + w[0].imag ** 2))
         normsq = np.array(normsq)
         growth = normsq[1:] / normsq[:-1]
         assert np.allclose(growth, 1.0 + tau ** 4 * p.k0 ** 4 / 4.0, rtol=1e-10)
         assert np.all(np.diff(normsq) > 0.0)   # monotone divergence
-
-    @staticmethod
-    def random_state(mesh, rng):
-        n = mesh.n_nodes
-        return State(rng.uniform(-0.2, 0.2, n), rng.uniform(-0.3, 0.3, n),
-                     rng.uniform(-0.3, 0.3, n), 0.0)
-
-    @pytest.mark.parametrize("wind", [(0.0, 0.0), (6.0, -3.0)])
-    def test_stage_one_sources_are_source_terms(self, params, rng, monkeypatch, wind):
-        mesh = jittered_mesh(6, 6, rng, scale=1e3)
-        state = self.random_state(mesh, rng)
-        seen = []
-        project = explicit_step._lumped_projection
-        monkeypatch.setattr(explicit_step, "_lumped_projection",
-                            lambda m, r_half, r_start: seen.append(r_start)
-                            or project(m, r_half, r_start))
-        taylor_galerkin_increment(state, wind, assemble(mesh), params, 3.0,
-                                  frozen=frozen_coefficients(state.eta, mesh, params))
-        r1, r2 = source_terms(state, mesh, params, wind)
-        assert [r.tobytes() for r in seen] == [r1.tobytes(), r2.tobytes()]
 
     def test_nonfinite_fault(self, params, monkeypatch):
         # the outer step scans the accumulated increment once, after the
@@ -200,10 +205,15 @@ class TestTaylorGalerkinIncrement:
         assert calls == []
 
     def test_elevation_never_touched(self, params):
-        # the increment carries no elevation component at all
+        # the sub-step reads no elevation and returns velocities only; the
+        # step's source increment has no elevation component at all
         mesh = two_triangle_square(depth=0.2)
         state = uniform_state(mesh, 0.2, 0.1)
-        inc = taylor_galerkin_increment(state, (0.0, 0.0), assemble(mesh), params, 1.0,
-                                        frozen=frozen_coefficients(state.eta, mesh, params))
-        assert not hasattr(inc, "d_eta")
-        assert set(inc.__dataclass_fields__) == {"d_u1", "d_u2"}
+        d_u1, d_u2 = substep_increment(state, (0.0, 0.0), assemble(mesh), params, 1.0,
+                                       frozen_coefficients(state.eta, mesh, params))
+        assert d_u1.shape == d_u2.shape == (mesh.n_nodes,)
+        mats = assemble(mesh)
+        cfg = RunConfig(tau=1.0, tau_tilde=2.0, gate_mode="off")
+        _, info = step(state, mesh, mats, params, cfg, Forcings(),
+                       elevation_solver(mats, mesh, cfg, params.g))
+        assert set(info.d_star.__dataclass_fields__) == {"d_u1", "d_u2"}

@@ -89,6 +89,17 @@ class TestBuildMesh:
         with pytest.raises(MeshError, match="tagged interior"):
             build_mesh(UNIT_TRI, [[0, 1, 2]], [1.0] * 3, [INTERIOR, LAND, LAND])
 
+    def test_open_tag_on_interior_rejected(self):
+        # node 31 of the demo is an interior gauge; tagged open it would
+        # take the tide in the middle of the channel
+        coords, depth, tags, triangles = token_parse(DEMO_MESH)
+        assert tags[31] == INTERIOR
+        build_mesh(coords, triangles, depth, tags)
+        tags[[31, 30]] = OPEN
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, triangles, depth, tags)
+        assert str(excinfo.value) == "interior nodes tagged open: [30, 31]"
+
     def test_total_area_invariant_under_renumbering(self, rng):
         mesh = rect_mesh(5, 4, 2.0, 1.0)
         perm = rng.permutation(mesh.n_nodes)

@@ -239,8 +239,8 @@ class TestStep:
                             lambda st, frozen, *args: read.append(("gate", frozen))
                             or gate_fn(st, frozen, *args))
         monkeypatch.setattr(simulator, "taylor_galerkin_increment",
-                            lambda *args, frozen: read.append(("substep", frozen))
-                            or substep(*args, frozen=frozen))
+                            lambda *args, frozen, work: read.append(("substep", frozen))
+                            or substep(*args, frozen=frozen, work=work))
         cfg = RunConfig(tau=3.0, tau_tilde=30.0)
         mats = assemble(mesh)
         step(state, mesh, mats, params, cfg, Forcings(),
