@@ -53,10 +53,11 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, params: PhysicalPa
     term is (A/9)11^T, and the A/12 parts sum to M_L/4 at every node),
     the increment tau [1/4 (r_half + r) + C (3 r_half - r)] with the
     assembled C = M_L^-1 P/4 is
-    (tau/2 - tau^2 lam/8) r + C [(2 tau - 3 tau^2 lam/2) r].  ``C`` is
-    applied once, to the real and imaginary parts as the two columns of
-    one product.  For a spatially uniform field this is exactly the 2x2
-    map of :func:`swsplit.stability.source_update_matrix`.
+    (tau/2 - tau^2 lam/8) r + C [(2 tau - 3 tau^2 lam/2) r].  The
+    assembled ``C`` is interleaved, C kron I_2, so one single-vector
+    product on the float view of the complex argument applies C to its
+    real and imaginary parts.  For a spatially uniform field this is
+    exactly the 2x2 map of :func:`swsplit.stability.source_update_matrix`.
     """
     drag_per_speed, wind_factor = frozen
     lam, r, a, b = work
@@ -78,5 +79,5 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, params: PhysicalPa
     np.multiply(lam, -1.5 * tau * tau, out=b)
     b += 2.0 * tau
     b *= r
-    a += (matrices.C @ b.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    a += (matrices.C @ b.view(float)).view(complex)
     return a

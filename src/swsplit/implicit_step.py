@@ -42,9 +42,10 @@ class LinearSolveStats:
 def conjugate_gradient(A, b, tol=CG_TOL, maxiter=None, precondition=None):
     """CG for SPD systems, zero initial guess, deterministic.
 
-    Stops when ||r|| / ||b|| <= tol; raises :class:`SolverError` on
-    non-convergence or on a non-positive curvature direction (matrix not
-    SPD).  ``precondition`` is None (plain CG) or a callable r -> z
+    Stops when ||r|| / ||b|| <= tol; raises :class:`SolverError` before
+    the first iteration on a right side whose norm is not finite, and on
+    non-convergence or a curvature that is not positive (matrix not SPD,
+    or nan).  ``precondition`` is None (plain CG) or a callable r -> z
     applying a symmetric positive definite approximation of A^-1, such
     as :meth:`multigrid.Hierarchy.vcycle`.
     """
@@ -53,6 +54,10 @@ def conjugate_gradient(A, b, tol=CG_TOL, maxiter=None, precondition=None):
     if maxiter is None:
         maxiter = 10 * n
     norm_b = float(np.linalg.norm(b))
+    if not np.isfinite(norm_b):
+        bad = np.flatnonzero(~np.isfinite(b))
+        what = f"not finite at row {bad[0]}" if bad.size else "too large: its norm overflows"
+        raise SolverError(f"CG right side is {what}", LinearSolveStats(0, np.nan))
     if norm_b == 0.0:
         return np.zeros(n), LinearSolveStats(0, 0.0)
 
@@ -65,7 +70,7 @@ def conjugate_gradient(A, b, tol=CG_TOL, maxiter=None, precondition=None):
     for k in range(1, maxiter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             raise SolverError("CG breakdown: matrix not positive definite",
                               LinearSolveStats(k, rel))
         gamma = rz / pAp

@@ -70,7 +70,12 @@ def prolongator(A: sp.csr_matrix, agg, count) -> sp.csr_matrix:
 
 
 class Hierarchy:
-    """Levels (A, P, Jacobi scaling) plus the coarsest solve."""
+    """Levels (A, P, R, Jacobi scaling) plus the coarsest solve.
+
+    R is the restriction P^T stored as CSR with sorted indices, so each
+    V-cycle restricts with a CSR product instead of transposing P, and
+    sums every row in the order the transpose would.
+    """
 
     def __init__(self, levels, coarse):
         self.levels = levels
@@ -78,7 +83,7 @@ class Hierarchy:
 
     @property
     def sizes(self):
-        return [A.shape[0] for A, _, _ in self.levels] + [self.coarse.shape[0]]
+        return [A.shape[0] for A, *_ in self.levels] + [self.coarse.shape[0]]
 
     def vcycle(self, b):
         """One V-cycle from a zero guess: one pre- and one post-smoothing sweep."""
@@ -87,15 +92,15 @@ class Hierarchy:
     def _cycle(self, k, b):
         if k == len(self.levels):
             return self.coarse @ b
-        A, P, w = self.levels[k]
+        A, P, R, w = self.levels[k]
         x = w * b
-        x += P @ self._cycle(k + 1, P.T @ (b - A @ x))
+        x += P @ self._cycle(k + 1, R @ (b - A @ x))
         x += w * (b - A @ x)
         return x
 
 
 def build_hierarchy(A) -> Hierarchy:
-    """Coarsen an SPD matrix by Galerkin products P^T A P down to
+    """Coarsen an SPD matrix by Galerkin products R A P (R = P^T) down to
     COARSE_SIZE unknowns, then invert the coarsest level densely.
 
     Should aggregation stop shrinking a larger level (no strong
@@ -109,8 +114,9 @@ def build_hierarchy(A) -> Hierarchy:
         if count == A.shape[0]:
             return Hierarchy(levels, sp.diags(1.0 / A.diagonal(), format="csr"))
         P = prolongator(A, agg, count)
-        levels.append((A, P, SMOOTH_WEIGHT / A.diagonal()))
-        A = (P.T @ (A @ P)).tocsr()
+        R = P.T.tocsr()
+        levels.append((A, P, R, SMOOTH_WEIGHT / A.diagonal()))
+        A = R @ (A @ P)
         A.sort_indices()
     inv = np.linalg.inv(A.toarray())
     return Hierarchy(levels, 0.5 * (inv + inv.T))

@@ -381,8 +381,10 @@ class OutputWriter:
     def log_step(self, k, t, mass, info: StepInfo):
         items = [("step", k), ("t", t), ("mass", mass),
                  ("cg_iterations", info.cg.iterations), ("cg_residual", info.cg.residual)]
-        if info.gate is not None and not info.gate.passed:
-            items += [("gate_passed", False), ("tau_c", info.gate.min_tau_c)]
+        gate = info.gate
+        if gate is not None:
+            items += [("gate_passed", gate.passed), ("gate_margin", gate.min_tau_c / gate.tau),
+                      ("gate_node", gate.worst_node), ("gate_floor", gate.floor_active)]
         self._log.write(" ".join(key_value_lines(items)) + "\n")
 
     def summary(self, summary: RunSummary):

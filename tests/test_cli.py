@@ -309,7 +309,9 @@ class TestPackage:
 # space; a value is a decimal integer, true/false, a float as its Python
 # repr, or plain text.
 RUN_LOG_KINDS = {"step": "int", "t": "float", "mass": "float", "cg_iterations": "int",
-                 "cg_residual": "float", "gate_passed": "bool", "tau_c": "float"}
+                 "cg_residual": "float", "gate_passed": "bool", "gate_margin": "float",
+                 "gate_node": "int", "gate_floor": "bool"}
+GATE_KEYS = ["gate_passed", "gate_margin", "gate_node", "gate_floor"]
 
 
 def parse_tokens(tokens, kinds):
@@ -331,10 +333,12 @@ def parse_tokens(tokens, kinds):
 
 @pytest.fixture(scope="module")
 def demo_runs(tmp_path_factory):
-    """The demo run twice, plus a warn-mode run whose gate fails every step."""
+    """The demo run twice, a warn-mode run whose gate fails every step and
+    a run with the gate off."""
     root = tmp_path_factory.mktemp("demo")
     for name, extra in (("a", []), ("b", []),
-                        ("warn", ["--set", "gate_mode=warn", "--set", "tau=100"])):
+                        ("warn", ["--set", "gate_mode=warn", "--set", "tau=100"]),
+                        ("off", ["--set", "gate_mode=off"])):
         assert main(["run", "-c", str(DEMO_CONFIG), *extra,
                      "--set", f"out_dir={root / name}"]) == 0
     return root
@@ -381,14 +385,21 @@ class TestFormats:
         assert "completed=true" in lines and "steps=36" in lines
 
     def test_run_log_follows_the_rule(self, demo_runs):
-        for name, flagged in (("a", False), ("warn", True)):
+        for name, gated in (("a", True), ("warn", True), ("off", False)):
             lines = (demo_runs / name / "run.log").read_text().splitlines()
             assert len(lines) == 36
+            failed = 0
             for k, line in enumerate(lines, start=1):
                 pairs = dict(parse_tokens(line.split(" "), RUN_LOG_KINDS))
+                assert list(pairs) == list(RUN_LOG_KINDS)[:5] + (GATE_KEYS if gated else [])
                 assert pairs["step"] == str(k)
-                assert line.endswith(f" gate_passed=false tau_c={pairs.get('tau_c')}") \
-                    == flagged == ("gate_passed" in pairs) == ("tau_c" in pairs)
+                if gated:
+                    passed = pairs["gate_passed"] == "true"
+                    assert passed == (float(pairs["gate_margin"]) > 1.0)
+                    failed += not passed
+            summary = (demo_runs / name / "summary.txt").read_text().splitlines()
+            assert f"gate_violations={failed}" in summary
+            assert failed == (36 if name == "warn" else 0)
 
     def test_reruns_byte_identical(self, demo_runs):
         for name in ("run.log", "summary.txt"):

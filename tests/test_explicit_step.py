@@ -88,15 +88,20 @@ class TestRealTwoStageOracle:
 
 
 def test_paired_product_equals_two_real_products(rng):
-    # the sub-step applies C to w's real and imaginary parts as the two
-    # columns of one product; it must equal the two real products bitwise
+    # the sub-step applies the interleaved C = C_s kron I_2 to w's float
+    # view in one product; it must equal C_s on the real and imaginary
+    # parts apart, bitwise
     for mesh in (load_mesh(DEMO_MESH), jittered_mesh(9, 7, rng, scale=1e3)):
         C = assemble(mesh).C
+        C_s, C_odd = C[0::2, 0::2], C[1::2, 1::2]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(C_odd, name), getattr(C_s, name)), name
+        assert C[0::2, 1::2].nnz == 0 and C[1::2, 0::2].nnz == 0
         x = np.empty(mesh.n_nodes, dtype=complex)
         x.real, x.imag = rng.standard_normal((2, mesh.n_nodes))
-        paired = (C @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        assert paired.real.tobytes() == (C @ x.real).tobytes()
-        assert paired.imag.tobytes() == (C @ x.imag).tobytes()
+        paired = (C @ x.view(float)).view(complex)
+        assert paired.real.tobytes() == (C_s @ x.real).tobytes()
+        assert paired.imag.tobytes() == (C_s @ x.imag).tobytes()
 
 
 class TestTaylorGalerkinIncrement:

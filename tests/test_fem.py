@@ -127,8 +127,14 @@ class TestGlobalProperties:
             assert np.max(np.abs(conj - b.toarray())) <= 1e-14
 
 
+def scalar_coupling(m):
+    """C_s = M_L^-1 P/4, the scalar operator that the assembled C interleaves."""
+    return m.C[0::2, 0::2]
+
+
 class TestSubStepCoupling:
-    """C = M_L^-1 P/4: A/36 per element-block entry, each row over its M_L."""
+    """C = C_s kron I_2, with C_s = M_L^-1 P/4: A/36 per element-block
+    entry, each row over its M_L."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_row_sums_are_a_quarter(self, seed):
@@ -140,13 +146,24 @@ class TestSubStepCoupling:
 
     def test_pattern_of_mass(self, rng):
         m = assemble(jittered_mesh(5, 6, rng))
-        assert m.C.nnz == m.M.nnz
-        assert np.array_equal(m.C.indptr, m.M.indptr)
-        assert np.array_equal(m.C.indices, m.M.indices)
+        C_s = scalar_coupling(m)
+        assert m.C.nnz == 2 * m.M.nnz and C_s.nnz == m.M.nnz
+        assert np.array_equal(C_s.indptr, m.M.indptr)
+        assert np.array_equal(C_s.indices, m.M.indices)
 
     def test_unit_triangle(self):
         m = assemble(unit_triangle_mesh())   # A = 1/2, M_L = 1/6 per node
-        assert np.allclose(m.C.toarray(), np.full((3, 3), 1.0 / 12.0), rtol=0, atol=1e-16)
+        assert m.C.shape == (6, 6)
+        assert np.allclose(scalar_coupling(m).toarray(), np.full((3, 3), 1.0 / 12.0),
+                           rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_interleaved_is_kron_with_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        m = assemble(jittered_mesh(7, 5, rng))
+        want = sp.kron(scalar_coupling(m), sp.identity(2), format="csr")
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(m.C, name), getattr(want, name)), name
 
 
 class TestHelmholtz:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -53,6 +55,32 @@ class TestConjugateGradient:
         A = sp.csr_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(SolverError, match="positive definite"):
             conjugate_gradient(A, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_faults_before_iterating(self, bad):
+        # unchecked, a nan runs all 10 n iterations to a non-convergence
+        # fault, and an inf also warns from the curvature product
+        n = 2000
+        A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+        b = np.ones(n)
+        b[[1234, 1500]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not finite at row 1234") as exc:
+                conjugate_gradient(A, b)
+        assert exc.value.stats.iterations == 0 and np.isnan(exc.value.stats.residual)
+
+    def test_overflowing_rhs_norm_faults_before_iterating(self):
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="norm overflows") as exc:
+            conjugate_gradient(sp.eye(4, format="csr"), np.full(4, 1e308))
+        assert exc.value.stats.iterations == 0
+
+    def test_nan_curvature_is_a_breakdown(self):
+        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, np.nan]]))
+        with pytest.raises(SolverError, match="positive definite") as exc:
+            conjugate_gradient(A, np.array([1.0, 1.0]))
+        assert exc.value.stats.iterations == 1
 
     @pytest.mark.parametrize("solve", [
         lambda A, b, **kw: conjugate_gradient(A, b, **kw),

@@ -17,6 +17,11 @@ def basin_matrix(nx, seed, tau_tilde=600.0, theta=(0.5, 0.5), depth=None):
     return mesh, helmholtz_matrix(assemble(mesh), tau_tilde, *theta, G)
 
 
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestHierarchy:
     def test_vcycle_symmetric_positive_definite(self):
         _, A = basin_matrix(25, 0)
@@ -36,12 +41,41 @@ class TestHierarchy:
         first, second = build_hierarchy(A), build_hierarchy(A.copy())
         assert first.sizes == second.sizes
         for one, two in zip(first.levels, second.levels):
-            for a, b in zip(one[:2], two[:2]):
-                assert np.array_equal(a.indptr, b.indptr)
-                assert np.array_equal(a.indices, b.indices)
-                assert np.array_equal(a.data, b.data)
-            assert np.array_equal(one[2], two[2])
+            for a, b in zip(one[:3], two[:3]):
+                assert_same_csr(a, b)
+            assert np.array_equal(one[3], two[3])
         assert np.array_equal(first.coarse, second.coarse)
+
+    def test_restriction_is_the_sorted_transpose(self):
+        _, A = basin_matrix(25, 2)
+        hierarchy = build_hierarchy(A)
+        assert len(hierarchy.levels) >= 1
+        for _, P, R, _ in hierarchy.levels:
+            coo = P.tocoo()
+            transpose = sp.csr_matrix((coo.data, (coo.col, coo.row)), shape=P.shape[::-1])
+            transpose.sort_indices()
+            assert_same_csr(R, transpose)
+            rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+            assert np.all((np.diff(R.indices) > 0) | (np.diff(rows) > 0))
+
+    def test_vcycle_matches_transpose_reference(self, rng):
+        _, A = basin_matrix(60, 6)
+        hierarchy = build_hierarchy(A)
+        assert len(hierarchy.levels) >= 2
+
+        def reference(k, b):
+            # the same V-cycle restricting with P.T, scipy's CSC transpose kernel
+            if k == len(hierarchy.levels):
+                return hierarchy.coarse @ b
+            A_k, P, _, w = hierarchy.levels[k]
+            x = w * b
+            x += P @ reference(k + 1, P.T @ (b - A_k @ x))
+            x += w * (b - A_k @ x)
+            return x
+
+        for _ in range(3):
+            b = rng.standard_normal(A.shape[0])
+            assert hierarchy.vcycle(b).tobytes() == reference(0, b).tobytes()
 
     def test_small_system_is_one_exact_level(self, rng):
         _, A = basin_matrix(10, 3)
