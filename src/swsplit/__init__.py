@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .config import Config, ConfigError, load_config
-from .explicit_step import SourceIncrement, taylor_galerkin_increment
+from .explicit_step import taylor_galerkin_increment
 from .fem import AssemblyError, FemMatrices, assemble, helmholtz_matrix, lump
 from .forcing import Forcings, ForcingError, TimeSeries, load_tide, load_wind
 from .implicit_step import (ElevationSolver, LinearSolveStats, SolverError,

@@ -143,6 +143,3 @@ def main(argv=None) -> int:
 def console_main():
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    console_main()

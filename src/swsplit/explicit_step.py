@@ -1,7 +1,9 @@
 """Explicit source sub-step: Coriolis, Chezy drag and wind stress.
 
 The source vector has zero elevation component, so this step changes only
-the velocities, which it carries as the complex velocity w = u1 + i u2.
+the velocities, which it carries as the complex velocity w = u1 + i u2;
+the sub-cycle's increment d_u1* + i d_u2* stays one complex array through
+the wave step.
 The time advance is a two-stage Taylor scheme: evaluate the sources, take
 a half step, re-evaluate at the half-step velocities with the drag rate
 and wind frozen, and project onto the P1 test space with an element-mean
@@ -10,21 +12,12 @@ correction; the lumped mass inverts the left side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import FemMatrices
 from .mesh import Mesh
 from .stability import PhysicalParams, drag_coefficient
-
-
-@dataclass
-class SourceIncrement:
-    """Velocity increments of one sub-cycle; elevation is untouched."""
-
-    d_u1: np.ndarray
-    d_u2: np.ndarray
 
 
 def frozen_coefficients(eta, mesh: Mesh, params: PhysicalParams):

@@ -91,12 +91,13 @@ def conjugate_gradient(A, b, tol=CG_TOL, maxiter=None, precondition=None):
 def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh, cfg, g):
     """Right side of the elevation system (stationary depth H nodal).
 
-    ``cfg`` is the :class:`swsplit.simulator.RunConfig`; its tau_tilde and
-    theta1 enter.
+    ``d_star`` is the sub-cycle's complex source increment
+    d_u1* + i d_u2*.  ``cfg`` is the
+    :class:`swsplit.simulator.RunConfig`; its tau_tilde and theta1 enter.
     """
     h = mesh.depth
-    w1 = h * (state.u1 + cfg.theta1 * d_star.d_u1)
-    w2 = h * (state.u2 + cfg.theta1 * d_star.d_u2)
+    w1 = h * (state.u1 + cfg.theta1 * d_star.real)
+    w2 = h * (state.u2 + cfg.theta1 * d_star.imag)
     flux = matrices.Q1 @ w1 + matrices.Q2 @ w2
     return -cfg.tau_tilde * (flux + cfg.tau_tilde * cfg.theta1 * g * (matrices.S @ state.eta))
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .explicit_step import SourceIncrement, frozen_coefficients, taylor_galerkin_increment
+from .explicit_step import frozen_coefficients, taylor_galerkin_increment
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
@@ -138,10 +138,11 @@ class StepInfo:
 
     The update decomposes as new = old + source increment + wave
     increment, then boundary data are applied; the pieces here let a
-    caller rebuild the step exactly.
+    caller rebuild the step exactly.  ``d_star`` is the complex source
+    increment d_u1* + i d_u2*.
     """
 
-    d_star: SourceIncrement
+    d_star: np.ndarray
     d_eta: np.ndarray
     d_u1_corr: np.ndarray
     d_u2_corr: np.ndarray
@@ -210,17 +211,22 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
         w += taylor_galerkin_increment(w, wind, matrices, params, cfg.tau,
                                        frozen=frozen, work=work)
-    d_star = SourceIncrement(w.real - state.u1, w.imag - state.u2)
-    # one scan per outer step: a non-finite right side would spin CG to
-    # its iteration limit instead of failing
-    for name, acc in (("d_u1", d_star.d_u1), ("d_u2", d_star.d_u2)):
+    # w becomes the source increment in place, part by part: the complex
+    # w - (u1 + 1j * u2) could also flip the sign of a zero imaginary part
+    d_star = w
+    d_star.real -= state.u1
+    d_star.imag -= state.u2
+    # one scan per outer step: it names the node and the component, and it
+    # fails before the right side and the solve are formed
+    for name, acc in (("d_u1", d_star.real), ("d_u2", d_star.imag)):
         bad = np.flatnonzero(~np.isfinite(acc))
         if bad.size:
             raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
     # the wall constraint acts on the source increment where it couples to
     # the wave step: without this the flux H (u + theta1 du*) pushes water
-    # through closed boundaries and the basin mass drifts
-    project_land_velocity(d_star.d_u1, d_star.d_u2, mesh)
+    # through closed boundaries and the basin mass drifts (it writes
+    # through the views)
+    project_land_velocity(d_star.real, d_star.imag, mesh)
 
     t_next = state.t + cfg.tau_tilde
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
@@ -230,8 +236,8 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
 
     new_state = State(eta=state.eta + d_eta,
-                      u1=state.u1 + d_star.d_u1 + d_u1c,
-                      u2=state.u2 + d_star.d_u2 + d_u2c,
+                      u1=state.u1 + d_star.real + d_u1c,
+                      u2=state.u2 + d_star.imag + d_u2c,
                       t=t_next)
     apply_boundaries(new_state, mesh, eta_open)
     new_state.check()

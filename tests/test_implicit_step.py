@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import dense_global_oracle, jittered_mesh, rect_mesh, two_triangle_square
-from swsplit.explicit_step import SourceIncrement
 from swsplit.fem import assemble, helmholtz_matrix
 from swsplit.forcing import ForcingError, Forcings, TimeSeries
 from swsplit.implicit_step import (CG_TOL, ElevationSolver, LinearSolveStats, SolverError,
@@ -20,7 +19,7 @@ G = 9.81
 
 
 def zero_increment(n):
-    return SourceIncrement(np.zeros(n), np.zeros(n))
+    return np.zeros(n, dtype=complex)
 
 
 class TestThetaConfig:
@@ -145,13 +144,14 @@ class TestElevationRhs:
         _, S, Q1, Q2 = dense_global_oracle(mesh)
         state = State(rng.uniform(-0.1, 0.1, n), rng.uniform(-0.5, 0.5, n),
                       rng.uniform(-0.5, 0.5, n))
-        d_star = SourceIncrement(rng.uniform(-0.01, 0.01, n),
-                                 rng.uniform(-0.01, 0.01, n))
+        d1 = rng.uniform(-0.01, 0.01, n)
+        d2 = rng.uniform(-0.01, 0.01, n)
+        d_star = d1 + 1j * d2
         cfg = RunConfig(tau_tilde=120.0, theta1=0.8, theta2=0.3)
         got = elevation_rhs(state, d_star, m, mesh, cfg, G)
         h = mesh.depth
-        w1 = h * (state.u1 + cfg.theta1 * d_star.d_u1)
-        w2 = h * (state.u2 + cfg.theta1 * d_star.d_u2)
+        w1 = h * (state.u1 + cfg.theta1 * d1)
+        w2 = h * (state.u2 + cfg.theta1 * d2)
         want = -cfg.tau_tilde * (Q1 @ w1 + Q2 @ w2
                                  + cfg.tau_tilde * cfg.theta1 * G * (S @ state.eta))
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -277,6 +277,19 @@ class TestLandProjection:
         project_land_velocity(u1, u2, mesh)
         assert u1[0] == 0.0 and u2[0] == 0.0
 
+    def test_writes_through_complex_views(self, rng):
+        # the step projects its complex source increment through .real and
+        # .imag: that must write into the array, bitwise as on float copies
+        mesh = jittered_mesh(6, 5, rng)
+        assert mesh.wall_nodes.size and mesh.corner_nodes.size
+        z = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+        before = z.copy()
+        u1, u2 = z.real.copy(), z.imag.copy()
+        project_land_velocity(u1, u2, mesh)
+        project_land_velocity(z.real, z.imag, mesh)
+        assert not np.array_equal(z, before)
+        assert z.real.tobytes() == u1.tobytes() and z.imag.tobytes() == u2.tobytes()
+
     def test_interior_untouched(self, rng):
         mesh = rect_mesh(5, 5, 1.0, 1.0, depth=1.0)
         u1 = rng.standard_normal(mesh.n_nodes)
@@ -339,7 +352,7 @@ class TestConservationAndRest:
         d2 = rng.uniform(-0.02, 0.02, n)
         project_land_velocity(d1, d2, mesh)
         state = State(rng.uniform(-0.05, 0.05, n), u1, u2)
-        d_star = SourceIncrement(d1, d2)
+        d_star = d1 + 1j * d2
         cfg = RunConfig(tau_tilde=300.0)
         A = helmholtz_matrix(m, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
         rhs = elevation_rhs(state, d_star, m, mesh, cfg, G)
