@@ -87,8 +87,8 @@ def report_lines(report: StabilityReport, machine: bool):
 
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    tau = cfg.tau if args.tau is None else args.tau
-    report = build_report(tau, args.speed, args.depth, cfg.params())
+    tau = cfg.run_config.tau if args.tau is None else args.tau
+    report = build_report(tau, args.speed, args.depth, cfg.params)
     for line in report_lines(report, args.machine):
         print(line)
     return EXIT_OK
@@ -98,7 +98,7 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     if cfg.mesh is None:
         raise ConfigError("run requires a mesh (set mesh=PATH)")
-    mesh = load_mesh(cfg.mesh, h_min=cfg.h_min)
+    mesh = load_mesh(cfg.mesh, h_min=cfg.params.h_min)
     forcings = Forcings(
         tide=load_tide(cfg.tide) if cfg.tide else None,
         wind=load_wind(cfg.wind) if cfg.wind else None,
@@ -107,13 +107,12 @@ def cmd_run(args) -> int:
         state = load_snapshot(cfg.restart, mesh)
     else:
         state = initial_state(mesh.n_nodes, eta0=cfg.eta0)
-    run_cfg = cfg.run_config()
     # a forcing gap or a bad gauge id is refused before assembly and any
     # output file; assembly cannot fail on a mesh build_mesh accepted
-    check_forcing_coverage(state.t, mesh, run_cfg, forcings)
+    check_forcing_coverage(state.t, mesh, cfg.run_config, forcings)
     sinks = OutputWriter(cfg.out_dir, mesh, gauge_nodes=cfg.gauges)
     matrices = assemble(mesh)
-    summary = run(state, mesh, matrices, cfg.params(), run_cfg, forcings, sinks=sinks)
+    summary = run(state, mesh, matrices, cfg.params, cfg.run_config, forcings, sinks=sinks)
     if args.machine:
         for line in key_value_lines(asdict(summary).items()):
             print(line)

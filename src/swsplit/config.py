@@ -3,9 +3,10 @@
 Format: one `key=value` per line, `#` starts a comment line, unknown or
 duplicate keys are errors, missing keys take the documented defaults.
 Relative paths are resolved against the config file's directory.  Floats
-must be finite; every range and divisibility rule is that of
-:class:`PhysicalParams` or :class:`RunConfig`, applied when a config is
-read.
+must be finite.  The physics keys are the fields of
+:class:`PhysicalParams`, the splitting and run keys those of
+:class:`RunConfig`; a :class:`Config` holds one of each, built once when
+a config is read, which applies every range and divisibility rule.
 """
 from __future__ import annotations
 
@@ -36,28 +37,15 @@ def _parse_node_ids(tok: str):
     return ids
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Every tunable of the CLI; defaults are those of the dataclasses
-    that own the values, :class:`PhysicalParams` and :class:`RunConfig`."""
+    """Every tunable of the CLI: ``params`` and ``run_config``, which check
+    their own values, then the files, gauges and initial elevation."""
 
+    params: PhysicalParams = PhysicalParams()
+    run_config: RunConfig = RunConfig()
     mesh: str | None = None
-    # physics
-    g: float = PhysicalParams.g
-    k0: float = PhysicalParams.k0
-    k1: float = PhysicalParams.k1
-    xi: float = PhysicalParams.xi
-    h_min: float = PhysicalParams.h_min
-    # splitting
-    tau: float = RunConfig.tau
-    tau_tilde: float = RunConfig.tau_tilde
-    theta1: float = RunConfig.theta1
-    theta2: float = RunConfig.theta2
-    # run
-    duration: float = RunConfig.duration
-    snapshot_interval: float = RunConfig.snapshot_interval
     gauges: tuple = ()
-    gate_mode: str = RunConfig.gate_mode
     out_dir: str = "out"
     # forcing and initial condition
     tide: str | None = None
@@ -65,24 +53,18 @@ class Config:
     eta0: float = 0.0
     restart: str | None = None
 
-    def params(self) -> PhysicalParams:
-        """The physics keys; ValueError names a range rule they break."""
-        return PhysicalParams(**self._fields_of(PhysicalParams))
 
-    def run_config(self) -> RunConfig:
-        """The splitting and run keys; ValueError names a rule they break."""
-        return RunConfig(**self._fields_of(RunConfig))
-
-    def _fields_of(self, cls):
-        return {f.name: getattr(self, f.name) for f in fields(cls) if f.init}
-
-
+_OWNERS = {"params": PhysicalParams, "run_config": RunConfig}   # checked in this order
+_OWNER_OF = {f.name: name for name, cls in _OWNERS.items() for f in fields(cls) if f.init}
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")
 _RESOLVED_KEYS = _PATH_KEYS + ("out_dir",)   # out_dir is created, not checked
 
 _TYPE_PARSERS = {"float": _parse_float, "str": str, "str | None": str,
                  "tuple": _parse_node_ids}
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(Config)}
+# the flat keys: every settings field, then Config's own file and state keys
+_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+            for cls in (*_OWNERS.values(), Config) for f in fields(cls)
+            if f.init and f.name not in _OWNERS}
 
 
 def _parse_pair(text, where=""):
@@ -110,10 +92,8 @@ def parse_config_text(text, base_dir=".", where="<config>") -> Config:
         if key in values:
             raise ConfigError(f"{where}:{lineno}: duplicate key {key!r}")
         values[key] = value
-    cfg = Config(**values)
-    _resolve_paths(cfg, base_dir)
-    validate_config(cfg)
-    return cfg
+    # the default out_dir, too, lies in the config file's directory
+    return _with_values(Config(), {"out_dir": Config.out_dir, **values}, base_dir)
 
 
 def load_config(path) -> Config:
@@ -129,31 +109,29 @@ def load_config(path) -> Config:
 
 def apply_overrides(cfg: Config, pairs) -> Config:
     """Apply `key=value` override strings (later pairs win)."""
-    values = dict(_parse_pair(pair) for pair in pairs)
-    merged = replace(cfg, **values)
-    _resolve_paths(merged, ".", only=values.keys())
-    validate_config(merged)
-    return merged
+    return _with_values(cfg, dict(_parse_pair(pair) for pair in pairs), ".")
 
 
-def _resolve_paths(cfg: Config, base_dir, only=None):
-    for key in _RESOLVED_KEYS:
-        if only is not None and key not in only:
-            continue
-        value = getattr(cfg, key)
-        if value is not None and not os.path.isabs(value):
-            setattr(cfg, key, os.path.normpath(os.path.join(base_dir, value)))
-
-
-def validate_config(cfg: Config):
-    """Build the physics and run settings, which check every range and
-    divisibility rule, and check that referenced files exist."""
+def _with_values(cfg: Config, values, base_dir) -> Config:
+    """``cfg`` with the flat ``values`` set, relative paths among them
+    resolved against ``base_dir``.  Each settings object is rebuilt once
+    from its own keys, which applies its range and divisibility rules;
+    then every referenced file must exist."""
+    changes = {}
     try:
-        cfg.params()
-        cfg.run_config()
+        for name in _OWNERS:
+            owned = {k: v for k, v in values.items() if _OWNER_OF.get(k) == name}
+            changes[name] = replace(getattr(cfg, name), **owned)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for key, value in values.items():
+        if key in _RESOLVED_KEYS and not os.path.isabs(value):
+            value = os.path.normpath(os.path.join(base_dir, value))
+        if key not in _OWNER_OF:
+            changes[key] = value
+    cfg = replace(cfg, **changes)
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
         if value is not None and not os.path.isfile(value):
             raise ConfigError(f"{key} file not found: {value}")
+    return cfg

@@ -63,6 +63,11 @@ class GateError(RuntimeError):
         self.verdict = verdict
 
 
+def _is_multiple(x, step):
+    """Whether ``x`` is an integer multiple of ``step``, to 1e-9 relative (never of 0)."""
+    return step > 0 and abs(round(x / step) * step - x) <= 1e-9 * max(abs(x), step)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Splitting steps, theta weights and outer-loop settings.
@@ -83,7 +88,7 @@ class RunConfig:
         if not (0.0 < self.tau < math.inf and 0.0 < self.tau_tilde < math.inf):
             raise ValueError("tau and tau_tilde must be positive and finite")
         n_sub = round(self.tau_tilde / self.tau)
-        if n_sub < 1 or abs(n_sub * self.tau - self.tau_tilde) > 1e-9 * self.tau_tilde:
+        if n_sub < 1 or not _is_multiple(self.tau_tilde, self.tau):
             raise ValueError(
                 f"tau_tilde={self.tau_tilde:g} is not an integer multiple of tau={self.tau:g}")
         object.__setattr__(self, "n_sub", n_sub)
@@ -93,8 +98,7 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-            if value and abs(round(value / self.tau_tilde) * self.tau_tilde - value) \
-                    > 1e-9 * max(value, self.tau_tilde):
+            if value and not _is_multiple(value, self.tau_tilde):
                 raise ValueError(f"{name}={value:g} must be a multiple of "
                                  f"tau_tilde={self.tau_tilde:g}")
         if self.gate_mode not in GATE_MODES:
@@ -301,7 +305,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
             if sinks is not None:
                 sinks.log_step(k, state.t, mass, info)
                 sinks.gauges(state)
-                if k == cfg.n_steps or _on_interval(state.t, cfg.snapshot_interval):
+                if k == cfg.n_steps or _is_multiple(state.t, cfg.snapshot_interval):
                     sinks.snapshot(k, state)
         summary.completed = True
     except Exception as exc:
@@ -331,11 +335,6 @@ def check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
         forcings.wind.require(t0, t_last + (cfg.n_sub - 1) * cfg.tau)
     if mesh.open_nodes.size and forcings.tide is not None:
         forcings.tide.require(t0 + cfg.tau_tilde, t_last + cfg.tau_tilde)
-
-
-def _on_interval(t, interval):
-    """Whether the absolute time ``t`` is a multiple of ``interval`` (never for 0)."""
-    return interval > 0 and abs(round(t / interval) * interval - t) <= 1e-9 * max(abs(t), interval)
 
 
 class OutputWriter:

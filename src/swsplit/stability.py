@@ -158,8 +158,13 @@ def modulus_cubic_coefficients(k0, D):
     return a, b, c, d
 
 
-def _bisect_cubic(a, b, c, d, lo=0.0, hi=1e6):
+def _bisect_cubic(a, b, c, d):
     f = lambda t: ((a * t - b) * t + c) * t - d
+    # f(0) = -d < 0: a local maximum t_max > 0 with f(t_max) > 0 brackets
+    # the smallest positive root; without one f changes sign once on t > 0
+    p = b * b - 3.0 * a * c
+    t_max = (b - math.sqrt(p)) / (3.0 * a) if p > 0.0 else 0.0
+    lo, hi = 0.0, (t_max if t_max > 0.0 and f(t_max) > 0.0 else 1e6)
     if not (f(lo) < 0.0 < f(hi)):
         raise ValueError("cubic has no sign change on the bracket")
     for _ in range(200):
@@ -184,9 +189,8 @@ def critical_time_step(a, b, c, d):
                 + q^(1/3) / (2^(1/3) 3 a)
 
     with real cube roots.  A negative discriminant (three real roots), a
-    vanishing resolvent or a root that fails the residual check falls
-    back to bisection; the triple-root case q = 0, -b^2 + 3ac = 0
-    returns b/(3a) directly.
+    vanishing resolvent or a failed residual check falls back to bisection
+    for the smallest positive root; a triple root (q = 0 = -b^2 + 3ac) is b/(3a).
 
     The coefficients may be scalars or broadcastable numpy arrays: scalar
     inputs return a float, array inputs an array of roots, one per entry,

@@ -12,11 +12,15 @@ per-triangle loop and a set walk over the edges, mesh numbers from
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
+from swsplit.config import Config
 from swsplit.explicit_step import taylor_galerkin_increment
 from swsplit.mesh import INTERIOR, LAND, OPEN, Mesh, build_mesh
+from swsplit.simulator import RunConfig
+from swsplit.stability import PhysicalParams
 from swsplit.state import State
 
 
@@ -360,3 +364,12 @@ def bisect_root(f, lo, hi, iters=100):
 
 def cubic_value(a, b, c, d, t):
     return ((a * t - b) * t + c) * t - d
+
+
+# ---------------------------------------------------------------- config keys
+
+def flat_config_fields():
+    """The fields behind the flat config keys: every field of the two
+    settings objects, then Config's own apart from those two."""
+    return [f for cls in (PhysicalParams, RunConfig, Config) for f in fields(cls)
+            if f.init and f.name not in ("params", "run_config")]

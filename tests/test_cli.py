@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import mesh_text, rect_mesh_arrays
+from helpers import flat_config_fields, mesh_text, rect_mesh_arrays
 from swsplit.cli import main
-from swsplit.config import Config
 from swsplit.mesh import OPEN
 from swsplit.simulator import RunSummary, format_value
 from swsplit.stability import PhysicalParams, StabilityReport, build_report
@@ -132,7 +131,8 @@ class TestRun:
 
     @pytest.mark.parametrize("via", ["file", "set"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", [f.name for f in fields(Config) if f.type == "float"])
+    @pytest.mark.parametrize("key", [f.name for f in flat_config_fields()
+                                     if f.type == "float"])
     def test_nonfinite_value_rejected(self, basin_dir, capsys, key, value, via):
         # refused when the config is read: one message naming the key, no
         # traceback, and nothing run or written
@@ -167,6 +167,46 @@ class TestRun:
             assert len(err) == 1 and err[0].startswith("swsplit: ")
             assert f"unknown key {key!r}" in err[0]
         assert not (basin_dir / "out").exists()
+
+    def test_default_out_dir_beside_config(self, basin_dir, monkeypatch):
+        # a config without out_dir writes to <config dir>/out, wherever
+        # swsplit runs from
+        (basin_dir / "no_out.txt").write_text("mesh=basin.mesh\nrestart=restart.csv\n")
+        elsewhere = basin_dir / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", "-c", str(basin_dir / "no_out.txt")]) == 0
+        assert (basin_dir / "out" / "snap_0.csv").exists()
+        assert not (elsewhere / "out").exists()
+
+    def test_set_out_dir_resolves_against_working_dir(self, basin_dir, monkeypatch):
+        elsewhere = basin_dir / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", "-c", str(basin_dir / "config.txt"),
+                     "--set", "duration=0", "--set", "out_dir=rel"]) == 0
+        assert (elsewhere / "rel" / "snap_0.csv").exists()
+        assert not (basin_dir / "rel").exists()
+
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_refusal_order(self, basin_dir, capsys, via):
+        # physics first, then the splitting steps, then the files; each
+        # message as its owner words it, with no location prefix
+        absent = basin_dir / "absent.txt"
+        bad = ["k1=0", "tau_tilde=299", f"tide={absent}"]
+        messages = ["g and k1 must be positive and finite",
+                    "tau_tilde=299 is not an integer multiple of tau=3",
+                    f"tide file not found: {absent}"]
+        for first in range(3):
+            if via == "file":
+                cfg = basin_dir / "bad.txt"
+                cfg.write_text("mesh=basin.mesh\n" + "\n".join(bad[first:]) + "\n")
+                args = ["-c", str(cfg)]
+            else:
+                args = ["-c", str(basin_dir / "config.txt")]
+                args += [arg for pair in bad[first:] for arg in ("--set", pair)]
+            assert main(["run", *args]) == 1
+            assert capsys.readouterr().err == f"swsplit: {messages[first]}\n"
 
     def test_missing_mesh_exit_fault(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

@@ -45,6 +45,26 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="multiple of tau_tilde"):
             RunConfig(duration=450.0)
 
+    @pytest.mark.parametrize("tau, tau_tilde, n_sub", [
+        (3.0, 300.0 * (1 + 5e-10), 100), (3.0, 300.0 * (1 - 5e-10), 100),
+        (0.1, 30.0, 300), (0.7, 2.1, 3)])
+    def test_divisibility_tolerance(self, tau, tau_tilde, n_sub):
+        # a multiple to 1e-9 relative, so decimal steps with binary noise pass
+        assert RunConfig(tau=tau, tau_tilde=tau_tilde).n_sub == n_sub
+
+    @pytest.mark.parametrize("tau_tilde", [300.0 * (1 + 2e-9), 300.0 * (1 - 2e-9), 1.0])
+    def test_divisibility_beyond_tolerance(self, tau_tilde):
+        with pytest.raises(ValueError, match="is not an integer multiple of tau=3"):
+            RunConfig(tau=3.0, tau_tilde=tau_tilde)
+
+    @pytest.mark.parametrize("name", ["duration", "snapshot_interval"])
+    def test_multiple_of_tau_tilde_tolerance(self, name):
+        assert RunConfig(tau=0.1, tau_tilde=0.3, **{name: 0.9})
+        assert RunConfig(**{name: 3000.0 * (1 + 5e-10)})
+        with pytest.raises(ValueError, match=f"{name}=3000 must be a multiple of "
+                                             "tau_tilde=300"):
+            RunConfig(**{name: 3000.0 * (1 + 2e-9)})
+
     def test_gate_mode_validated(self):
         with pytest.raises(ValueError, match="gate_mode"):
             RunConfig(gate_mode="hope")
@@ -470,6 +490,16 @@ class TestRun:
             sinks=sinks)
         names = sorted(p.name for p in (tmp_path / "o").glob("snap_*.csv"))
         assert names == sorted(f"snap_{k}.csv" for k in steps)
+
+    def test_snapshot_interval_with_decimal_steps(self, params, tmp_path):
+        # the clock sums 0.1 s steps with binary noise; every third step
+        # still lands on the 0.3 s interval
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        cfg = RunConfig(tau=0.05, tau_tilde=0.1, duration=0.9, snapshot_interval=0.3)
+        run(initial_state(mesh.n_nodes), mesh, assemble(mesh), params, cfg, Forcings(),
+            sinks=OutputWriter(tmp_path / "o", mesh))
+        names = sorted(p.name for p in (tmp_path / "o").glob("snap_*.csv"))
+        assert names == sorted(f"snap_{k}.csv" for k in (0, 3, 6, 9))
 
     def test_determinism_byte_identical(self, params, tmp_path):
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)

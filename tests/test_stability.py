@@ -150,6 +150,15 @@ class TestCriticalTimeStep:
     def test_triple_root(self):
         assert critical_time_step(1.0, 3.0, 3.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cubic, root", [
+        ((1.0, 1040.5, 40520.0, 20000.0), 0.5),   # roots 0.5, 40 and 1000
+        ((1.0, 6.0, 11.0, 6.0), 1.0),             # roots 1, 2 and 3
+    ])
+    def test_three_real_roots_give_the_smallest(self, cubic, root):
+        # the sign of f first changes at the smallest root; past it the
+        # explicit update no longer converges
+        assert critical_time_step(*cubic) == pytest.approx(root, rel=1e-12)
+
     def test_drag_free_raises(self):
         with pytest.raises(ValueError, match="no positive root"):
             critical_time_step(*cubic_coefficients(K0_REF, 0.0))
