@@ -2,9 +2,9 @@
 
 Format: one `key=value` per line, `#` starts a comment line, unknown or
 duplicate keys are errors, missing keys take the documented defaults.
-Relative paths are resolved against the config file's directory.  Floats
-must be finite.  The physics keys are the fields of
-:class:`PhysicalParams`, the splitting and run keys those of
+Relative paths are resolved against the config file's directory; an
+empty path is refused.  Floats must be finite.  The physics keys are the
+fields of :class:`PhysicalParams`, the splitting and run keys those of
 :class:`RunConfig`; a :class:`Config` holds one of each, built once when
 a config is read, which applies every range and divisibility rule.
 """
@@ -27,6 +27,12 @@ def _parse_float(tok: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {tok!r}")
     return value
+
+
+def _parse_path(tok: str) -> str:
+    if not tok:
+        raise ValueError("empty path")
+    return tok
 
 
 def _parse_node_ids(tok: str):
@@ -59,10 +65,9 @@ _OWNER_OF = {f.name: name for name, cls in _OWNERS.items() for f in fields(cls) 
 _PATH_KEYS = ("mesh", "tide", "wind", "restart")
 _RESOLVED_KEYS = _PATH_KEYS + ("out_dir",)   # out_dir is created, not checked
 
-_TYPE_PARSERS = {"float": _parse_float, "str": str, "str | None": str,
-                 "tuple": _parse_node_ids}
+_TYPE_PARSERS = {"float": _parse_float, "str": str, "tuple": _parse_node_ids}
 # the flat keys: every settings field, then Config's own file and state keys
-_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+_PARSERS = {f.name: _parse_path if f.name in _RESOLVED_KEYS else _TYPE_PARSERS[f.type]
             for cls in (*_OWNERS.values(), Config) for f in fields(cls)
             if f.init and f.name not in _OWNERS}
 

@@ -10,7 +10,13 @@ Element contributions (area A, basis gradients grad phi_i constant):
     stiffness  A * Hbar * (grad phi_i . grad phi_j),  Hbar = mean nodal depth
     gradient  (A/3) * d(phi_j)/dx_k, identical for every test index i
 
-Scatter order is the element index order, so assembly is bit-reproducible.
+All of them live on one node-adjacency pattern: the 9 n_tris element
+entries' keys row * n + col are sorted once per assembly, which gives a
+canonical (sorted, duplicate-free) CSR pattern and the slot of every
+element entry in it.  Each operator is one bincount of its element values
+over those slots, summed in element index order, so assembly is
+bit-reproducible; the operators share the read-only index arrays, and the
+elevation system M + c S is the sum of two data arrays on the same pattern.
 """
 from __future__ import annotations
 
@@ -42,38 +48,50 @@ class FemMatrices:
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _scatter(mesh: Mesh, el) -> sp.csr_matrix:
-    """Sum (n_tris, 3, 3) element blocks into a global CSR matrix."""
+def _pattern(mesh: Mesh):
+    """The P1 node-adjacency pattern: sorted CSR ``indptr`` and ``indices``
+    and, per element entry (e, i, j) in C order, its slot in them."""
     tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
     n = mesh.n_nodes
-    mat = sp.coo_matrix((np.ascontiguousarray(el).ravel(), (rows, cols)),
-                        shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return mat
+    keys = (tris[:, :, None] * n + tris[:, None, :]).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    slot = np.empty(len(keys), dtype=np.int32)
+    slot[order] = np.cumsum(first, dtype=np.int32) - 1
+    rows, cols = np.divmod(keys[first], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices, slot
 
 
 def assemble(mesh: Mesh) -> FemMatrices:
     """Assemble M, M_L, C, S, Q1, Q2 over all elements of ``mesh``."""
-    tris = mesh.triangles
+    indptr, indices, slot = _pattern(mesh)
+    n = mesh.n_nodes
+
+    def csr(el):
+        """The (n_tris, 3, 3) element blocks ``el`` summed on the pattern."""
+        data = np.bincount(slot, weights=np.ravel(el), minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
     areas = mesh.areas
     area_el = areas[:, None, None]
-    grads = mesh.grads
-
-    hbar = mesh.depth[tris].mean(axis=1)
-    stiff_el = (areas * hbar)[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
-    # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
-    shape = (len(tris), 3, 3)
-    q1_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 0])[:, None, :], shape)
-    q2_el = np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, 1])[:, None, :], shape)
-
-    M = _scatter(mesh, area_el * _MASS_PATTERN)
+    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    hbar = mesh.depth[mesh.triangles].mean(axis=1)
+    M = csr(area_el * _MASS_PATTERN)
     M_L = lump(M)
-    C = _scatter(mesh, np.broadcast_to(area_el / 36.0, shape))
-    C.data /= np.repeat(M_L, np.diff(C.indptr))
-    return FemMatrices(M=M, M_L=M_L, C=_interleave(C), S=_scatter(mesh, stiff_el),
-                       Q1=_scatter(mesh, q1_el), Q2=_scatter(mesh, q2_el))
+    C = csr(np.broadcast_to(area_el / 36.0, (len(areas), 3, 3)))
+    C.data /= np.repeat(M_L, np.diff(indptr))
+    C = _interleave(C)   # before S, Q1, Q2 exist: its temporaries set the peak
+    S = csr((areas * hbar)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                             + gy[:, :, None] * gy[:, None, :]))
+    # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
+    Q1 = csr(np.repeat((areas / 3.0)[:, None] * gx, 3, axis=0))
+    Q2 = csr(np.repeat((areas / 3.0)[:, None] * gy, 3, axis=0))
+    return FemMatrices(M=M, M_L=M_L, C=C, S=S, Q1=Q1, Q2=Q2)
 
 
 def _interleave(C: sp.csr_matrix) -> sp.csr_matrix:
@@ -108,8 +126,8 @@ def lump(M: sp.csr_matrix) -> np.ndarray:
 
 
 def helmholtz_matrix(matrices: FemMatrices, tau_tilde, theta1, theta2, g) -> sp.csr_matrix:
-    """Elevation system matrix M + tau_tilde^2 g theta1 theta2 S (SPD)."""
-    A = (matrices.M + (tau_tilde ** 2 * g * theta1 * theta2) * matrices.S).tocsr()
-    A.sort_indices()
-    return A
-
+    """Elevation system matrix M + tau_tilde^2 g theta1 theta2 S (SPD), on
+    the pattern that M and S share."""
+    M, S = matrices.M, matrices.S
+    data = M.data + (tau_tilde ** 2 * g * theta1 * theta2) * S.data
+    return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)

@@ -7,7 +7,10 @@ sub-step projection from an element gather/scatter, the nodal sources
 term by term, the sub-step in its real two-stage form, roots from
 bisection, snapshot text from a row-by-row writer, mesh geometry from a
 per-triangle loop and a set walk over the edges, mesh numbers from
-`float`/`int` on each token.
+`float`/`int` on each token.  The one exception is the assembly oracle:
+it is the package's own element formulas, each operator scattered on its
+own through COO triplets and scipy's conversion to CSR, so it checks the
+shared sparsity pattern and its element-order sums, not the formulas.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import math
 from dataclasses import fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from swsplit.config import Config
 from swsplit.explicit_step import taylor_galerkin_increment
@@ -175,6 +179,33 @@ def dense_global_oracle(mesh: Mesh):
                 Q1[tri[a], tri[b]] += Q1e[a, b]
                 Q2[tri[a], tri[b]] += Q2e[a, b]
     return M, S, Q1, Q2
+
+
+def coo_operators(mesh: Mesh):
+    """M, the scalar C = M_L^-1 P/4, S, Q1 and Q2, each assembled on its own
+    from (n_tris, 3, 3) element blocks through COO triplets."""
+    tris = mesh.triangles
+    n = mesh.n_nodes
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+
+    def scatter(el):
+        mat = sp.coo_matrix((np.ascontiguousarray(el).ravel(), (rows, cols)),
+                            shape=(n, n)).tocsr()
+        mat.sort_indices()
+        return mat
+
+    areas, grads = mesh.areas, mesh.grads
+    area_el = areas[:, None, None]
+    shape = (len(tris), 3, 3)
+    M = scatter(area_el * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
+    C = scatter(np.broadcast_to(area_el / 36.0, shape))
+    C.data /= np.repeat(np.asarray(M.sum(axis=1)).ravel(), np.diff(C.indptr))
+    hbar = mesh.depth[tris].mean(axis=1)
+    S = scatter((areas * hbar)[:, None, None] * np.einsum("eik,ejk->eij", grads, grads))
+    Q1, Q2 = (scatter(np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, k])[:, None, :],
+                                      shape)) for k in (0, 1))
+    return M, C, S, Q1, Q2
 
 
 # ------------------------------------------------------ projection oracle

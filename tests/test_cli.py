@@ -208,6 +208,30 @@ class TestRun:
             assert main(["run", *args]) == 1
             assert capsys.readouterr().err == f"swsplit: {messages[first]}\n"
 
+    @pytest.mark.parametrize("via", ["file", "set"])
+    @pytest.mark.parametrize("key", ["mesh", "tide", "wind", "restart", "out_dir"])
+    def test_empty_path_refused(self, basin_dir, capsys, monkeypatch, key, via):
+        # refused as an empty value, not resolved to a directory: one
+        # message naming the key, nothing run or written anywhere
+        workdir = basin_dir / "workdir"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        if via == "file":
+            cfg = basin_dir / "empty.txt"
+            lines = ["mesh=basin.mesh", "restart=restart.csv", "out_dir=out"]
+            cfg.write_text("\n".join(line for line in lines
+                                     if not line.startswith(key + "=")) + f"\n{key}=\n")
+            args = ["-c", str(cfg)]
+        else:
+            args = ["-c", str(basin_dir / "config.txt"), "--set", f"{key}="]
+        for command in ("analyze", "run"):
+            assert main([command, *args]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("swsplit: ")
+            assert err[0].endswith(f"bad value for {key}: empty path")
+        assert not (basin_dir / "out").exists()
+        assert not any(workdir.iterdir()) and not (basin_dir / "run.log").exists()
+
     def test_missing_mesh_exit_fault(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("duration=0\n")
