@@ -85,13 +85,13 @@ def assemble(mesh: Mesh) -> FemMatrices:
     M_L = lump(M)
     C = csr(np.broadcast_to(area_el / 36.0, (len(areas), 3, 3)))
     C.data /= np.repeat(M_L, np.diff(indptr))
-    C = _interleave(C)   # before S, Q1, Q2 exist: its temporaries set the peak
     S = csr((areas * hbar)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
                                              + gy[:, :, None] * gy[:, None, :]))
     # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
     Q1 = csr(np.repeat((areas / 3.0)[:, None] * gx, 3, axis=0))
     Q2 = csr(np.repeat((areas / 3.0)[:, None] * gy, 3, axis=0))
-    return FemMatrices(M=M, M_L=M_L, C=C, S=S, Q1=Q1, Q2=Q2)
+    # interleaved last: while S's and Q's element temporaries live, C is half the size
+    return FemMatrices(M=M, M_L=M_L, C=_interleave(C), S=S, Q1=Q1, Q2=Q2)
 
 
 def _interleave(C: sp.csr_matrix) -> sp.csr_matrix:
@@ -102,15 +102,15 @@ def _interleave(C: sp.csr_matrix) -> sp.csr_matrix:
     product on the float view (re, im, re, im, ...) of a complex vector
     sums each row as C does on the real and imaginary parts apart.
     """
-    ptr, cols = C.indptr, C.indices.astype(np.int64)
+    ptr, cols = C.indptr, C.indices   # int32 from _pattern: scipy keeps them uncopied
     length = np.diff(ptr)
-    even = np.repeat(ptr[:-1], length) + np.arange(C.nnz)   # 2 ptr[i] + offset in row i
+    even = np.repeat(ptr[:-1], length) + np.arange(C.nnz, dtype=ptr.dtype)   # 2 ptr[i] + k
     odd = even + np.repeat(length, length)
-    indices = np.empty(2 * C.nnz, dtype=np.int64)
+    indices = np.empty(2 * C.nnz, dtype=cols.dtype)
     indices[even], indices[odd] = 2 * cols, 2 * cols + 1
     data = np.empty(2 * C.nnz)
     data[even] = data[odd] = C.data
-    indptr = np.empty(2 * len(ptr) - 1, dtype=np.int64)
+    indptr = np.empty(2 * len(ptr) - 1, dtype=ptr.dtype)
     indptr[0::2] = 2 * ptr
     indptr[1::2] = ptr[:-1] + ptr[1:]
     n = 2 * C.shape[0]

@@ -1,7 +1,8 @@
 """Time-dependent boundary forcing: tidal elevation and uniform wind.
 
-File formats (whitespace separated, `#` comments, at least two finite
-samples, strictly increasing t):
+File formats (whitespace separated, `#` comments, read by the mesh's
+:func:`swsplit.mesh.parse_rows`; at least two finite samples, strictly
+increasing t):
 
     tide:  t eta          two columns
     wind:  t v1 v2        three columns
@@ -12,6 +13,8 @@ range are a fault, never extrapolated.
 from __future__ import annotations
 
 import numpy as np
+
+from .mesh import data_lines, parse_rows
 
 
 class ForcingError(ValueError):
@@ -58,34 +61,23 @@ class TimeSeries:
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
 
-def _load_columns(path, ncols, name):
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != ncols:
-                raise ForcingError(f"{path}:{lineno}: expected {ncols} columns")
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError:
-                raise ForcingError(f"{path}:{lineno}: bad number") from None
-    if not rows:
+def _load_columns(path, ncols, kind):
+    text, lines = data_lines(path)
+    if not lines:
         raise ForcingError(f"{path}: no samples")
-    data = np.array(rows)
-    return TimeSeries(data[:, 0], data[:, 1:], name=name)
+    data = parse_rows(path, text, lines, 0, len(lines), (float,) * ncols, f"{kind} line",
+                      ForcingError).view(float).reshape(-1, ncols)
+    return TimeSeries(data[:, 0], data[:, 1:], name=f"{kind} {path}")
 
 
 def load_tide(path) -> TimeSeries:
     """Two-column `t eta` series for the open boundary."""
-    return _load_columns(path, 2, f"tide {path}")
+    return _load_columns(path, 2, "tide")
 
 
 def load_wind(path) -> TimeSeries:
     """Three-column `t v1 v2` spatially uniform wind velocity."""
-    return _load_columns(path, 3, f"wind {path}")
+    return _load_columns(path, 3, "wind")
 
 
 class Forcings:

@@ -2,7 +2,8 @@
 
 Provides loading/validation of the plain-text mesh format, per-element
 geometry (areas, linear basis gradients) and the boundary node sets
-(open, wall with normals, corner) used by the boundary-condition code.
+(open, wall with normals, corner) used by the boundary-condition code;
+its table reader :func:`parse_rows` reads tide, wind and snapshots too.
 
 Mesh file format (whitespace separated, `#` starts a comment line):
 
@@ -183,62 +184,70 @@ def _read_mesh(path):
     Only arrays are returned, so the file text and its line list are
     freed before :func:`build_mesh` allocates the geometry.
     """
-    with open(path) as fh:
-        text = fh.read()
-    lines = _DATA_LINE.findall(text)
+    text, lines = data_lines(path)
     if not lines:
         raise MeshError(f"{path}: empty mesh file")
 
-    nnodes, nelems = _parse_rows(path, text, lines, 0, 1, (int, int),
-                                 "header `nnodes nelems`")[0].tolist()
+    nnodes, nelems = parse_rows(path, text, lines, 0, 1, (int, int),
+                                "header `nnodes nelems`", MeshError)[0].tolist()
     if nnodes < 3 or nelems < 1:
         raise MeshError(f"{path}: need at least 3 nodes and 1 element")
     expected = 1 + nnodes + nelems
     if len(lines) != expected:
         raise MeshError(f"{path}: expected {expected} data lines, found {len(lines)}")
 
-    nodes = _parse_rows(path, text, lines, 1, nnodes, (float, float, float, int),
-                        "node line")
-    triangles = _parse_rows(path, text, lines, 1 + nnodes, nelems, (int, int, int),
-                            "element line").view(int).reshape(nelems, 3)
+    nodes = parse_rows(path, text, lines, 1, nnodes, (float, float, float, int),
+                       "node line", MeshError)
+    triangles = parse_rows(path, text, lines, 1 + nnodes, nelems, (int, int, int),
+                           "element line", MeshError).view(int).reshape(nelems, 3)
     coords = np.column_stack([nodes["f0"], nodes["f1"]])
     return coords, nodes["f2"], nodes["f3"], triangles
 
 
-def _parse_rows(path, text, lines, first, count, kinds, what):
-    """Data lines ``first .. first + count - 1`` as one structured array.
+def data_lines(path):
+    """The text of ``path`` and its data lines, neither blank nor ``#`` comments."""
+    with open(path) as fh:
+        text = fh.read()
+    return text, _DATA_LINE.findall(text)
+
+
+def parse_rows(path, text, lines, first, count, kinds, what, error, delimiter=None):
+    """Data lines ``first .. first + count - 1`` as one structured array
+    of fields typed ``kinds``, split on ``delimiter`` (None: whitespace).
 
     The block is converted in one call.  Only when that raises is the
     first offending line looked for, by halving the block with the same
-    conversion, so the error names its file line and field.
+    conversion, so the ``error`` raised names its file line and field.
     """
     row = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
     block = lines[first:first + count]
     try:
-        return np.loadtxt(block, dtype=row, comments=None, ndmin=1)
+        return np.loadtxt(block, dtype=row, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError:
         pass
     lo, hi = 0, count                   # block[lo:hi] holds the first bad line
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _converts(block[lo:mid], row):
+        if _converts(block[lo:mid], row, delimiter):
             lo = mid
         else:
             hi = mid
     match = next(itertools.islice(_DATA_LINE.finditer(text), first + lo, None))
     lineno = text.count("\n", 0, match.start()) + 1
-    tokens = block[lo].split()
+    tokens = block[lo].split(delimiter)
     if len(tokens) != len(kinds):
-        raise MeshError(f"{path}:{lineno}: expected {what} "
-                        f"({len(kinds)} fields), got {len(tokens)}")
-    bad = next((tok for tok, kind in zip(tokens, kinds) if not _converts([tok], kind)),
+        raise error(f"{path}:{lineno}: expected {what} "
+                    f"({len(kinds)} fields), got {len(tokens)}")
+    # an empty field would read as no line at all, so it is bad by itself
+    bad = next((tok for tok, kind in zip(tokens, kinds)
+                if not (tok.strip() and _converts([tok], kind, delimiter))),
                block[lo].strip())
-    raise MeshError(f"{path}:{lineno}: bad value {bad!r} in {what}")
+    raise error(f"{path}:{lineno}: bad value {bad!r} in {what}")
 
 
-def _converts(lines, dtype):
+def _converts(lines, dtype, delimiter):
     try:
-        np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError:
         return False
     return True

@@ -14,7 +14,6 @@ import functools
 import logging
 import math
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
                             elevation_rhs, project_land_velocity, solve_elevation,
                             velocity_correction)
-from .mesh import Mesh
+from .mesh import Mesh, data_lines, parse_rows
 from .stability import PhysicalParams, critical_time_step_for_drag
 from .state import State
 
@@ -64,8 +63,9 @@ class GateError(RuntimeError):
 
 
 def _is_multiple(x, step):
-    """Whether ``x`` is an integer multiple of ``step``, to 1e-9 relative (never of 0)."""
-    return step > 0 and abs(round(x / step) * step - x) <= 1e-9 * max(abs(x), step)
+    """Whether ``x`` is a finite integer multiple of ``step``, to 1e-9 relative (never of 0)."""
+    ratio = x / step if step > 0 else math.inf
+    return math.isfinite(ratio) and abs(round(ratio) * step - x) <= 1e-9 * max(abs(x), step)
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,11 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.tau < math.inf and 0.0 < self.tau_tilde < math.inf):
             raise ValueError("tau and tau_tilde must be positive and finite")
-        n_sub = round(self.tau_tilde / self.tau)
-        if n_sub < 1 or not _is_multiple(self.tau_tilde, self.tau):
+        if not (_is_multiple(self.tau_tilde, self.tau)
+                and round(self.tau_tilde / self.tau) >= 1):
             raise ValueError(
                 f"tau_tilde={self.tau_tilde:g} is not an integer multiple of tau={self.tau:g}")
-        object.__setattr__(self, "n_sub", n_sub)
+        object.__setattr__(self, "n_sub", round(self.tau_tilde / self.tau))
         if not (0.0 <= self.theta1 <= 1.0 and 0.0 <= self.theta2 <= 1.0):
             raise ValueError("theta1 and theta2 must lie in [0, 1]")
         for name in ("duration", "snapshot_interval"):
@@ -403,41 +403,36 @@ class OutputWriter:
 def load_snapshot(path, mesh: Mesh) -> State:
     """Read a snapshot CSV of ``mesh`` back into a State (restart path).
 
-    Every node needs exactly one row, and the row's x1, x2 must match the
-    mesh node to 1e-9 of the domain extent, so a snapshot written on
-    another mesh is refused even when the node counts agree.
+    Rows after the header parse as mesh lines do (an integer node id and
+    five floats).  Every node needs exactly one row, and the row's x1, x2
+    must match the mesh node to 1e-9 of the domain extent, so a snapshot
+    written on another mesh is refused even when the node counts agree.
     """
     n_nodes = mesh.n_nodes
-    with open(path) as fh:
-        if fh.readline().strip() != "node,x1,x2,eta,u1,u2":
-            raise ValueError(f"{path}: not a snapshot file")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # no rows: reported below
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed snapshot: {exc}") from None
-    if rows.size == 0:
+    text, lines = data_lines(path)
+    if not lines or lines[0].strip() != "node,x1,x2,eta,u1,u2":
+        raise ValueError(f"{path}: not a snapshot file")
+    if len(lines) == 1:
         raise ValueError(f"{path}: no row for node 0")
-    if rows.shape[1] != 6:
-        raise ValueError(f"{path}: malformed snapshot rows ({rows.shape[1]} columns, not 6)")
-    node = rows[:, 0]
-    ids = node.astype(np.int64)
-    bad = np.flatnonzero((ids != node) | (node < 0) | (node >= n_nodes))
+    rows = parse_rows(path, text, lines, 1, len(lines) - 1, (int,) + (float,) * 5,
+                      "snapshot row", ValueError, delimiter=",")
+    ids = rows["f0"]
+    bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
     if bad.size:
-        raise ValueError(f"{path}: node index {node[bad[0]]:g} is not a node of the mesh")
+        raise ValueError(f"{path}: node index {ids[bad[0]]} is not a node of the mesh")
     count = np.bincount(ids, minlength=n_nodes)
     if np.any(count > 1):
         raise ValueError(f"{path}: duplicate row for node {int(np.argmax(count > 1))}")
     if np.any(count == 0):
         raise ValueError(f"{path}: no row for node {int(np.argmax(count == 0))}")
     values = np.empty((n_nodes, 5))
-    values[ids] = rows[:, 1:]
+    values[ids] = rows.view(float).reshape(-1, 6)[:, 1:]   # 8-byte fields; 0 is the id
     xy = values[:, :2]
     eta, u1, u2 = values[:, 2:].T.copy()
     coords = np.asarray(mesh.coords, dtype=float)
-    off = np.flatnonzero(np.any(np.abs(xy - coords) > 1e-9 * np.ptp(coords, axis=0).max(),
-                                axis=1))
+    # off unless within the tolerance: a nan coordinate never is
+    off = np.flatnonzero(~np.all(np.abs(xy - coords) <= 1e-9 * np.ptp(coords, axis=0).max(),
+                                 axis=1))
     if off.size:
         i = int(off[0])
         raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "

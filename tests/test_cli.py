@@ -81,6 +81,19 @@ class TestAnalyze:
         assert main(["analyze", "--tau", "nope"]) == 1
         assert main(["analyze", "--depth", "-1"]) == 1
 
+    @pytest.mark.parametrize("sets", [
+        ("tau=1e-300", "tau_tilde=1e10"),
+        ("tau=1e-300", "tau_tilde=1e-300", "duration=1e300"),
+        ("tau=1e-300", "tau_tilde=1e-300", "snapshot_interval=1e300"),
+    ], ids=["n_sub", "duration", "snapshot_interval"])
+    def test_overflowing_step_ratio_refused(self, capsys, sets):
+        # a ratio that overflows to inf is not a multiple: one line, exit 1
+        assert main(["analyze", *(arg for kv in sets for arg in ("--set", kv))]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("swsplit: ") and "multiple" in lines[0]
+
     def test_config_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("k1=20\n")

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from helpers import (coo_operators, dense_global_oracle, element_matrices_oracle,
                      jittered_mesh, random_triangle, rect_mesh, rect_mesh_arrays,
                      two_triangle_square, unit_triangle_mesh)
-from swsplit.fem import AssemblyError, assemble, helmholtz_matrix, lump
+from swsplit.fem import AssemblyError, _interleave, assemble, helmholtz_matrix, lump
 from swsplit.mesh import INTERIOR, LAND, build_mesh, load_mesh
 from swsplit.simulator import RunConfig
 
@@ -245,8 +245,8 @@ class TestSharedPattern:
 
 def test_assembly_memory_peak():
     # On one shared pattern assembly's traced peak stays under twice the
-    # bytes it returns (1.85 on this mesh); a COO triplet set scattered
-    # per operator peaked at 3.10.
+    # bytes it returns (1.57 on this mesh, 1.85 with C interleaved before
+    # S, Q1 and Q2); a COO triplet set scattered per operator peaked at 3.10.
     mesh = jittered_mesh(71, 71, np.random.default_rng(5))   # 5041 nodes
     assemble(mesh)                     # the first call pays scipy's lazy set-up
     tracemalloc.start()
@@ -261,6 +261,23 @@ def test_assembly_memory_peak():
               for a in arrays}                      # shared index arrays count once
     held = sum(a.nbytes for a in owners.values())
     assert peak <= 2.5 * held, peak / held
+
+
+def test_interleave_memory_peak():
+    # C kron I_2 built in C's int32 index dtype: scipy keeps the arrays
+    # it is given, and the traced peak stays under twice the bytes
+    # returned (1.37 here; 2.71 with int64 arrays that scipy copied down)
+    mesh = jittered_mesh(71, 71, np.random.default_rng(5))
+    M = assemble(mesh).M                # any operator on the scalar pattern
+    _interleave(M)
+    tracemalloc.start()
+    try:
+        out = _interleave(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.indices.dtype == out.indptr.dtype == np.int32
+    assert peak <= 2.0 * (out.data.nbytes + out.indices.nbytes + out.indptr.nbytes)
 
 
 class TestHelmholtz:

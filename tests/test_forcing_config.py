@@ -94,13 +94,14 @@ class TestForcingFiles:
     def test_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1.0 2.0\n")
-        with pytest.raises(ForcingError, match="columns"):
+        with pytest.raises(ForcingError,
+                           match=r"bad\.txt:1: expected tide line \(2 fields\), got 3$"):
             load_tide(path)
 
     def test_bad_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 zero\n")
-        with pytest.raises(ForcingError, match="bad number"):
+        with pytest.raises(ForcingError, match=r"bad\.txt:1: bad value 'zero' in tide line$"):
             load_tide(path)
 
     def test_empty_file(self, tmp_path):

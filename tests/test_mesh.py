@@ -6,8 +6,10 @@ import pytest
 
 from helpers import (basis_gradients, eval_basis, loop_mesh_geometry, mesh_text,
                      random_triangle, rect_mesh, rect_mesh_arrays, token_parse)
+from swsplit.forcing import ForcingError, load_tide, load_wind
 from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges,
                           build_mesh, load_mesh, triangle_geometry)
+from swsplit.simulator import load_snapshot
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
 
@@ -277,6 +279,48 @@ class TestLoadErrors:
         with pytest.raises(MeshError) as excinfo:
             load_mesh(path)
         assert str(excinfo.value) == f"{path}:6: bad value '2.5' in node line"
+
+
+# Each table input with a comment and a blank line before its last row,
+# so that row is file line 5; `{bad}` stands for its last field.
+TABLES = {
+    "tide": (load_tide, "tide line", ["# tide", "0 0.0", "", "3600 1.0", "7200 {bad}"]),
+    "wind": (load_wind, "wind line", ["0 1.0 2.0", "# wind", "100 3.0 2.0", "",
+                                      "200 1.0 {bad}"]),
+    "snapshot": (lambda path: load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0)), "snapshot row",
+                 ["node,x1,x2,eta,u1,u2", "0,0.0,0.0,0.0,0.0,0.0", "# restart", "",
+                  "1,1.0,0.0,0.0,0.0,{bad}"]),
+}
+
+
+class TestOneTableReader:
+    """Tide, wind and snapshot files parse as the mesh does, and their
+    errors name the file line and field the same way."""
+
+    def check(self, tmp_path, table, bad, expected):
+        load, what, lines = TABLES[table]
+        path = tmp_path / f"{table}.txt"
+        path.write_text("\n".join(lines).replace("{bad}", bad) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == expected.format(path=path, what=what)
+        if table != "snapshot":
+            assert isinstance(excinfo.value, ForcingError)
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("bad", ["x", "1_000", "0x10", "1.0.0"])
+    def test_bad_token(self, tmp_path, table, bad):
+        self.check(tmp_path, table, bad, f"{{path}}:5: bad value {bad!r} in {{what}}")
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_field_count(self, tmp_path, table):
+        sep = "," if table == "snapshot" else " "
+        n = {"tide": 2, "wind": 3, "snapshot": 6}[table]
+        self.check(tmp_path, table, f"0.0{sep}0.0",
+                   f"{{path}}:5: expected {{what}} ({n} fields), got {n + 1}")
+
+    def test_empty_snapshot_field(self, tmp_path):
+        self.check(tmp_path, "snapshot", "", "{path}:5: bad value '' in {what}")
 
 
 class TestBuildMeshErrors:

@@ -1,6 +1,7 @@
 import filecmp
 import logging
 import re
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{name}=3000 must be a multiple of "
                                              "tau_tilde=300"):
             RunConfig(**{name: 3000.0 * (1 + 2e-9)})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tau=1e-300, tau_tilde=1e10), "tau_tilde=1e+10 is not an integer multiple"),
+        (dict(tau=1e-300, tau_tilde=1e-300, duration=1e300),
+         "duration=1e+300 must be a multiple"),
+        (dict(tau=1e-300, tau_tilde=1e-300, snapshot_interval=1e300),
+         "snapshot_interval=1e+300 must be a multiple"),
+    ], ids=["n_sub", "duration", "snapshot_interval"])
+    def test_overflowing_ratio_refused(self, kwargs, message):
+        # the ratio is inf: refused as not a multiple, never rounded
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**kwargs)
 
     def test_gate_mode_validated(self):
         with pytest.raises(ValueError, match="gate_mode"):
@@ -626,6 +639,41 @@ class TestSnapshotIO:
             load_snapshot(path, replace(mesh, coords=shifted))
         with pytest.raises(ValueError, match="node 0 "):
             load_snapshot(path, replace(mesh, coords=mesh.coords + 10.0))
+
+    def test_nan_coordinate_refused(self, tmp_path):
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        writer = OutputWriter(tmp_path, mesh)
+        writer.snapshot(0, initial_state(mesh.n_nodes))
+        writer.close()
+        for column in (1, 2):
+            lines = (tmp_path / "snap_0.csv").read_text().splitlines()
+            fields = lines[6].split(",")      # node 5
+            fields[column] = "nan"
+            lines[6] = ",".join(fields)
+            path = tmp_path / f"nan_{column}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=r"node 5 at \(.*nan.*\) is not the mesh node"):
+                load_snapshot(path, mesh)
+
+    @pytest.mark.parametrize("node", ["nan", "inf", "1e30", "1.5", "-inf"])
+    def test_non_integer_node_refused(self, tmp_path, node):
+        # read as an integer: refused by the parser, with no cast to warn
+        path = tmp_path / "x.csv"
+        path.write_text("node,x1,x2,eta,u1,u2\n"
+                        f"0,0.0,0.0,0.0,0.0,0.0\n{node},1.0,0.0,0.0,0.0,0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as excinfo:
+                load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
+        assert str(excinfo.value) == f"{path}:3: bad value {node!r} in snapshot row"
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        mesh = rect_mesh(2, 2, 1.0, 1.0)
+        rows = [f"{i},{x!r},{y!r},0.25,0.0,0.0" for i, (x, y) in enumerate(mesh.coords.tolist())]
+        path = tmp_path / "x.csv"
+        path.write_text("# restart\nnode,x1,x2,eta,u1,u2\n\n"
+                        + "\n# a comment\n".join(rows) + "\n")
+        assert np.all(load_snapshot(path, mesh).eta == 0.25)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.csv"
