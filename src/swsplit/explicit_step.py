@@ -30,17 +30,33 @@ def frozen_coefficients(eta, mesh: Mesh, params: PhysicalParams):
     return drag_coefficient(1.0, h_tot, params), params.xi / h_tot
 
 
-def taylor_galerkin_increment(w, wind, matrices: FemMatrices, params: PhysicalParams,
-                              tau, *, frozen, work) -> np.ndarray:
+def sub_cycle_work(frozen, params: PhysicalParams):
+    """Constants and work arrays of one sub-cycle's sub-steps.
+
+    Made once per outer step from its :func:`frozen_coefficients` pair,
+    and passed to every :func:`taylor_galerkin_increment` of the
+    sub-cycle: the drag per unit speed; the wind factor cast to complex
+    once, instead of a cast on every product with the complex wind; four
+    complex arrays lam, r, a, b of n_nodes, lam's imaginary part preset
+    to k0; and the float views of lam (its real part, the drag rate) and
+    of b (the pairs that the interleaved C reads).
+    """
+    drag_per_speed, wind_factor = frozen
+    lam, r, a, b = np.empty((4, drag_per_speed.size), dtype=complex)
+    lam.imag = params.k0
+    return (drag_per_speed, wind_factor.astype(complex), lam, r, a, b,
+            lam.real, b.view(float))
+
+
+def taylor_galerkin_increment(w, wind, matrices: FemMatrices, tau, *, work) -> np.ndarray:
     """Velocity increment u1 + i u2 of one explicit sub-step of length ``tau``.
 
     ``w`` is the complex velocity u1 + i u2 at the sub-step start and
-    ``frozen`` is :func:`frozen_coefficients` of the elevation.  The
-    caller computes ``frozen`` and allocates ``work``, four complex
-    arrays of n_nodes, once per sub-cycle; the increment is written into
-    ``work[2]``, which the next call overwrites.  The nodal sources are
-    r = W - lam w, with lam = D + i k0, the drag rate D = frozen[0] |w|
-    and the wind W = frozen[1] |v| (v1 + i v2); drag and wind frozen, the
+    ``work`` is the sub-cycle's :func:`sub_cycle_work`; the increment is
+    written into its array a, which the next call overwrites.  The nodal
+    sources are r = W - lam w, with lam = D + i k0, the drag rate
+    D = frozen[0] |w| and the wind W = frozen[1] |v| (v1 + i v2), where
+    ``frozen`` is the pair that made ``work``; drag and wind frozen, the
     half-step sources are (1 - tau lam/2) r.  Projected with the
     element-mean correction (per element M_e = (A/12)(I + 11^T), the mean
     term is (A/9)11^T, and the A/12 parts sum to M_L/4 at every node),
@@ -52,12 +68,9 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, params: PhysicalPa
     real and imaginary parts.  For a spatially uniform field this is
     exactly the 2x2 map of :func:`swsplit.stability.source_update_matrix`.
     """
-    drag_per_speed, wind_factor = frozen
-    lam, r, a, b = work
-    drag = lam.real
+    drag_per_speed, wind_factor, lam, r, a, b, drag, b_pairs = work
     np.abs(w, out=drag)
     drag *= drag_per_speed
-    lam.imag = params.k0
     np.multiply(lam, w, out=r)
     v1, v2 = wind
     wind_speed = math.hypot(v1, v2)
@@ -72,5 +85,5 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, params: PhysicalPa
     np.multiply(lam, -1.5 * tau * tau, out=b)
     b += 2.0 * tau
     b *= r
-    a += (matrices.C @ b.view(float)).view(complex)
+    a += (matrices.C @ b_pairs).view(complex)
     return a

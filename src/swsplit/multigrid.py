@@ -103,15 +103,17 @@ def build_hierarchy(A) -> Hierarchy:
     """Coarsen an SPD matrix by Galerkin products R A P (R = P^T) down to
     COARSE_SIZE unknowns, then invert the coarsest level densely.
 
-    Should aggregation stop shrinking a larger level (no strong
-    couplings left), that level is weakly coupled and its inverse
-    diagonal stands in for the dense inverse.
+    Should aggregation shrink a larger level by less than half (few
+    strong couplings left, as when a small tau_tilde leaves A close to
+    the mass matrix), coarsening stops there: that level is weakly
+    coupled, and its inverse diagonal stands in for the dense inverse.
+    Every level is thus at most half the size of the one above it.
     """
     A = sp.csr_matrix(A)
     levels = []
     while A.shape[0] > COARSE_SIZE:
         agg, count = aggregate(*strong_neighbours(A))
-        if count == A.shape[0]:
+        if 2 * count > A.shape[0]:
             return Hierarchy(levels, sp.diags(1.0 / A.diagonal(), format="csr"))
         P = prolongator(A, agg, count)
         R = P.T.tocsr()

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .explicit_step import frozen_coefficients, taylor_galerkin_increment
+from .explicit_step import frozen_coefficients, sub_cycle_work, taylor_galerkin_increment
 from .fem import FemMatrices, helmholtz_matrix
 from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
@@ -206,15 +206,15 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
                 raise GateError(msg, verdict=verdict)
             log.warning(msg)
 
-    # the sub-cycle advances w = u1 + i u2 in place, with work arrays made
-    # once; not u1 + 1j * u2, where 1j * inf would put a nan in the real part
+    # the sub-cycle advances w = u1 + i u2 in place, with its constants and
+    # work arrays made once; not u1 + 1j * u2, where 1j * inf would put a
+    # nan in the real part
     w = np.empty(mesh.n_nodes, dtype=complex)
     w.real, w.imag = state.u1, state.u2
-    work = tuple(np.empty((4, mesh.n_nodes), dtype=complex))
+    work = sub_cycle_work(frozen, params)
     # the wind at every sub-step start, in one read
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
-        w += taylor_galerkin_increment(w, wind, matrices, params, cfg.tau,
-                                       frozen=frozen, work=work)
+        w += taylor_galerkin_increment(w, wind, matrices, cfg.tau, work=work)
     # w becomes the source increment in place, part by part: the complex
     # w - (u1 + 1j * u2) could also flip the sign of a zero imaginary part
     d_star = w

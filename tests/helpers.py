@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from swsplit.config import Config
-from swsplit.explicit_step import taylor_galerkin_increment
+from swsplit.explicit_step import sub_cycle_work, taylor_galerkin_increment
 from swsplit.mesh import INTERIOR, LAND, OPEN, Mesh, build_mesh
 from swsplit.simulator import RunConfig
 from swsplit.stability import PhysicalParams
@@ -80,6 +80,18 @@ def channel_mesh(nx, ny, Lx, Ly, depth=2.0, h_min=0.05) -> Mesh:
     on_west = coords[:, 0] == 0.0
     tags[on_west & (tags == LAND)] = OPEN
     return build_mesh(coords, tris, d, tags, h_min=h_min)
+
+
+def jittered_channel(nx, ny, Lx, Ly, rng) -> Mesh:
+    """Channel with the x = 0 edge open and interior nodes perturbed by up
+    to 0.2 of the grid spacing; 6 m deep at the mouth, shoaling linearly
+    to 0.5 m at the head."""
+    coords, tris, _, tags = rect_mesh_arrays(nx, ny, Lx, Ly)
+    h = min(Lx / (nx - 1), Ly / (ny - 1))
+    interior = tags == INTERIOR
+    coords[interior] += rng.uniform(-0.2 * h, 0.2 * h, size=(interior.sum(), 2))
+    tags[(coords[:, 0] == 0.0) & (tags == LAND)] = OPEN
+    return build_mesh(coords, tris, 6.0 - 5.5 * coords[:, 0] / Lx, tags)
 
 
 def unit_triangle_mesh(depth=1.0) -> Mesh:
@@ -279,11 +291,11 @@ def real_taylor_galerkin_increment(state, mesh: Mesh, params, tau, wind=(0.0, 0.
 
 def substep_increment(state, wind, matrices, params, tau, frozen):
     """(d_u1, d_u2) of ``taylor_galerkin_increment`` called as the sub-cycle
-    calls it, on w = u1 + i u2 with fresh work arrays."""
+    calls it, on w = u1 + i u2 with a fresh :func:`sub_cycle_work`."""
     w = np.empty(len(state.u1), dtype=complex)
     w.real, w.imag = state.u1, state.u2
-    inc = taylor_galerkin_increment(w, wind, matrices, params, tau, frozen=frozen,
-                                    work=tuple(np.empty((4, w.size), dtype=complex)))
+    inc = taylor_galerkin_increment(w, wind, matrices, tau,
+                                    work=sub_cycle_work(frozen, params))
     return inc.real.copy(), inc.imag.copy()
 
 

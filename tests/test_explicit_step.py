@@ -6,7 +6,8 @@ import pytest
 from helpers import (jittered_mesh, real_taylor_galerkin_increment, rect_mesh, source_terms,
                      substep_increment, two_triangle_square)
 from swsplit import implicit_step
-from swsplit.explicit_step import frozen_coefficients, taylor_galerkin_increment
+from swsplit.explicit_step import (frozen_coefficients, sub_cycle_work,
+                                    taylor_galerkin_increment)
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import load_mesh
@@ -180,13 +181,12 @@ class TestTaylorGalerkinIncrement:
         mesh = two_triangle_square(depth=1.0)
         tau = 3.0
         matrices = assemble(mesh)
-        frozen = frozen_coefficients(np.zeros(mesh.n_nodes), mesh, p)   # eta never changes
+        # one work for all 200 sub-steps: eta never changes
+        work = sub_cycle_work(frozen_coefficients(np.zeros(mesh.n_nodes), mesh, p), p)
         w = np.ones(mesh.n_nodes, dtype=complex)
-        work = tuple(np.empty((4, mesh.n_nodes), dtype=complex))
         normsq = [1.0]
         for _ in range(200):
-            w += taylor_galerkin_increment(w, (0.0, 0.0), matrices, p, tau,
-                                           frozen=frozen, work=work)
+            w += taylor_galerkin_increment(w, (0.0, 0.0), matrices, tau, work=work)
             normsq.append(float(w[0].real ** 2 + w[0].imag ** 2))
         normsq = np.array(normsq)
         growth = normsq[1:] / normsq[:-1]

@@ -1,20 +1,25 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import dense_global_oracle, jittered_mesh, rect_mesh, two_triangle_square
+from helpers import (dense_global_oracle, jittered_channel, jittered_mesh, rect_mesh,
+                     two_triangle_square)
+from swsplit import simulator
 from swsplit.fem import assemble, helmholtz_matrix
-from swsplit.forcing import ForcingError, Forcings, TimeSeries
+from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_tide, load_wind
 from swsplit.implicit_step import (CG_TOL, ElevationSolver, LinearSolveStats, SolverError,
                                    apply_boundaries, conjugate_gradient,
                                    elevation_rhs, project_land_velocity,
                                    solve_elevation, velocity_correction)
 from swsplit.mesh import LAND, OPEN, build_mesh
 from swsplit.simulator import RunConfig
-from swsplit.state import State
+from swsplit.stability import PhysicalParams
+from swsplit.state import State, initial_state
 
+DEMO = Path(__file__).resolve().parents[1] / "demo"
 G = 9.81
 
 
@@ -387,3 +392,66 @@ class TestConservationAndRest:
         base = solve_on(mesh, eta, u1, u2)
         shuffled = solve_on(permuted, eta[inv], u1[inv], u2[inv])
         assert np.max(np.abs(shuffled - base[inv])) < 1e-9 * max(1.0, np.max(np.abs(base)))
+
+
+class EtaRecorder:
+    """Stands in for a run's OutputWriter and keeps eta after every step."""
+
+    def __init__(self):
+        self.eta = []
+
+    def gauges(self, state):
+        self.eta.append(state.eta.copy())
+
+    def snapshot(self, *args):
+        pass
+
+    log_step = summary = close = snapshot
+
+
+class TestStopTolerance:
+    """CG_TOL against a tight stop, on whole runs whose CG iterates.
+
+    Both meshes have more than 300 free nodes, so the multigrid
+    hierarchy is more than its dense level.  The outer step's own error
+    in eta is some 1e-3 m; the stop may move eta by at most 1e-7 m, the
+    benchmark's reference tolerance.
+    """
+
+    @staticmethod
+    def run_eta(monkeypatch, mesh, state, cfg, forcings, tol=None):
+        with monkeypatch.context() as patch:
+            if tol is not None:
+                solve = simulator.solve_elevation
+                patch.setattr(simulator, "solve_elevation",
+                              lambda *args: solve(*args, tol=tol))
+            sink = EtaRecorder()
+            summary = simulator.run(state, mesh, assemble(mesh), PhysicalParams(), cfg,
+                                    forcings, sink)
+        assert summary.completed and summary.gate_violations == 0
+        return np.array(sink.eta), summary
+
+    def compare(self, monkeypatch, mesh, state, cfg, forcings):
+        eta, chosen = self.run_eta(monkeypatch, mesh, state, cfg, forcings)
+        eta_tight, tight = self.run_eta(monkeypatch, mesh, state, cfg, forcings, tol=1e-12)
+        assert mesh.n_nodes - mesh.open_nodes.size > 300
+        assert 1 < chosen.cg_worst_iterations < tight.cg_worst_iterations
+        assert chosen.cg_worst_residual <= CG_TOL and tight.cg_worst_residual <= 1e-12
+        assert eta.shape == (cfg.n_steps + 1, mesh.n_nodes)
+        assert np.max(np.abs(eta - eta_tight)) <= 1e-7
+        return chosen
+
+    def test_open_channel_with_tide_and_wind(self, monkeypatch):
+        mesh = jittered_channel(41, 11, 20000.0, 5000.0, np.random.default_rng(3))
+        forcings = Forcings(tide=load_tide(DEMO / "tide.txt"), wind=load_wind(DEMO / "wind.txt"))
+        cfg = RunConfig(tau=3.0, tau_tilde=300.0, duration=7200.0)
+        self.compare(monkeypatch, mesh, initial_state(mesh.n_nodes), cfg, forcings)
+
+    def test_closed_basin_seiche(self, monkeypatch):
+        mesh = jittered_mesh(25, 25, np.random.default_rng(4), scale=20000.0, depth=50.0)
+        eta = 0.2 + 0.05 * np.cos(np.pi * mesh.coords[:, 0] / 20000.0)
+        state = State(eta, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+        cfg = RunConfig(tau=60.0, tau_tilde=600.0, duration=12000.0)
+        summary = self.compare(monkeypatch, mesh, state, cfg, Forcings())
+        assert mesh.open_nodes.size == 0
+        assert summary.mass_drift_rel <= 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import jittered_mesh
+from helpers import jittered_channel, jittered_mesh
 from swsplit.fem import assemble, helmholtz_matrix
 from swsplit.implicit_step import ElevationSolver, conjugate_gradient, solve_elevation
 from swsplit.multigrid import COARSE_SIZE, aggregate, build_hierarchy
@@ -92,6 +92,17 @@ class TestHierarchy:
         ptr = np.cumsum([0] + [len(ns) for ns in nbr]).tolist()
         agg, count = aggregate(ptr, sum(nbr, []))
         assert agg.tolist() == [0, 0, 0, 1, 1, 1] and count == 2
+
+    @pytest.mark.parametrize("tau_tilde", [30.0, 60.0, 300.0])
+    def test_every_level_at_most_half_its_parent(self, tau_tilde):
+        # a small tau_tilde leaves A close to the mass matrix, with few
+        # strong couplings: coarsening this channel at 60 s once stalled,
+        # with levels 2600, 502, 447, 68
+        mesh = jittered_channel(101, 26, 20000.0, 5000.0, np.random.default_rng(0))
+        A = helmholtz_matrix(assemble(mesh), tau_tilde, 0.5, 0.5, G)
+        sizes = ElevationSolver(A, mesh.open_nodes).hierarchy.sizes
+        assert sizes[0] == 2600 and len(sizes) >= 2
+        assert all(2 * coarse <= fine for fine, coarse in zip(sizes, sizes[1:])), sizes
 
     def test_no_strong_couplings_stops_with_diagonal(self, rng):
         n = COARSE_SIZE + 100

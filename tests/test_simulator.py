@@ -259,28 +259,33 @@ class TestStep:
         assert new.t == 300.0
 
     def test_gate_rates_the_frozen_pair_of_the_sub_cycle(self, params, monkeypatch):
-        # one derivation of the drag per outer step: the gate and every
-        # sub-step read the pair that frozen_coefficients returned
+        # one derivation of the drag per outer step: the gate and the
+        # sub-cycle's work read the pair that frozen_coefficients returned,
+        # and every sub-step reads that one work
         mesh, state = reference_basin()
-        made, read = [], []
+        made, works, read = [], [], []
         frozen_coefficients = simulator.frozen_coefficients
         gate_fn = simulator.stability_gate
+        work_fn = simulator.sub_cycle_work
         substep = simulator.taylor_galerkin_increment
         monkeypatch.setattr(simulator, "frozen_coefficients",
                             lambda *args: made.append(frozen_coefficients(*args)) or made[-1])
         monkeypatch.setattr(simulator, "stability_gate",
                             lambda st, frozen, *args: read.append(("gate", frozen))
                             or gate_fn(st, frozen, *args))
+        monkeypatch.setattr(simulator, "sub_cycle_work",
+                            lambda frozen, p: read.append(("work", frozen))
+                            or works.append(work_fn(frozen, p)) or works[-1])
         monkeypatch.setattr(simulator, "taylor_galerkin_increment",
-                            lambda *args, frozen, work: read.append(("substep", frozen))
-                            or substep(*args, frozen=frozen, work=work))
+                            lambda *args, work: read.append(("substep", work))
+                            or substep(*args, work=work))
         cfg = RunConfig(tau=3.0, tau_tilde=30.0)
         mats = assemble(mesh)
         step(state, mesh, mats, params, cfg, Forcings(),
              elevation_solver(mats, mesh, cfg, params.g))
-        assert len(made) == 1
-        assert [name for name, _ in read] == ["gate"] + ["substep"] * cfg.n_sub
-        assert all(frozen is made[0] for _, frozen in read)
+        assert len(made) == 1 and len(works) == 1
+        assert [name for name, _ in read] == ["gate", "work"] + ["substep"] * cfg.n_sub
+        assert all(arg is (works[0] if name == "substep" else made[0]) for name, arg in read)
 
     def test_gate_off_skips_verdict(self, params):
         mesh, state = reference_basin()
