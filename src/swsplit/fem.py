@@ -4,8 +4,8 @@ depth-weighted stiffness and the two gradient matrices.
 Element contributions (area A, basis gradients grad phi_i constant):
 
     mass      (A/12) * [[2,1,1],[1,2,1],[1,1,2]]
-    P/4       A/36 in every entry (P: element-mean operator, A/9 per entry);
-              C = (M_L^-1 P/4) kron I_2, each row divided by its lumped
+    M_L + P   (A/9) * [[4,1,1],[1,4,1],[1,1,4]] (P: element-mean operator);
+              G = M_L^-1 (M_L + P) kron I_2, each row divided by its lumped
               mass once and interleaved for the float view of u1 + i u2
     stiffness  A * Hbar * (grad phi_i . grad phi_j),  Hbar = mean nodal depth
     gradient  (A/3) * d(phi_j)/dx_k, identical for every test index i
@@ -38,14 +38,15 @@ class FemMatrices:
 
     M: sp.csr_matrix        # consistent mass, symmetric positive definite
     M_L: np.ndarray         # lumped mass diagonal (row sums of M)
-    C: sp.csr_matrix        # (M_L^-1 P/4) kron I_2, the sub-step's element-mean
-                            # coupling on the interleaved floats of u1 + i u2
+    G: sp.csr_matrix        # M_L^-1 (M_L + P) kron I_2 = I + M_L^-1 P, the sub-step's
+                            # projection on the interleaved floats of u1 + i u2
     S: sp.csr_matrix        # depth-weighted stiffness, symmetric PSD
     Q1: sp.csr_matrix       # integral of phi_i d(phi_j)/dx1
     Q2: sp.csr_matrix       # integral of phi_i d(phi_j)/dx2
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_G_PATTERN = (np.ones((3, 3)) + 3.0 * np.eye(3)) / 9.0
 
 
 def _pattern(mesh: Mesh):
@@ -68,7 +69,7 @@ def _pattern(mesh: Mesh):
 
 
 def assemble(mesh: Mesh) -> FemMatrices:
-    """Assemble M, M_L, C, S, Q1, Q2 over all elements of ``mesh``."""
+    """Assemble M, M_L, G, S, Q1, Q2 over all elements of ``mesh``."""
     indptr, indices, slot = _pattern(mesh)
     n = mesh.n_nodes
 
@@ -83,15 +84,15 @@ def assemble(mesh: Mesh) -> FemMatrices:
     hbar = mesh.depth[mesh.triangles].mean(axis=1)
     M = csr(area_el * _MASS_PATTERN)
     M_L = lump(M)
-    C = csr(np.broadcast_to(area_el / 36.0, (len(areas), 3, 3)))
-    C.data /= np.repeat(M_L, np.diff(indptr))
+    G = csr(area_el * _G_PATTERN)
+    G.data /= np.repeat(M_L, np.diff(indptr))
     S = csr((areas * hbar)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
                                              + gy[:, :, None] * gy[:, None, :]))
     # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
     Q1 = csr(np.repeat((areas / 3.0)[:, None] * gx, 3, axis=0))
     Q2 = csr(np.repeat((areas / 3.0)[:, None] * gy, 3, axis=0))
-    # interleaved last: while S's and Q's element temporaries live, C is half the size
-    return FemMatrices(M=M, M_L=M_L, C=_interleave(C), S=S, Q1=Q1, Q2=Q2)
+    # interleaved last: while S's and Q's element temporaries live, G is half the size
+    return FemMatrices(M=M, M_L=M_L, G=_interleave(G), S=S, Q1=Q1, Q2=Q2)
 
 
 def _interleave(C: sp.csr_matrix) -> sp.csr_matrix:

@@ -134,6 +134,7 @@ class RunSummary:
     cg_worst_iterations: int = 0
     cg_worst_residual: float = 0.0
     gate_violations: int = 0
+    clamped_nodes_max: int = 0
 
 
 @dataclass
@@ -152,6 +153,7 @@ class StepInfo:
     d_u2_corr: np.ndarray
     cg: LinearSolveStats
     gate: GateVerdict
+    clamped_nodes: int      # H + eta < h_min at the step start: drag and wind read h_min
 
 
 def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVerdict:
@@ -211,10 +213,10 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     # nan in the real part
     w = np.empty(mesh.n_nodes, dtype=complex)
     w.real, w.imag = state.u1, state.u2
-    work = sub_cycle_work(frozen, params)
+    work = sub_cycle_work(frozen, params, cfg.tau)
     # the wind at every sub-step start, in one read
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
-        w += taylor_galerkin_increment(w, wind, matrices, cfg.tau, work=work)
+        w += taylor_galerkin_increment(w, wind, matrices, work=work)
     # w becomes the source increment in place, part by part: the complex
     # w - (u1 + 1j * u2) could also flip the sign of a zero imaginary part
     d_star = w
@@ -245,9 +247,9 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
                       t=t_next)
     apply_boundaries(new_state, mesh, eta_open)
     new_state.check()
-    info = StepInfo(d_star=d_star, d_eta=d_eta, d_u1_corr=d_u1c,
-                    d_u2_corr=d_u2c, cg=cg_stats, gate=verdict)
-    return new_state, info
+    clamped = int(np.count_nonzero(mesh.depth + state.eta < params.h_min))
+    return new_state, StepInfo(d_star=d_star, d_eta=d_eta, d_u1_corr=d_u1c, d_u2_corr=d_u2c,
+                               cg=cg_stats, gate=verdict, clamped_nodes=clamped)
 
 
 def mass_integral(eta, matrices: FemMatrices) -> float:
@@ -293,6 +295,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
             track(state)
             if info.gate is not None and not info.gate.passed:
                 summary.gate_violations += 1
+            summary.clamped_nodes_max = max(summary.clamped_nodes_max, info.clamped_nodes)
             if info.cg.iterations >= summary.cg_worst_iterations:
                 summary.cg_worst_iterations = info.cg.iterations
                 summary.cg_worst_residual = info.cg.residual

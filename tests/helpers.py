@@ -194,8 +194,8 @@ def dense_global_oracle(mesh: Mesh):
 
 
 def coo_operators(mesh: Mesh):
-    """M, the scalar C = M_L^-1 P/4, S, Q1 and Q2, each assembled on its own
-    from (n_tris, 3, 3) element blocks through COO triplets."""
+    """M, the scalar G = M_L^-1 (M_L + P), S, Q1 and Q2, each assembled on
+    its own from (n_tris, 3, 3) element blocks through COO triplets."""
     tris = mesh.triangles
     n = mesh.n_nodes
     rows = np.repeat(tris, 3, axis=1).ravel()
@@ -211,13 +211,13 @@ def coo_operators(mesh: Mesh):
     area_el = areas[:, None, None]
     shape = (len(tris), 3, 3)
     M = scatter(area_el * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
-    C = scatter(np.broadcast_to(area_el / 36.0, shape))
-    C.data /= np.repeat(np.asarray(M.sum(axis=1)).ravel(), np.diff(C.indptr))
+    G = scatter(area_el * ((np.ones((3, 3)) + 3.0 * np.eye(3)) / 9.0))
+    G.data /= np.repeat(np.asarray(M.sum(axis=1)).ravel(), np.diff(G.indptr))
     hbar = mesh.depth[tris].mean(axis=1)
     S = scatter((areas * hbar)[:, None, None] * np.einsum("eik,ejk->eij", grads, grads))
     Q1, Q2 = (scatter(np.broadcast_to(((areas / 3.0)[:, None] * grads[:, :, k])[:, None, :],
                                       shape)) for k in (0, 1))
-    return M, C, S, Q1, Q2
+    return M, G, S, Q1, Q2
 
 
 # ------------------------------------------------------ projection oracle
@@ -294,8 +294,7 @@ def substep_increment(state, wind, matrices, params, tau, frozen):
     calls it, on w = u1 + i u2 with a fresh :func:`sub_cycle_work`."""
     w = np.empty(len(state.u1), dtype=complex)
     w.real, w.imag = state.u1, state.u2
-    inc = taylor_galerkin_increment(w, wind, matrices, tau,
-                                    work=sub_cycle_work(frozen, params))
+    inc = taylor_galerkin_increment(w, wind, matrices, work=sub_cycle_work(frozen, params, tau))
     return inc.real.copy(), inc.imag.copy()
 
 

@@ -460,6 +460,7 @@ class TestFormats:
         lines = (demo_runs / "a" / "summary.txt").read_text().splitlines()
         assert [key for line in lines for key, _ in parse_tokens([line], kinds)] == list(kinds)
         assert "completed=true" in lines and "steps=36" in lines
+        assert "clamped_nodes_max=0" in lines   # the demo never falls below h_min
 
     def test_run_log_follows_the_rule(self, demo_runs):
         for name, gated in (("a", True), ("warn", True), ("off", False)):

@@ -87,22 +87,46 @@ class TestRealTwoStageOracle:
     def test_matches_real_form_on_demo_mesh(self, params, rng, wind):
         self.assert_matches_oracle(load_mesh(DEMO_MESH), rng, params, wind)
 
+    @pytest.mark.parametrize("mesh_name", ["demo", "jittered"])
+    def test_sub_cycle_matches_iterated_real_form(self, params, rng, mesh_name):
+        # 100 sub-steps through one work, with a wind that turns from one
+        # sub-step to the next: the complex form drifts from the real one
+        # by rounding only
+        mesh = load_mesh(DEMO_MESH) if mesh_name == "demo" else \
+            jittered_mesh(13, 9, rng, scale=1e3)
+        matrices = assemble(mesh)
+        state = random_state(mesh, rng)
+        tau, n_sub = 3.0, 100
+        frozen = frozen_coefficients(state.eta, mesh, params)
+        work = sub_cycle_work(frozen, params, tau)
+        w = np.empty(mesh.n_nodes, dtype=complex)
+        w.real, w.imag = state.u1, state.u2
+        u1, u2 = state.u1.copy(), state.u2.copy()
+        for k in range(n_sub):
+            wind = (6.0 * np.cos(0.03 * k), -3.0 + 0.05 * k)
+            w += taylor_galerkin_increment(w, wind, matrices, work=work)
+            d_u1, d_u2 = real_taylor_galerkin_increment(State(state.eta, u1, u2), mesh,
+                                                        params, tau, wind)
+            u1, u2 = u1 + d_u1, u2 + d_u2
+        for got, want in ((w.real, u1), (w.imag, u2)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 def test_paired_product_equals_two_real_products(rng):
-    # the sub-step applies the interleaved C = C_s kron I_2 to w's float
-    # view in one product; it must equal C_s on the real and imaginary
+    # the sub-step applies the interleaved G = G_s kron I_2 to a float
+    # view in one product; it must equal G_s on the real and imaginary
     # parts apart, bitwise
     for mesh in (load_mesh(DEMO_MESH), jittered_mesh(9, 7, rng, scale=1e3)):
-        C = assemble(mesh).C
-        C_s, C_odd = C[0::2, 0::2], C[1::2, 1::2]
+        G = assemble(mesh).G
+        G_s, G_odd = G[0::2, 0::2], G[1::2, 1::2]
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(C_odd, name), getattr(C_s, name)), name
-        assert C[0::2, 1::2].nnz == 0 and C[1::2, 0::2].nnz == 0
+            assert np.array_equal(getattr(G_odd, name), getattr(G_s, name)), name
+        assert G[0::2, 1::2].nnz == 0 and G[1::2, 0::2].nnz == 0
         x = np.empty(mesh.n_nodes, dtype=complex)
         x.real, x.imag = rng.standard_normal((2, mesh.n_nodes))
-        paired = (C @ x.view(float)).view(complex)
-        assert paired.real.tobytes() == (C_s @ x.real).tobytes()
-        assert paired.imag.tobytes() == (C_s @ x.imag).tobytes()
+        paired = (G @ x.view(float)).view(complex)
+        assert paired.real.tobytes() == (G_s @ x.real).tobytes()
+        assert paired.imag.tobytes() == (G_s @ x.imag).tobytes()
 
 
 class TestTaylorGalerkinIncrement:
@@ -182,11 +206,11 @@ class TestTaylorGalerkinIncrement:
         tau = 3.0
         matrices = assemble(mesh)
         # one work for all 200 sub-steps: eta never changes
-        work = sub_cycle_work(frozen_coefficients(np.zeros(mesh.n_nodes), mesh, p), p)
+        work = sub_cycle_work(frozen_coefficients(np.zeros(mesh.n_nodes), mesh, p), p, tau)
         w = np.ones(mesh.n_nodes, dtype=complex)
         normsq = [1.0]
         for _ in range(200):
-            w += taylor_galerkin_increment(w, (0.0, 0.0), matrices, tau, work=work)
+            w += taylor_galerkin_increment(w, (0.0, 0.0), matrices, work=work)
             normsq.append(float(w[0].real ** 2 + w[0].imag ** 2))
         normsq = np.array(normsq)
         growth = normsq[1:] / normsq[:-1]

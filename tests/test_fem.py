@@ -132,43 +132,43 @@ class TestGlobalProperties:
             assert np.max(np.abs(conj - b.toarray())) <= 1e-14
 
 
-def scalar_coupling(m):
-    """C_s = M_L^-1 P/4, the scalar operator that the assembled C interleaves."""
-    return m.C[0::2, 0::2]
+def scalar_projection(m):
+    """G_s = I + M_L^-1 P, the scalar operator that the assembled G interleaves."""
+    return m.G[0::2, 0::2]
 
 
 class TestSubStepCoupling:
-    """C = C_s kron I_2, with C_s = M_L^-1 P/4: A/36 per element-block
-    entry, each row over its M_L."""
+    """G = G_s kron I_2, with G_s = M_L^-1 (M_L + P): (A/9)(3I + 11^T) per
+    element block, each row over its M_L."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_row_sums_are_a_quarter(self, seed):
+    def test_row_sums_are_two(self, seed):
         rng = np.random.default_rng(seed)
         nx, ny = rng.integers(3, 25, size=2)
         m = assemble(jittered_mesh(nx, ny, rng, scale=rng.uniform(1.0, 1e4)))
-        rowsum = np.asarray(m.C.sum(axis=1)).ravel()
-        assert np.max(np.abs(rowsum - 0.25)) <= 1e-15
+        rowsum = np.asarray(m.G.sum(axis=1)).ravel()
+        assert np.max(np.abs(rowsum - 2.0)) <= 1e-15
 
     def test_pattern_of_mass(self, rng):
         m = assemble(jittered_mesh(5, 6, rng))
-        C_s = scalar_coupling(m)
-        assert m.C.nnz == 2 * m.M.nnz and C_s.nnz == m.M.nnz
-        assert np.array_equal(C_s.indptr, m.M.indptr)
-        assert np.array_equal(C_s.indices, m.M.indices)
+        G_s = scalar_projection(m)
+        assert m.G.nnz == 2 * m.M.nnz and G_s.nnz == m.M.nnz
+        assert np.array_equal(G_s.indptr, m.M.indptr)
+        assert np.array_equal(G_s.indices, m.M.indices)
 
     def test_unit_triangle(self):
         m = assemble(unit_triangle_mesh())   # A = 1/2, M_L = 1/6 per node
-        assert m.C.shape == (6, 6)
-        assert np.allclose(scalar_coupling(m).toarray(), np.full((3, 3), 1.0 / 12.0),
-                           rtol=0, atol=1e-16)
+        assert m.G.shape == (6, 6)
+        want = np.eye(3) + np.full((3, 3), 1.0 / 3.0)
+        assert np.allclose(scalar_projection(m).toarray(), want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_interleaved_is_kron_with_identity(self, seed):
         rng = np.random.default_rng(seed)
         m = assemble(jittered_mesh(7, 5, rng))
-        want = sp.kron(scalar_coupling(m), sp.identity(2), format="csr")
+        want = sp.kron(scalar_projection(m), sp.identity(2), format="csr")
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(m.C, name), getattr(want, name)), name
+            assert np.array_equal(getattr(m.G, name), getattr(want, name)), name
 
 
 def flipped_mesh(seed):
@@ -193,8 +193,8 @@ PATTERN_MESHES = {
 
 
 def operators(m):
-    """M, the scalar C, S, Q1 and Q2 of one assembly, by name."""
-    return {"M": m.M, "C": scalar_coupling(m), "S": m.S, "Q1": m.Q1, "Q2": m.Q2}
+    """M, the scalar G, S, Q1 and Q2 of one assembly, by name."""
+    return {"M": m.M, "G": scalar_projection(m), "S": m.S, "Q1": m.Q1, "Q2": m.Q2}
 
 
 @pytest.mark.parametrize("name", sorted(PATTERN_MESHES))
@@ -228,7 +228,7 @@ class TestSharedPattern:
         mesh = PATTERN_MESHES[name]()
         first, second = assemble(mesh), assemble(mesh)
         assert np.array_equal(first.M_L, second.M_L)
-        for a, b in ((first.M, second.M), (first.C, second.C), (first.S, second.S),
+        for a, b in ((first.M, second.M), (first.G, second.G), (first.S, second.S),
                      (first.Q1, second.Q1), (first.Q2, second.Q2)):
             for part in ("indptr", "indices", "data"):
                 assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
@@ -245,7 +245,7 @@ class TestSharedPattern:
 
 def test_assembly_memory_peak():
     # On one shared pattern assembly's traced peak stays under twice the
-    # bytes it returns (1.57 on this mesh, 1.85 with C interleaved before
+    # bytes it returns (1.57 on this mesh, 1.85 with G interleaved before
     # S, Q1 and Q2); a COO triplet set scattered per operator peaked at 3.10.
     mesh = jittered_mesh(71, 71, np.random.default_rng(5))   # 5041 nodes
     assemble(mesh)                     # the first call pays scipy's lazy set-up
@@ -255,7 +255,7 @@ def test_assembly_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [m.M_L] + [a for mat in (m.M, m.C, m.S, m.Q1, m.Q2)
+    arrays = [m.M_L] + [a for mat in (m.M, m.G, m.S, m.Q1, m.Q2)
                         for a in (mat.data, mat.indices, mat.indptr)]
     owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
               for a in arrays}                      # shared index arrays count once
@@ -264,7 +264,7 @@ def test_assembly_memory_peak():
 
 
 def test_interleave_memory_peak():
-    # C kron I_2 built in C's int32 index dtype: scipy keeps the arrays
+    # G kron I_2 built in G's int32 index dtype: scipy keeps the arrays
     # it is given, and the traced peak stays under twice the bytes
     # returned (1.37 here; 2.71 with int64 arrays that scipy copied down)
     mesh = jittered_mesh(71, 71, np.random.default_rng(5))

@@ -274,8 +274,8 @@ class TestStep:
                             lambda st, frozen, *args: read.append(("gate", frozen))
                             or gate_fn(st, frozen, *args))
         monkeypatch.setattr(simulator, "sub_cycle_work",
-                            lambda frozen, p: read.append(("work", frozen))
-                            or works.append(work_fn(frozen, p)) or works[-1])
+                            lambda frozen, p, tau: read.append(("work", frozen))
+                            or works.append(work_fn(frozen, p, tau)) or works[-1])
         monkeypatch.setattr(simulator, "taylor_galerkin_increment",
                             lambda *args, work: read.append(("substep", work))
                             or substep(*args, work=work))
@@ -413,6 +413,23 @@ class TestRun:
         assert text == "".join(line + "\n" for line in
                                key_value_lines(asdict(exc.value.run_summary).items()))
         assert "steps=0\ncompleted=false\n" in text
+
+    def test_clamped_nodes_max(self, params):
+        # three nodes start with H + eta = 0.02 m < h_min = 0.05 m; the step
+        # counts them, and the summary keeps the largest count of any step
+        mesh = rect_mesh(5, 5, 1000.0, 1000.0, depth=1.0)
+        n = mesh.n_nodes
+        eta = np.zeros(n)
+        eta[[6, 12, 18]] = -0.98
+        state = State(eta, np.zeros(n), np.zeros(n), 0.0)
+        mats = assemble(mesh)
+        cfg = RunConfig(tau=30.0, tau_tilde=300.0, duration=300.0, gate_mode="off")
+        _, info = step(state, mesh, mats, params, cfg, Forcings(),
+                       elevation_solver(mats, mesh, cfg, params.g))
+        assert info.clamped_nodes == 3
+        assert run(state, mesh, mats, params, cfg, Forcings()).clamped_nodes_max == 3
+        calm = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
+        assert run(calm, mesh, mats, params, cfg, Forcings()).clamped_nodes_max == 0
 
     def test_closed_basin_mass_conservation_short(self, params):
         mesh = rect_mesh(10, 10, 1000.0, 1000.0, depth=2.0)
