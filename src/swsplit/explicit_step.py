@@ -38,15 +38,16 @@ def sub_cycle_work(frozen, params: PhysicalParams, tau):
     sub-cycle: with kappa = tau/2, the drag per unit speed and the wind
     factor (cast to complex once) times kappa; four complex arrays lam,
     r, a, b of n_nodes, lam's imaginary part preset to kappa k0; and the
-    float views of lam (its real part, kappa times the drag rate) and of
-    a (the pairs that the interleaved G reads).
+    float views of lam (its real part, kappa times the drag rate), of a
+    (the pairs that the interleaved G reads) and of b (the pairs that
+    G's product is added to).
     """
     drag_per_speed, wind_factor = frozen
     kappa = 0.5 * tau
     lam, r, a, b = np.empty((4, drag_per_speed.size), dtype=complex)
     lam.imag = kappa * params.k0
     return (kappa * drag_per_speed, (kappa * wind_factor).astype(complex), lam, r, a, b,
-            lam.real, a.view(float))
+            lam.real, a.view(float), b.view(float))
 
 
 def taylor_galerkin_increment(w, wind, matrices: FemMatrices, *, work) -> np.ndarray:
@@ -67,7 +68,7 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, *, work) -> np.nda
     On a uniform field G 1 = 2, and this is exactly the 2x2 map of
     :func:`swsplit.stability.source_update_matrix`.
     """
-    drag_per_speed, wind_factor, lam, r, a, b, drag, a_pairs = work
+    drag_per_speed, wind_factor, lam, r, a, b, drag, a_pairs, b_pairs = work
     np.abs(w, out=drag)
     drag *= drag_per_speed
     np.multiply(lam, w, out=r)
@@ -81,5 +82,5 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, *, work) -> np.nda
     np.multiply(lam, r, out=b)
     np.multiply(b, -1.5, out=a)
     a += r
-    b += (matrices.G @ a_pairs).view(complex)
+    b_pairs += matrices.G * a_pairs   # spmatrix product: no scalar-operand check of @
     return b

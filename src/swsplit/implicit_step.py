@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import FemMatrices
 from .mesh import Mesh
@@ -104,24 +105,27 @@ def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh, cfg, 
     h = mesh.depth
     w1 = h * (state.u1 + cfg.theta1 * d_star.real)
     w2 = h * (state.u2 + cfg.theta1 * d_star.imag)
-    flux = matrices.Q1 @ w1 + matrices.Q2 @ w2
-    return -cfg.tau_tilde * (flux + cfg.tau_tilde * cfg.theta1 * g * (matrices.S @ state.eta))
+    flux = matrices.Q1 * w1 + matrices.Q2 * w2
+    return -cfg.tau_tilde * (flux + cfg.tau_tilde * cfg.theta1 * g * (matrices.S * state.eta))
 
 
 class ElevationSolver:
     """Elevation system with prescribed values at open nodes, set up once.
 
-    Holds the free-node block A_ff of the CSR system matrix A, the
-    free-by-open block A_fo that shifts the right side by the prescribed
-    values, and a smoothed-aggregation multigrid hierarchy of A_ff that
-    preconditions every solve's CG.  A, tau_tilde, theta and the open
-    nodes are fixed over a run, so one solver serves every outer step.
+    Holds the free-node block A_ff of the system matrix A (sparse or
+    dense, converted to ``csr_matrix`` once so that ``*`` is its matrix
+    product), the free-by-open block A_fo that shifts the right side by
+    the prescribed values, and a smoothed-aggregation multigrid hierarchy
+    of A_ff that preconditions every solve's CG.  A, tau_tilde, theta and
+    the open nodes are fixed over a run, so one solver serves every outer
+    step.
     The same split serves a closed basin (A_ff is all of A, A_fo has no
     columns) and a mesh whose every node is open (A_ff is 0 x 0, and CG
     returns at once).
     """
 
     def __init__(self, A, open_nodes):
+        A = sp.csr_matrix(A)
         self.n = A.shape[0]
         self.open_nodes = np.asarray(open_nodes, dtype=int)
         free = np.ones(self.n, dtype=bool)
@@ -143,7 +147,7 @@ def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=CG_TOL):
     open_values = np.asarray(open_values, dtype=float)
     d_eta = np.zeros(solver.n)
     d_eta[solver.open_nodes] = open_values
-    x_f, stats = conjugate_gradient(solver.A_ff, rhs[solver.free] - solver.A_fo @ open_values,
+    x_f, stats = conjugate_gradient(solver.A_ff, rhs[solver.free] - solver.A_fo * open_values,
                                     tol=tol, precondition=solver.hierarchy.vcycle)
     d_eta[solver.free] = x_f
     return d_eta, stats
@@ -159,7 +163,7 @@ def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, 
     boundaries.
     """
     target = state.eta + cfg.theta2 * d_eta
-    d_u1, d_u2 = ((-cfg.tau_tilde * g * (Q @ target)) / matrices.M_L
+    d_u1, d_u2 = ((-cfg.tau_tilde * g * (Q * target)) / matrices.M_L
                   for Q in (matrices.Q1, matrices.Q2))
     project_land_velocity(d_u1, d_u2, mesh)
     return d_u1, d_u2

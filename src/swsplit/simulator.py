@@ -26,7 +26,7 @@ from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
                             velocity_correction)
 from .mesh import Mesh, data_lines, parse_rows
 from .stability import PhysicalParams, critical_time_step_for_drag
-from .state import State
+from .state import State, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVer
     in the drag); ties go to the lowest node index.
     """
     nodal_speed = np.sqrt(state.u1 * state.u1 + state.u2 * state.u2)
-    floor_active = bool(np.any(nodal_speed < U_FLOOR))
+    floor_active = bool((nodal_speed < U_FLOOR).any())
     drag = frozen[0] * np.maximum(nodal_speed, U_FLOOR)
 
     tau_c = critical_time_step_for_drag(params.k0, drag)
@@ -222,12 +222,10 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     d_star = w
     d_star.real -= state.u1
     d_star.imag -= state.u2
-    # one scan per outer step: it names the node and the component, and it
-    # fails before the right side and the solve are formed
-    for name, acc in (("d_u1", d_star.real), ("d_u2", d_star.imag)):
-        bad = np.flatnonzero(~np.isfinite(acc))
-        if bad.size:
-            raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
+    # one scan per outer step, before the right side and the solve are
+    # formed; only a failure rescans, to name the node and the component
+    if not np.isfinite(d_star).all():
+        require_finite(d_u1=d_star.real, d_u2=d_star.imag)
     # the wall constraint acts on the source increment where it couples to
     # the wave step: without this the flux H (u + theta1 du*) pushes water
     # through closed boundaries and the basin mass drifts (it writes

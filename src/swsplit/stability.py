@@ -202,11 +202,12 @@ def critical_time_step(a, b, c, d):
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    if np.any(a <= 0.0) or np.any(d <= 0.0):
+    if (a <= 0.0).any() or (d <= 0.0).any():
         raise ValueError("no positive root: requires a > 0 and d > 0 (D != 0)")
     p0 = -b * b + 3.0 * a * c
-    p1 = 2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d
-    disc = 4.0 * p0 ** 3 + p1 * p1
+    # x * x * x, not x ** 3: numpy's power is some 100 times slower on a negative base
+    p1 = 2.0 * (b * b * b) - 9.0 * a * b * c + 27.0 * a * a * d
+    disc = 4.0 * (p0 * p0 * p0) + p1 * p1
     with np.errstate(invalid="ignore", divide="ignore"):
         q = p1 + np.sqrt(disc)
         cr = np.copysign(np.abs(q) ** (1.0 / 3.0), q)

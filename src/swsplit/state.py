@@ -18,11 +18,17 @@ class State:
         n = self.eta.shape[0]
         if self.u1.shape != (n,) or self.u2.shape != (n,):
             raise ValueError("state arrays differ in length")
-        for name, arr in (("eta", self.eta), ("u1", self.u1), ("u2", self.u2)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise FloatingPointError(f"non-finite {name} at node {bad[0]}")
+        require_finite(eta=self.eta, u1=self.u1, u2=self.u2)
         return self
+
+
+def require_finite(**arrays):
+    """Raise FloatingPointError naming the first of ``arrays`` with a
+    non-finite entry, and its first such node (located only on failure)."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise FloatingPointError(
+                f"non-finite {name} at node {np.flatnonzero(~np.isfinite(arr))[0]}")
 
 
 def initial_state(n_nodes: int, eta0: float = 0.0, t: float = 0.0) -> State:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,17 @@ def test_interleave_memory_peak():
         tracemalloc.stop()
     assert out.indices.dtype == out.indptr.dtype == np.int32
     assert peak <= 2.0 * (out.data.nbytes + out.indices.nbytes + out.indptr.nbytes)
+
+
+def test_sparse_operators_are_spmatrix():
+    # the step multiplies them with *, the spmatrix matrix product; on a
+    # sparse array (csr_array) * is elementwise, with no error
+    m = assemble(two_triangle_square())
+    sparse = [f.name for f in fields(m) if sp.issparse(getattr(m, f.name))]
+    assert sparse == ["M", "G", "S", "Q1", "Q2"]
+    for name in sparse:
+        assert isinstance(getattr(m, name), sp.spmatrix), name
+    assert isinstance(helmholtz_matrix(m, 300.0, 0.5, 0.5, 9.81), sp.spmatrix)
 
 
 class TestHelmholtz:

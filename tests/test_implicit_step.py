@@ -203,6 +203,22 @@ class TestSolveElevation:
                                    tol=1e-13)
         assert np.max(np.abs(d_eta - want)) < 1e-8 * np.max(np.abs(want))
 
+    def test_blocks_are_spmatrix_whatever_the_input(self, rng):
+        # solve_elevation multiplies A_fo with *, the spmatrix matrix
+        # product; from a csr_array or an ndarray it would be elementwise
+        # (or a broadcast), with no error
+        mesh = rect_mesh(25, 25, 1.0, 1.0, depth=1.0, boundary_tag=OPEN)
+        A = helmholtz_matrix(assemble(mesh), 300.0, 0.5, 0.5, G)
+        rhs = rng.standard_normal(mesh.n_nodes)
+        values = rng.uniform(-1.0, 1.0, mesh.open_nodes.size)
+        want, want_stats = solve_elevation(ElevationSolver(A, mesh.open_nodes), rhs, values)
+        for given in (sp.csr_array(A), A.toarray()):
+            solver = ElevationSolver(given, mesh.open_nodes)
+            assert isinstance(solver.A_ff, sp.spmatrix) and isinstance(solver.A_fo, sp.spmatrix)
+            got, stats = solve_elevation(solver, rhs, values)
+            assert np.array_equal(got, want)
+            assert stats == want_stats
+
     def test_single_prescribed_node(self, rng):
         mesh = two_triangle_square(depth=1.0, tag=OPEN)
         m = assemble(mesh)

@@ -147,6 +147,23 @@ class TestCriticalTimeStep:
         oracle = bisect_root(lambda t: cubic_value(a, b, c, d, t), 0.0, 100.0)
         assert critical_time_step(a, b, c, d) == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("D", [1.2e-7, 1e-6, 1e-5])
+    def test_against_bisection_where_p0_is_negative(self, D, monkeypatch):
+        # basin_seiche's drag rates (about 1.2e-7 1/s) and up to 1e-5: there
+        # the resolvent's p0 = -b^2 + 3ac is negative, the base of its cube;
+        # the closed form must give the root without the bisection fallback
+        a, b, c, d = cubic_coefficients(K0_REF, D)
+        assert -b * b + 3.0 * a * c < 0.0
+
+        def no_fallback(*cubic):
+            raise AssertionError(f"bisection fallback taken for {cubic}")
+
+        monkeypatch.setattr(stability, "_bisect_cubic", no_fallback)
+        oracle = bisect_root(lambda t: cubic_value(a, b, c, d, t), 0.0, 1e4)
+        assert critical_time_step(a, b, c, d) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert critical_time_step_for_drag(K0_REF, np.array([D]))[0] == \
+            pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_triple_root(self):
         assert critical_time_step(1.0, 3.0, 3.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
