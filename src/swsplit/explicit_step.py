@@ -74,11 +74,8 @@ def taylor_galerkin_increment(w, wind, matrices: FemMatrices, *, work) -> np.nda
     np.multiply(lam, w, out=r)
     v1, v2 = wind
     wind_speed = math.hypot(v1, v2)
-    if wind_speed:
-        np.multiply(wind_factor, complex(wind_speed * v1, wind_speed * v2), out=b)
-        np.subtract(b, r, out=r)
-    else:
-        np.negative(r, out=r)
+    np.multiply(wind_factor, complex(wind_speed * v1, wind_speed * v2), out=b)
+    np.subtract(b, r, out=r)
     np.multiply(lam, r, out=b)
     np.multiply(b, -1.5, out=a)
     a += r

@@ -6,7 +6,8 @@ Element contributions (area A, basis gradients grad phi_i constant):
     mass      (A/12) * [[2,1,1],[1,2,1],[1,1,2]]
     M_L + P   (A/9) * [[4,1,1],[1,4,1],[1,1,4]] (P: element-mean operator);
               G = M_L^-1 (M_L + P) kron I_2, each row divided by its lumped
-              mass once and interleaved for the float view of u1 + i u2
+              mass once; two stacked copies, on the even and the odd columns,
+              row-gathered into the order of the floats of u1 + i u2
     stiffness  A * Hbar * (grad phi_i . grad phi_j),  Hbar = mean nodal depth
     gradient  (A/3) * d(phi_j)/dx_k, identical for every test index i
 
@@ -39,7 +40,8 @@ class FemMatrices:
     M: sp.csr_matrix        # consistent mass, symmetric positive definite
     M_L: np.ndarray         # lumped mass diagonal (row sums of M)
     G: sp.csr_matrix        # M_L^-1 (M_L + P) kron I_2 = I + M_L^-1 P, the sub-step's
-                            # projection on the interleaved floats of u1 + i u2
+                            # projection on the floats (re, im, ...) of u1 + i u2: row i
+                            # on the even columns in row 2i, on the odd ones in row 2i+1
     S: sp.csr_matrix        # depth-weighted stiffness, symmetric PSD
     Q1: sp.csr_matrix       # integral of phi_i d(phi_j)/dx1
     Q2: sp.csr_matrix       # integral of phi_i d(phi_j)/dx2
@@ -91,31 +93,13 @@ def assemble(mesh: Mesh) -> FemMatrices:
     # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
     Q1 = csr(np.repeat((areas / 3.0)[:, None] * gx, 3, axis=0))
     Q2 = csr(np.repeat((areas / 3.0)[:, None] * gy, 3, axis=0))
-    # interleaved last: while S's and Q's element temporaries live, G is half the size
-    return FemMatrices(M=M, M_L=M_L, G=_interleave(G), S=S, Q1=Q1, Q2=Q2)
-
-
-def _interleave(C: sp.csr_matrix) -> sp.csr_matrix:
-    """C kron I_2 (2n x 2n) from C's sorted CSR arrays, in O(nnz).
-
-    Row 2i holds row i of C on the even columns 2j and row 2i+1 holds it
-    on the odd columns 2j+1, in C's column order; so one single-vector
-    product on the float view (re, im, re, im, ...) of a complex vector
-    sums each row as C does on the real and imaginary parts apart.
-    """
-    ptr, cols = C.indptr, C.indices   # int32 from _pattern: scipy keeps them uncopied
-    length = np.diff(ptr)
-    even = np.repeat(ptr[:-1], length) + np.arange(C.nnz, dtype=ptr.dtype)   # 2 ptr[i] + k
-    odd = even + np.repeat(length, length)
-    indices = np.empty(2 * C.nnz, dtype=cols.dtype)
-    indices[even], indices[odd] = 2 * cols, 2 * cols + 1
-    data = np.empty(2 * C.nnz)
-    data[even] = data[odd] = C.data
-    indptr = np.empty(2 * len(ptr) - 1, dtype=ptr.dtype)
-    indptr[0::2] = 2 * ptr
-    indptr[1::2] = ptr[:-1] + ptr[1:]
-    n = 2 * C.shape[0]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    # G kron I_2 last: while S's and Q's element temporaries live, G is half the size.
+    # Rows 0..n-1 hold G on the even columns (u1), rows n..2n-1 on the odd
+    # ones (u2); the row gather 0, n, 1, n+1, ... interleaves them.
+    two = sp.csr_matrix((np.tile(G.data, 2), np.concatenate((2 * indices, 2 * indices + 1)),
+                         np.concatenate((indptr, indptr[1:] + G.nnz))), shape=(2 * n, 2 * n))
+    G = two[np.arange(2 * n).reshape(2, n).T.ravel()]
+    return FemMatrices(M=M, M_L=M_L, G=G, S=S, Q1=Q1, Q2=Q2)
 
 
 def lump(M: sp.csr_matrix) -> np.ndarray:

@@ -198,6 +198,28 @@ class TestTaylorGalerkinIncrement:
         expected = tau * (G @ half + w)
         assert np.max(np.abs([d_u1[0], d_u2[0]] - expected)) < 1e-15
 
+    def test_calm_sub_step_gives_no_negative_zero(self, params, rng):
+        # snapshots print -0.0 and 0.0 apart: a calm sub-step, at rest or on
+        # velocities with +0.0 and -0.0 entries, leaves every zero it gives +0.0
+        mesh = load_mesh(DEMO_MESH)
+        matrices = assemble(mesh)
+        n = mesh.n_nodes
+        states = [np.zeros(n, dtype=complex)]
+        for _ in range(50):
+            w = np.empty(n, dtype=complex)
+            w.real, w.imag = np.where(rng.random((2, n)) < 0.8,
+                                      rng.choice([0.0, -0.0], size=(2, n)),
+                                      rng.uniform(-0.3, 0.3, size=(2, n)))
+            states.append(w)
+        zeros = 0
+        for w in states:
+            eta = rng.uniform(-0.2, 0.2, n)
+            work = sub_cycle_work(frozen_coefficients(eta, mesh, params), params, 3.0)
+            floats = taylor_galerkin_increment(w, (0.0, 0.0), matrices, work=work).view(float)
+            zeros += np.count_nonzero(floats == 0.0)
+            assert not np.any(np.signbit(floats[floats == 0.0]))
+        assert zeros >= 2 * n
+
     def test_coriolis_only_norm_defect(self, params):
         # drag off (zero speed never happens; emulate with huge k1):
         # one step scales |u|^2 by exactly 1 + tau^4 k0^4 / 4

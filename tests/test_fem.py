@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from helpers import (coo_operators, dense_global_oracle, element_matrices_oracle,
                      jittered_mesh, random_triangle, rect_mesh, rect_mesh_arrays,
                      two_triangle_square, unit_triangle_mesh)
-from swsplit.fem import AssemblyError, _interleave, assemble, helmholtz_matrix, lump
+from swsplit.fem import AssemblyError, assemble, helmholtz_matrix, lump
 from swsplit.mesh import INTERIOR, LAND, build_mesh, load_mesh
 from swsplit.simulator import RunConfig
 
@@ -163,14 +163,6 @@ class TestSubStepCoupling:
         want = np.eye(3) + np.full((3, 3), 1.0 / 3.0)
         assert np.allclose(scalar_projection(m).toarray(), want, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_interleaved_is_kron_with_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        m = assemble(jittered_mesh(7, 5, rng))
-        want = sp.kron(scalar_projection(m), sp.identity(2), format="csr")
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(m.G, name), getattr(want, name)), name
-
 
 def flipped_mesh(seed):
     """Jittered rectangle handed to build_mesh with about half of its
@@ -234,6 +226,19 @@ class TestSharedPattern:
             for part in ("indptr", "indices", "data"):
                 assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
+    def test_interleaved_is_kron_with_identity(self, name):
+        # G kron I_2 sorted and in the scalar pattern's int32 index dtype,
+        # half the index bytes of int64
+        m = assemble(PATTERN_MESHES[name]())
+        G = m.G
+        assert isinstance(G, sp.spmatrix) and G.format == "csr"
+        assert G.indices.dtype == G.indptr.dtype == np.int32
+        rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+        assert G.has_sorted_indices and np.all(np.diff(rows * G.shape[1] + G.indices) > 0)
+        want = sp.kron(scalar_projection(m), sp.identity(2), format="csr")
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(G, part), getattr(want, part)), part
+
     def test_helmholtz_is_the_sparse_sum(self, name):
         m = assemble(PATTERN_MESHES[name]())
         for tau_tilde, theta1, theta2 in ((300.0, 0.5, 0.5), (600.0, 1.0, 0.3), (30.0, 0.0, 1.0)):
@@ -246,7 +251,7 @@ class TestSharedPattern:
 
 def test_assembly_memory_peak():
     # On one shared pattern assembly's traced peak stays under twice the
-    # bytes it returns (1.57 on this mesh, 1.85 with G interleaved before
+    # bytes it returns (1.80 on this mesh, 2.25 with G kron I_2 built before
     # S, Q1 and Q2); a COO triplet set scattered per operator peaked at 3.10.
     mesh = jittered_mesh(71, 71, np.random.default_rng(5))   # 5041 nodes
     assemble(mesh)                     # the first call pays scipy's lazy set-up
@@ -262,23 +267,6 @@ def test_assembly_memory_peak():
               for a in arrays}                      # shared index arrays count once
     held = sum(a.nbytes for a in owners.values())
     assert peak <= 2.5 * held, peak / held
-
-
-def test_interleave_memory_peak():
-    # G kron I_2 built in G's int32 index dtype: scipy keeps the arrays
-    # it is given, and the traced peak stays under twice the bytes
-    # returned (1.37 here; 2.71 with int64 arrays that scipy copied down)
-    mesh = jittered_mesh(71, 71, np.random.default_rng(5))
-    M = assemble(mesh).M                # any operator on the scalar pattern
-    _interleave(M)
-    tracemalloc.start()
-    try:
-        out = _interleave(M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.indices.dtype == out.indptr.dtype == np.int32
-    assert peak <= 2.0 * (out.data.nbytes + out.indices.nbytes + out.indptr.nbytes)
 
 
 def test_sparse_operators_are_spmatrix():
