@@ -42,10 +42,6 @@ class TimeSeries:
         self.times = times
         self.values = values
 
-    def require(self, t_first: float, t_last: float):
-        """Raise ForcingError unless [t_first, t_last] is sampled."""
-        self.at((t_first, t_last))
-
     def at(self, t) -> np.ndarray:
         """Column values at time ``t``: one row, or one row per time of an array."""
         t = np.asarray(t, dtype=float)

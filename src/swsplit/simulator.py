@@ -333,9 +333,9 @@ def check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
     for _ in range(cfg.n_steps - 1):
         t_last += cfg.tau_tilde
     if forcings.wind is not None:
-        forcings.wind.require(t0, t_last + (cfg.n_sub - 1) * cfg.tau)
+        forcings.wind.at((t0, t_last + (cfg.n_sub - 1) * cfg.tau))
     if mesh.open_nodes.size and forcings.tide is not None:
-        forcings.tide.require(t0 + cfg.tau_tilde, t_last + cfg.tau_tilde)
+        forcings.tide.at((t0 + cfg.tau_tilde, t_last + cfg.tau_tilde))
 
 
 class OutputWriter:

@@ -1,4 +1,11 @@
-"""Shared mesh builders and independent oracles for the test suite.
+"""Shared mesh builders, a step driver and independent oracles for the
+test suite.
+
+:func:`advance` is a driver, not an independent oracle: it runs the
+package's own ``assemble``, ``elevation_solver`` and ``step`` as
+``simulator.run`` does, so its result checks nothing until a test holds
+it against an exact answer, a recursion or another run.
+:func:`observed_orders` turns a refinement study's errors into orders.
 
 The oracles deliberately avoid the package's own formulas: basis
 functions come from solving the 3x3 Vandermonde system, integrals from a
@@ -22,8 +29,9 @@ import scipy.sparse as sp
 
 from swsplit.config import Config
 from swsplit.explicit_step import sub_cycle_work, taylor_galerkin_increment
+from swsplit.fem import assemble
 from swsplit.mesh import INTERIOR, LAND, OPEN, Mesh, build_mesh
-from swsplit.simulator import RunConfig
+from swsplit.simulator import RunConfig, elevation_solver, step
 from swsplit.stability import PhysicalParams
 from swsplit.state import State
 
@@ -124,6 +132,29 @@ def random_triangle(rng, min_area=0.05):
         e2 = pts[2] - pts[0]
         if 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0]) >= min_area:
             return pts
+
+
+# ---------------------------------------------------------------- driver
+
+def advance(mesh: Mesh, state, params, cfg, forcings, n_steps):
+    """(state, info) of the last of ``n_steps`` outer steps from ``state``.
+
+    The operators are assembled and the elevation solver is built once,
+    as ``simulator.run`` does, and every step goes through
+    ``simulator.step``; ``info`` is None when ``n_steps`` is 0.
+    """
+    matrices = assemble(mesh)
+    solver = elevation_solver(matrices, mesh, cfg, params.g)
+    info = None
+    for _ in range(n_steps):
+        state, info = step(state, mesh, matrices, params, cfg, forcings, solver)
+    return state, info
+
+
+def observed_orders(steps, errors):
+    """log(e2 / e1) / log(h2 / h1) between successive runs."""
+    steps, errors = np.asarray(steps, dtype=float), np.asarray(errors, dtype=float)
+    return np.log(errors[1:] / errors[:-1]) / np.log(steps[1:] / steps[:-1])
 
 
 # ------------------------------------------------------------- P1 oracle

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import (bisect_root, cubic_value, element_matrices_oracle,
+from helpers import (advance, bisect_root, cubic_value, element_matrices_oracle,
                      jittered_mesh, mesh_text, random_triangle,
                      rect_mesh, rect_mesh_arrays, substep_increment, two_triangle_square)
 from swsplit.cli import main
@@ -19,7 +19,7 @@ from swsplit.explicit_step import frozen_coefficients
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import LAND, build_mesh
-from swsplit.simulator import RunConfig, elevation_solver, run, step
+from swsplit.simulator import RunConfig, run
 from swsplit.stability import (build_report,
                                coupled_amplification_matrix,
                                critical_time_step, cubic_coefficients,
@@ -151,12 +151,10 @@ def test_criterion_6_uniform_field_equivalence(params, rng):
 def test_criterion_7_lake_at_rest_exact(params):
     with criterion(7, "lake at rest stays identically zero for 100 steps"):
         mesh = rect_mesh(6, 6, 600.0, 600.0, depth=1.0)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
         state = State(np.zeros(36), np.zeros(36), np.zeros(36), 0.0)
-        solver = elevation_solver(mats, mesh, cfg, params.g)
         for k in range(100):
-            state, _ = step(state, mesh, mats, params, cfg, Forcings(), solver)
+            state, _ = advance(mesh, state, params, cfg, Forcings(), 1)
             assert np.all(state.eta == 0.0)
             assert np.all(state.u1 == 0.0) and np.all(state.u2 == 0.0)
         assert state.t == 100 * 300.0

@@ -66,6 +66,12 @@ class TestAnalyze:
         assert values["tau_c_cubic"] == "nan"
         assert float(values["drag"]) == 0.0
 
+    def test_zero_speed_table_notes_zero_drag(self, capsys):
+        assert main(["analyze", "--speed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "  note: drag rate is zero, the source update never converges"
+        assert "nan" in next(line for line in lines if "tau_c_cubic" in line)
+
     def test_boundary_tau_rejected(self, capsys):
         # 5.41 sits just above the actual root, ties are strict anyway
         assert main(["analyze", "--machine", "--tau", "5.41"]) == 0

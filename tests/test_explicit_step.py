@@ -3,15 +3,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (jittered_mesh, real_taylor_galerkin_increment, rect_mesh, source_terms,
-                     substep_increment, two_triangle_square)
+from helpers import (advance, jittered_mesh, real_taylor_galerkin_increment, rect_mesh,
+                     source_terms, substep_increment, two_triangle_square)
 from swsplit import implicit_step
 from swsplit.explicit_step import (frozen_coefficients, sub_cycle_work,
                                     taylor_galerkin_increment)
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings
 from swsplit.mesh import load_mesh
-from swsplit.simulator import RunConfig, elevation_solver, step
+from swsplit.simulator import RunConfig
 from swsplit.stability import PhysicalParams, source_update_matrix
 from swsplit.state import State
 
@@ -248,11 +248,8 @@ class TestTaylorGalerkinIncrement:
         calls = []
         monkeypatch.setattr(implicit_step, "conjugate_gradient",
                             lambda *args, **kwargs: calls.append(args))
-        mats = assemble(mesh)
-        cfg = RunConfig(gate_mode="off")
-        solver = elevation_solver(mats, mesh, cfg, params.g)
         with pytest.raises(FloatingPointError, match="non-finite d_u1 at node"):
-            step(state, mesh, mats, params, cfg, Forcings(), solver)
+            advance(mesh, state, params, RunConfig(gate_mode="off"), Forcings(), 1)
         assert calls == []
 
     def test_elevation_never_touched(self, params):
@@ -263,8 +260,6 @@ class TestTaylorGalerkinIncrement:
         d_u1, d_u2 = substep_increment(state, (0.0, 0.0), assemble(mesh), params, 1.0,
                                        frozen_coefficients(state.eta, mesh, params))
         assert d_u1.shape == d_u2.shape == (mesh.n_nodes,)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, gate_mode="off")
-        _, info = step(state, mesh, mats, params, cfg, Forcings(),
-                       elevation_solver(mats, mesh, cfg, params.g))
+        _, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert info.d_star.dtype == complex and info.d_star.shape == (mesh.n_nodes,)

@@ -49,6 +49,14 @@ class TestTimeSeries:
         with pytest.raises(ForcingError, match=f"^wind: sample {bad} is not finite$"):
             TimeSeries(times, values, name="wind")
 
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 10.0, 20.0], [[0.0], [0.1]]),
+        ([[0.0, 10.0]], [[0.0], [0.1]]),   # 2-D times
+    ])
+    def test_length_mismatch_refused(self, times, values):
+        with pytest.raises(ForcingError, match="^tide: times/values length mismatch$"):
+            TimeSeries(times, values, name="tide")
+
     def test_single_sample_series_refused(self):
         # one sample would hold its value at every time: extrapolation
         with pytest.raises(ForcingError, match="^tide: need at least two samples$"):

@@ -324,6 +324,20 @@ class TestOneTableReader:
 
 
 class TestBuildMeshErrors:
+    @pytest.mark.parametrize("coords, tris, depth, tags, message", [
+        (UNIT_TRI[:, :1], [[0, 1, 2]], [1.0] * 3, [LAND] * 3, "coords must be (n_nodes, 2)"),
+        (UNIT_TRI, [[0, 1, 2]], [1.0] * 2, [LAND] * 3,
+         "depth/tags length does not match node count"),
+        (UNIT_TRI, [[0, 1, 2]], [1.0] * 3, [LAND] * 4,
+         "depth/tags length does not match node count"),
+        (UNIT_TRI, [0, 1, 2], [1.0] * 3, [LAND] * 3, "triangles must be (n_tris, 3)"),
+        (UNIT_TRI, [[0, 1, 2, 0]], [1.0] * 3, [LAND] * 3, "triangles must be (n_tris, 3)"),
+    ], ids=["coords", "depth", "tags", "flat-triangles", "quad"])
+    def test_array_shapes(self, coords, tris, depth, tags, message):
+        with pytest.raises(MeshError) as excinfo:
+            build_mesh(coords, tris, depth, tags)
+        assert str(excinfo.value) == message
+
     def test_repeated_vertex_reports_first_triangle(self):
         coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
         with pytest.raises(MeshError) as excinfo:

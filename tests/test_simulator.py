@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import channel_mesh, jittered_mesh, rect_mesh, row_by_row_snapshot
+from helpers import advance, channel_mesh, jittered_mesh, rect_mesh, row_by_row_snapshot
 from swsplit.explicit_step import frozen_coefficients
 from swsplit.fem import assemble
 from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
 from swsplit import simulator
 from swsplit.mesh import OPEN
 from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
-                               elevation_solver, key_value_lines, load_snapshot,
-                               mass_integral, run, stability_gate, step)
+                               key_value_lines, load_snapshot, mass_integral, run,
+                               stability_gate)
 from swsplit.stability import (PhysicalParams, critical_time_step_for_drag,
                                drag_coefficient, source_update_matrix)
 from swsplit.state import State, initial_state
@@ -211,10 +211,8 @@ class TestStep:
     def test_lake_at_rest_only_clock_moves(self, params):
         mesh = rect_mesh(5, 5, 500.0, 500.0, depth=1.0)
         state = initial_state(mesh.n_nodes)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
-        new, info = step(state, mesh, mats, params, cfg, Forcings(),
-                         elevation_solver(mats, mesh, cfg, params.g))
+        new, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert new.t == 300.0
         assert np.all(new.eta == 0.0)
         assert np.all(new.u1 == 0.0) and np.all(new.u2 == 0.0)
@@ -224,10 +222,8 @@ class TestStep:
         # open boundary with matching tide: the wave part contributes
         # nothing and every node follows the 2x2 source recursion
         mesh, state = reference_basin(boundary=OPEN)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
-        new, info = step(state, mesh, mats, params, cfg, Forcings(),
-                         elevation_solver(mats, mesh, cfg, params.g))
+        new, info = advance(mesh, state, params, cfg, Forcings(), 1)
 
         u = np.array([0.1, 0.0])
         for _ in range(cfg.n_sub):
@@ -240,20 +236,16 @@ class TestStep:
 
     def test_gate_refusal_names_critical_step(self, params):
         mesh, state = reference_basin()
-        mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="enforce")
         with pytest.raises(GateError, match="tau_c=5.409") as exc:
-            step(state, mesh, mats, params, cfg, Forcings(),
-                 elevation_solver(mats, mesh, cfg, params.g))
+            advance(mesh, state, params, cfg, Forcings(), 1)
         assert exc.value.verdict.min_tau_c == pytest.approx(5.41, abs=0.02)
 
     def test_gate_warn_continues(self, params, caplog):
         mesh, state = reference_basin()
-        mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="warn")
         with caplog.at_level(logging.WARNING, logger="swsplit.simulator"):
-            new, info = step(state, mesh, mats, params, cfg, Forcings(),
-                             elevation_solver(mats, mesh, cfg, params.g))
+            new, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert "stability gate" in caplog.text
         assert not info.gate.passed
         assert new.t == 300.0
@@ -280,19 +272,15 @@ class TestStep:
                             lambda *args, work: read.append(("substep", work))
                             or substep(*args, work=work))
         cfg = RunConfig(tau=3.0, tau_tilde=30.0)
-        mats = assemble(mesh)
-        step(state, mesh, mats, params, cfg, Forcings(),
-             elevation_solver(mats, mesh, cfg, params.g))
+        advance(mesh, state, params, cfg, Forcings(), 1)
         assert len(made) == 1 and len(works) == 1
         assert [name for name, _ in read] == ["gate", "work"] + ["substep"] * cfg.n_sub
         assert all(arg is (works[0] if name == "substep" else made[0]) for name, arg in read)
 
     def test_gate_off_skips_verdict(self, params):
         mesh, state = reference_basin()
-        mats = assemble(mesh)
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="off")
-        _, info = step(state, mesh, mats, params, cfg, Forcings(),
-                       elevation_solver(mats, mesh, cfg, params.g))
+        _, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert info.gate is None
 
     def test_increment_sum_reproduces_state_bitwise(self, params, rng):
@@ -301,12 +289,10 @@ class TestStep:
         state = State(0.01 * rng.standard_normal(n),
                       0.05 * rng.standard_normal(n),
                       0.05 * rng.standard_normal(n), 0.0)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0, gate_mode="off")
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.2]], name="tide")
         forcings = Forcings(tide=tide)
-        new, info = step(state, mesh, mats, params, cfg, forcings,
-                         elevation_solver(mats, mesh, cfg, params.g))
+        new, info = advance(mesh, state, params, cfg, forcings, 1)
 
         from swsplit.implicit_step import apply_boundaries
         rebuilt = State(eta=state.eta + info.d_eta,
@@ -326,10 +312,8 @@ class TestStep:
         at = TimeSeries.at
         monkeypatch.setattr(TimeSeries, "at",
                             lambda self, t: reads.append((self.name, t)) or at(self, t))
-        mats = assemble(mesh)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0)
-        step(initial_state(mesh.n_nodes), mesh, mats, params, cfg, Forcings(tide=tide),
-             elevation_solver(mats, mesh, cfg, params.g))
+        advance(mesh, initial_state(mesh.n_nodes), params, cfg, Forcings(tide=tide), 1)
         assert [read for read in reads if read[0] == "tide"] == [("tide", 100.0)]
 
     def test_wind_read_once_per_step(self, params, monkeypatch):
@@ -342,9 +326,7 @@ class TestStep:
                             lambda self, t: reads.append((self.name, t)) or at(self, t))
         state = initial_state(mesh.n_nodes, t=1234.5678)
         cfg = RunConfig(tau=0.3, tau_tilde=3.0, gate_mode="off")
-        mats = assemble(mesh)
-        step(state, mesh, mats, params, cfg, Forcings(wind=wind),
-             elevation_solver(mats, mesh, cfg, params.g))
+        advance(mesh, state, params, cfg, Forcings(wind=wind), 1)
         winds = [t for name, t in reads if name == "wind"]
         assert len(winds) == 1
         want = [state.t + s * cfg.tau for s in range(cfg.n_sub)]
@@ -353,11 +335,9 @@ class TestStep:
     def test_open_boundary_tracks_tide(self, params):
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
         state = initial_state(mesh.n_nodes)
-        mats = assemble(mesh)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0)
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.5]], name="tide")
-        new, _ = step(state, mesh, mats, params, cfg, Forcings(tide=tide),
-                      elevation_solver(mats, mesh, cfg, params.g))
+        new, _ = advance(mesh, state, params, cfg, Forcings(tide=tide), 1)
         assert np.all(new.eta[mesh.open_nodes] == 0.05)
 
     def test_every_node_open(self, params):
@@ -366,9 +346,8 @@ class TestStep:
         assert mesh.open_nodes.size == mesh.n_nodes
         cfg = RunConfig(tau=5.0, tau_tilde=100.0)
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.5]], name="tide")
-        mats = assemble(mesh)
-        new, info = step(initial_state(mesh.n_nodes), mesh, mats, params, cfg,
-                         Forcings(tide=tide), elevation_solver(mats, mesh, cfg, params.g))
+        new, info = advance(mesh, initial_state(mesh.n_nodes), params, cfg,
+                            Forcings(tide=tide), 1)
         assert np.all(new.eta == 0.05)
         assert info.cg.iterations == 0
 
@@ -424,8 +403,7 @@ class TestRun:
         state = State(eta, np.zeros(n), np.zeros(n), 0.0)
         mats = assemble(mesh)
         cfg = RunConfig(tau=30.0, tau_tilde=300.0, duration=300.0, gate_mode="off")
-        _, info = step(state, mesh, mats, params, cfg, Forcings(),
-                       elevation_solver(mats, mesh, cfg, params.g))
+        _, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert info.clamped_nodes == 3
         assert run(state, mesh, mats, params, cfg, Forcings()).clamped_nodes_max == 3
         calm = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
@@ -616,6 +594,14 @@ class TestForcingCoverage:
         assert summary.completed and summary.steps == 3
 
 
+@pytest.mark.parametrize("short", ["u1", "u2"])
+def test_state_check_refuses_arrays_of_different_lengths(short):
+    arrays = {name: np.zeros(4) for name in ("eta", "u1", "u2")}
+    arrays[short] = np.zeros(3)
+    with pytest.raises(ValueError, match="^state arrays differ in length$"):
+        State(**arrays).check()
+
+
 class TestSnapshotIO:
     def test_roundtrip(self, params, tmp_path, rng):
         mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
@@ -708,6 +694,19 @@ class TestSnapshotIO:
         path.write_text("node,x1,x2,eta,u1,u2\n0,0.0,0.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError, match="no row for node 1"):
             load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no row for node 0"),
+        ("0,0.0,0.0,0.0,0.0,0.0\n4,1.0,0.0,0.0,0.0,0.0\n",
+         "node index 4 is not a node of the mesh"),
+        ("-1,0.0,0.0,0.0,0.0,0.0\n", "node index -1 is not a node of the mesh"),
+    ], ids=["header-only", "past-the-last-node", "negative"])
+    def test_rows_name_a_node_of_the_mesh(self, tmp_path, rows, message):
+        path = tmp_path / "x.csv"
+        path.write_text("node,x1,x2,eta,u1,u2\n" + rows)
+        with pytest.raises(ValueError) as excinfo:
+            load_snapshot(path, rect_mesh(2, 2, 1.0, 1.0))
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_duplicate_row_checked(self, params, tmp_path):
         path = tmp_path / "x.csv"

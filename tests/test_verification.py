@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rect_mesh, rect_mesh_arrays
+from helpers import advance, bisect_root, observed_orders, rect_mesh, rect_mesh_arrays
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings, TimeSeries, load_tide, load_wind
 from swsplit.mesh import INTERIOR, LAND, OPEN, build_mesh, load_mesh
-from swsplit.simulator import OutputWriter, RunConfig, elevation_solver, run, step
+from swsplit.simulator import OutputWriter, RunConfig, run
 from swsplit.stability import PhysicalParams
 from swsplit.state import State, initial_state
 
@@ -70,24 +70,115 @@ def test_sub_cycle_is_first_order_in_tau():
     1, away from 2.
     """
     mesh = load_mesh(DEMO / "channel.mesh")
-    matrices = assemble(mesh)
     forcings = Forcings(tide=load_tide(DEMO / "tide.txt"), wind=load_wind(DEMO / "wind.txt"))
-    params = PhysicalParams()
 
     def final_velocity(tau):
-        cfg = RunConfig(tau=tau, tau_tilde=300.0, gate_mode="off")
-        state = initial_state(mesh.n_nodes)
-        solver = elevation_solver(matrices, mesh, cfg, params.g)
-        for _ in range(6):
-            state, _ = step(state, mesh, matrices, params, cfg, forcings, solver)
+        state, _ = advance(mesh, initial_state(mesh.n_nodes), PhysicalParams(),
+                           RunConfig(tau=tau, tau_tilde=300.0, gate_mode="off"), forcings, 6)
         return np.concatenate([state.u1, state.u2])
 
     reference = final_velocity(3.0)
-    taus = np.array([30.0, 100.0, 300.0])
+    taus = [30.0, 100.0, 300.0]
     errors = np.array([np.max(np.abs(final_velocity(tau) - reference)) for tau in taus])
-    orders = np.log(errors[1:] / errors[:-1]) / np.log(taus[1:] / taus[:-1])
+    orders = observed_orders(taus, errors)
     assert errors == pytest.approx([1.30e-4, 4.74e-4, 1.52e-3], rel=0.01)
     assert np.all((0.9 < orders) & (orders < 1.2))
+
+
+def test_wind_set_up_keeps_a_wall_layer_that_falls_with_tau_tilde():
+    """A closed basin under steady wind: the exact set-up, and today's wall layer.
+
+    A land-walled 20 km x 2 km basin, 2 m deep, with no Coriolis force,
+    k1 = 40 and xi = 3.2e-6 under a steady (10, 0) m/s wind, has the
+    steady state u = 0, (H + eta) eta_x = c with c = xi |v| v1 / g, that is
+    eta = sqrt(H^2 + 2 c (x - x0)) - H, x0 putting the lumped-mass mean
+    of eta at 0.  Started there, with the gate off and tau = tau_tilde / 10,
+    it runs one day on 41 and 81 nodes along x (5 across).  A
+    characterisation, not a target: the velocity should stay 0, but
+
+    | nodes, tau_tilde | max|u|    | max|u|, 3 < x < 17 km | max|eta - set-up| |
+    | 41, 300 s        | 4.61e-2   | 5.20e-3               | 3.36e-3 m         |
+    | 81, 300 s        | 4.36e-2   | 1.51e-3               | 2.98e-3 m         |
+    | 41, 60 s         | 1.19e-2   | 5.39e-3               | 2.94e-4 m         |
+
+    The peak sits in a layer by the end walls.  It barely falls under
+    refinement but falls about 4x with tau_tilde.
+    """
+    L, H = 20_000.0, 2.0
+    params = PhysicalParams(k0=0.0, k1=40.0, xi=3.2e-6)
+    c = params.xi * 10.0 * 10.0 / params.g
+    wind = Forcings(wind=TimeSeries([0.0, 86_400.0], [[10.0, 0.0], [10.0, 0.0]]))
+
+    def day(nx, tau_tilde):
+        """max|u|, its interior part and max|eta - set-up| after one day."""
+        mesh = rect_mesh(nx, 5, L, 2_000.0, depth=H)
+        x = mesh.coords[:, 0]
+        lumped = assemble(mesh).M_L
+
+        def set_up(x0):
+            return np.sqrt(H * H + 2.0 * c * (x - x0)) - H
+
+        eta0 = set_up(bisect_root(lambda x0: -float(lumped @ set_up(x0)), 0.0, L))
+        n = mesh.n_nodes
+        cfg = RunConfig(tau=tau_tilde / 10.0, tau_tilde=tau_tilde, gate_mode="off")
+        state, _ = advance(mesh, State(eta0, np.zeros(n), np.zeros(n)), params, cfg, wind,
+                           round(86_400.0 / tau_tilde))
+        speed = np.hypot(state.u1, state.u2)
+        return speed.max(), speed[(3_000.0 < x) & (x < 17_000.0)].max(), \
+            np.max(np.abs(state.eta - eta0))
+
+    coarse, fine, short = day(41, 300.0), day(81, 300.0), day(41, 60.0)
+    assert coarse == pytest.approx([4.61e-2, 5.20e-3, 3.36e-3], rel=0.01)
+    assert fine == pytest.approx([4.36e-2, 1.51e-3, 2.98e-3], rel=0.01)
+    assert short == pytest.approx([1.19e-2, 5.39e-3, 2.94e-4], rel=0.01)
+    assert fine[0] > 0.9 * coarse[0]                   # not a spatial error
+    assert 3.5 < coarse[0] / short[0] < 4.5            # about 4x with tau_tilde
+
+
+def test_balanced_eddy_loses_energy_first_order_in_tau_tilde():
+    """A geostrophic eddy, an exact steady state, decays at first order in tau_tilde.
+
+    A land-walled 400 km square, 10 m deep, with k0 = 1e-4, a negligible
+    drag (k1 = 1e4) and no wind starts from eta = 5 cm exp(-r^2 / (40 km)^2)
+    at its centre and the balanced u = (g / k0) k x grad(eta) (peak
+    0.105 m/s).  On 21 x 21 nodes, gate off, tau = tau_tilde / 10, after one
+    day, E = 1/2 sum M_L (H |u|^2 + g eta^2) and eta projected on its start
+    read
+
+    | tau_tilde | E / E0 | projection |
+    | 300 s     | 0.771  | 0.928      |
+    | 60 s      | 0.950  | 1.016      |
+
+    so the energy loss is of order 0.95 in tau_tilde.  (max|eta - eta0| is
+    not pinned: with R / h = 2 it reads 5.5 % at 300 s but 7.0 % at 60 s.
+    On 41 x 41 nodes over two days the 300 s run reads 19.6 %, 0.815 and
+    0.615.)  A characterisation, not a target: the exact answer keeps E.
+    """
+    L, H, A, R = 400_000.0, 10.0, 0.05, 40_000.0
+    params = PhysicalParams(k0=1e-4, k1=1e4, xi=0.0)
+    mesh = rect_mesh(21, 21, L, L, depth=H)
+    x, y = mesh.coords[:, 0] - L / 2.0, mesh.coords[:, 1] - L / 2.0
+    eta0 = A * np.exp(-(x * x + y * y) / (R * R))
+    # k x grad(eta) = (-eta_y, eta_x), with grad(eta) = -2 (x, y) eta / R^2
+    u1, u2 = (params.g / params.k0 * 2.0 / (R * R)) * eta0 * np.array([y, -x])
+    assert np.hypot(u1, u2).max() == pytest.approx(0.105, rel=0.01)
+    lumped = assemble(mesh).M_L
+
+    def energy(state):
+        return 0.5 * float(lumped @ (H * (state.u1 ** 2 + state.u2 ** 2)
+                                     + params.g * state.eta ** 2))
+
+    start = State(eta0, u1, u2)
+    tau_tildes = [60.0, 300.0]
+    ends = [advance(mesh, start, params,
+                    RunConfig(tau=tau_tilde / 10.0, tau_tilde=tau_tilde, gate_mode="off"),
+                    Forcings(), round(86_400.0 / tau_tilde))[0] for tau_tilde in tau_tildes]
+    losses = np.array([1.0 - energy(end) / energy(start) for end in ends])
+    projections = [float(lumped @ (end.eta * eta0)) / float(lumped @ (eta0 * eta0))
+                   for end in ends]
+    assert losses == pytest.approx([0.0502, 0.229], rel=0.01)
+    assert projections == pytest.approx([1.016, 0.928], abs=1e-3)
+    assert 0.85 < observed_orders(tau_tildes, losses)[0] < 1.05
 
 
 class TestInvariance:
@@ -126,13 +217,9 @@ class TestInvariance:
         v = (np.conj(v) if conjugate else v) * wind_rotation
         forcings = Forcings(tide=TimeSeries(times, 0.3 * np.sin(times / 400.0)),
                             wind=TimeSeries(times, np.column_stack([v.real, v.imag])))
-        params = PhysicalParams(k0=k0)
         cfg = RunConfig(tau=10.0, tau_tilde=100.0, gate_mode="off")
-        matrices = assemble(mesh)
-        solver = elevation_solver(matrices, mesh, cfg, params.g)
         state = State(eta0.copy(), w0.real.copy(), w0.imag.copy(), 0.0)
-        for _ in range(self.N_STEPS):
-            state, _ = step(state, mesh, matrices, params, cfg, forcings, solver)
+        state, _ = advance(mesh, state, PhysicalParams(k0=k0), cfg, forcings, self.N_STEPS)
         return state.eta, state.u1 + 1j * state.u2
 
     def assert_close(self, got, want):
