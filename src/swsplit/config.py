@@ -1,6 +1,6 @@
 """Flat key=value run configuration.
 
-Format: one `key=value` per line, `#` starts a comment line, unknown or
+Format: one `key=value` per line, comments as in a mesh file, unknown or
 duplicate keys are errors, missing keys take the documented defaults.
 Relative paths are resolved against the config file's directory; an
 empty path is refused.  Floats must be finite.  The physics keys are the
@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .mesh import is_data_line
 from .simulator import RunConfig
 from .stability import PhysicalParams
 
@@ -89,11 +90,10 @@ def _parse_pair(text, where=""):
 def parse_config_text(text, base_dir=".", where="<config>") -> Config:
     """Parse key=value lines into a validated Config."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not is_data_line(line):
             continue
-        key, value = _parse_pair(line, f"{where}:{lineno}: ")
+        key, value = _parse_pair(line.strip(), f"{where}:{lineno}: ")
         if key in values:
             raise ConfigError(f"{where}:{lineno}: duplicate key {key!r}")
         values[key] = value

@@ -58,10 +58,10 @@ class TimeSeries:
 
 
 def _load_columns(path, ncols, kind):
-    text, lines = data_lines(path)
+    lines = data_lines(path)
     if not lines:
         raise ForcingError(f"{path}: no samples")
-    data = parse_rows(path, text, lines, 0, len(lines), (float,) * ncols, f"{kind} line",
+    data = parse_rows(path, lines, 0, len(lines), (float,) * ncols, f"{kind} line",
                       ForcingError).view(float).reshape(-1, ncols)
     return TimeSeries(data[:, 0], data[:, 1:], name=f"{kind} {path}")
 

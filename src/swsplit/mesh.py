@@ -5,7 +5,7 @@ geometry (areas, linear basis gradients) and the boundary node sets
 (open, wall with normals, corner) used by the boundary-condition code;
 its table reader :func:`parse_rows` reads tide, wind and snapshots too.
 
-Mesh file format (whitespace separated, `#` starts a comment line):
+Mesh file format (whitespace separated, comments as :func:`is_data_line` says):
 
     nnodes nelems
     x1 x2 H tag        # one line per node; tag: 0=interior 1=land 2=open
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,10 +167,6 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
                 wall_nodes=wall_nodes, wall_normals=wall_normals, corner_nodes=corner_nodes)
 
 
-# A data line is neither blank nor a `#` comment.
-_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
-
-
 def load_mesh(path, h_min=DEFAULT_H_MIN) -> Mesh:
     """Parse the plain-text mesh format and return a validated Mesh."""
     coords, depth, tags, triangles = _read_mesh(path)
@@ -181,14 +176,14 @@ def load_mesh(path, h_min=DEFAULT_H_MIN) -> Mesh:
 def _read_mesh(path):
     """Node and element arrays of a mesh file, one conversion per block.
 
-    Only arrays are returned, so the file text and its line list are
-    freed before :func:`build_mesh` allocates the geometry.
+    Only arrays are returned, so the data-line list is freed before
+    :func:`build_mesh` allocates the geometry.
     """
-    text, lines = data_lines(path)
+    lines = data_lines(path)
     if not lines:
         raise MeshError(f"{path}: empty mesh file")
 
-    nnodes, nelems = parse_rows(path, text, lines, 0, 1, (int, int),
+    nnodes, nelems = parse_rows(path, lines, 0, 1, (int, int),
                                 "header `nnodes nelems`", MeshError)[0].tolist()
     if nnodes < 3 or nelems < 1:
         raise MeshError(f"{path}: need at least 3 nodes and 1 element")
@@ -196,22 +191,26 @@ def _read_mesh(path):
     if len(lines) != expected:
         raise MeshError(f"{path}: expected {expected} data lines, found {len(lines)}")
 
-    nodes = parse_rows(path, text, lines, 1, nnodes, (float, float, float, int),
+    nodes = parse_rows(path, lines, 1, nnodes, (float, float, float, int),
                        "node line", MeshError)
-    triangles = parse_rows(path, text, lines, 1 + nnodes, nelems, (int, int, int),
+    triangles = parse_rows(path, lines, 1 + nnodes, nelems, (int, int, int),
                            "element line", MeshError).view(int).reshape(nelems, 3)
     coords = np.column_stack([nodes["f0"], nodes["f1"]])
     return coords, nodes["f2"], nodes["f3"], triangles
 
 
+def is_data_line(line):
+    """Whether ``line`` holds data: its first non-blank character is not ``#``."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
 def data_lines(path):
-    """The text of ``path`` and its data lines, neither blank nor ``#`` comments."""
+    """The data lines of ``path``, newlines kept, read one line at a time."""
     with open(path) as fh:
-        text = fh.read()
-    return text, _DATA_LINE.findall(text)
+        return [line for line in fh if is_data_line(line)]
 
 
-def parse_rows(path, text, lines, first, count, kinds, what, error, delimiter=None):
+def parse_rows(path, lines, first, count, kinds, what, error, delimiter=None):
     """Data lines ``first .. first + count - 1`` as one structured array
     of fields typed ``kinds``, split on ``delimiter`` (None: whitespace).
 
@@ -232,9 +231,10 @@ def parse_rows(path, text, lines, first, count, kinds, what, error, delimiter=No
             lo = mid
         else:
             hi = mid
-    match = next(itertools.islice(_DATA_LINE.finditer(text), first + lo, None))
-    lineno = text.count("\n", 0, match.start()) + 1
-    tokens = block[lo].split(delimiter)
+    with open(path) as fh:             # number the bad line by reading the file again
+        numbered = (n for n, line in enumerate(fh, 1) if is_data_line(line))
+        lineno = next(itertools.islice(numbered, first + lo, None))
+    tokens = block[lo].rstrip("\n").split(delimiter)
     if len(tokens) != len(kinds):
         raise error(f"{path}:{lineno}: expected {what} "
                     f"({len(kinds)} fields), got {len(tokens)}")

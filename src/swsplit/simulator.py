@@ -410,12 +410,12 @@ def load_snapshot(path, mesh: Mesh) -> State:
     written on another mesh is refused even when the node counts agree.
     """
     n_nodes = mesh.n_nodes
-    text, lines = data_lines(path)
+    lines = data_lines(path)
     if not lines or lines[0].strip() != "node,x1,x2,eta,u1,u2":
         raise ValueError(f"{path}: not a snapshot file")
     if len(lines) == 1:
         raise ValueError(f"{path}: no row for node 0")
-    rows = parse_rows(path, text, lines, 1, len(lines) - 1, (int,) + (float,) * 5,
+    rows = parse_rows(path, lines, 1, len(lines) - 1, (int,) + (float,) * 5,
                       "snapshot row", ValueError, delimiter=",")
     ids = rows["f0"]
     bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))

@@ -218,11 +218,11 @@ def test_criterion_10_determinism(tmp_path):
         for out in ("a", "b"):
             assert main(["run", "-c", cfg,
                          "--set", f"out_dir={tmp_path / out}"]) == 0
-        names = sorted(p.name for p in (tmp_path / "a").iterdir()
-                       if p.name.startswith(("snap_", "gauge_")))
-        assert names, "no output files produced"
-        assert names == sorted(p.name for p in (tmp_path / "b").iterdir()
-                               if p.name.startswith(("snap_", "gauge_")))
+        # every file the run writes, run.log and summary.txt included
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert {"run.log", "summary.txt", "gauge_7.csv", "gauge_12.csv",
+                "snap_0.csv", "snap_5.csv"} <= set(names), names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), f"{name} differs"

@@ -1,4 +1,6 @@
 import logging
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 
 from helpers import (basis_gradients, eval_basis, loop_mesh_geometry, mesh_text,
                      random_triangle, rect_mesh, rect_mesh_arrays, token_parse)
+from swsplit.config import parse_config_text
 from swsplit.forcing import ForcingError, load_tide, load_wind
-from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges,
-                          build_mesh, load_mesh, triangle_geometry)
+from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges, build_mesh,
+                          data_lines, load_mesh, triangle_geometry)
 from swsplit.simulator import load_snapshot
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
@@ -321,6 +324,40 @@ class TestOneTableReader:
 
     def test_empty_snapshot_field(self, tmp_path):
         self.check(tmp_path, "snapshot", "", "{path}:5: bad value '' in {what}")
+
+
+# The data-line pattern the table reader once matched against the whole
+# file text; it stays here as the oracle for the line-by-line rule.
+OLD_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+
+# Config lines that are also odd table lines: indented comments, blank
+# lines of tabs and form feeds, and a `#` after data, which is data.
+COMMENT_RULE_LINES = ["# a run", "  # tau=6", "\t# tau=7", "\t\f\t", "\f", "", "#",
+                      "  tau = 5  ", "out_dir=run#1", "\teta0=0.25", " \f# eta0=9", " # ",
+                      "duration=600"]
+
+
+class TestCommentRule:
+    """One rule, :func:`is_data_line`, picks the data lines of every input."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("last_newline", [True, False], ids=["ended", "unended"])
+    def test_data_lines_match_old_pattern(self, tmp_path, newline, last_newline):
+        text = newline.join(COMMENT_RULE_LINES) + (newline if last_newline else "")
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode())
+        got = [line.rstrip("\n") for line in data_lines(path)]
+        assert got == OLD_DATA_LINE.findall(path.read_text())
+        assert got == ["  tau = 5  ", "out_dir=run#1", "\teta0=0.25", "duration=600"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_config_skips_the_same_lines(self, newline):
+        # a comment read as data would be an unknown key `# tau`
+        cfg = parse_config_text(newline.join(COMMENT_RULE_LINES), base_dir="/base")
+        assert cfg.run_config.tau == 5.0
+        assert cfg.run_config.duration == 600.0
+        assert cfg.eta0 == 0.25
+        assert cfg.out_dir == os.path.normpath("/base/run#1")
 
 
 class TestBuildMeshErrors:
