@@ -12,7 +12,7 @@ from types import ModuleType as _ModuleType
 
 from .config import Config, ConfigError, load_config
 from .explicit_step import taylor_galerkin_increment
-from .fem import AssemblyError, FemMatrices, assemble, helmholtz_matrix, lump
+from .fem import FemMatrices, assemble, helmholtz_matrix
 from .forcing import Forcings, ForcingError, TimeSeries, load_tide, load_wind
 from .implicit_step import (ElevationSolver, LinearSolveStats, SolverError,
                             apply_boundaries, conjugate_gradient, elevation_rhs,

@@ -10,6 +10,7 @@ a config is read, which applies every range and divisibility rule.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -88,9 +89,11 @@ def _parse_pair(text, where=""):
 
 
 def parse_config_text(text, base_dir=".", where="<config>") -> Config:
-    """Parse key=value lines into a validated Config."""
+    """Parse key=value lines into a validated Config.
+
+    Lines end where a file's lines do, at LF, CRLF or a lone CR only."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not is_data_line(line):
             continue
         key, value = _parse_pair(line.strip(), f"{where}:{lineno}: ")

@@ -29,16 +29,12 @@ import scipy.sparse as sp
 from .mesh import Mesh
 
 
-class AssemblyError(RuntimeError):
-    """Inconsistent matrix produced from a supposedly valid mesh."""
-
-
 @dataclass(frozen=True)
 class FemMatrices:
     """Assembled global operators on one mesh (CSR, immutable), built once per run."""
 
     M: sp.csr_matrix        # consistent mass, symmetric positive definite
-    M_L: np.ndarray         # lumped mass diagonal (row sums of M)
+    M_L: np.ndarray         # lumped mass diagonal (row sums of M), > 0 on a built mesh
     G: sp.csr_matrix        # M_L^-1 (M_L + P) kron I_2 = I + M_L^-1 P, the sub-step's
                             # projection on the floats (re, im, ...) of u1 + i u2: row i
                             # on the even columns in row 2i, on the odd ones in row 2i+1
@@ -85,7 +81,7 @@ def assemble(mesh: Mesh) -> FemMatrices:
     gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
     hbar = mesh.depth[mesh.triangles].mean(axis=1)
     M = csr(area_el * _MASS_PATTERN)
-    M_L = lump(M)
+    M_L = np.asarray(M.sum(axis=1)).ravel()
     G = csr(area_el * _G_PATTERN)
     G.data /= np.repeat(M_L, np.diff(indptr))
     S = csr((areas * hbar)[:, None, None] * (gx[:, :, None] * gx[:, None, :]
@@ -100,14 +96,6 @@ def assemble(mesh: Mesh) -> FemMatrices:
                          np.concatenate((indptr, indptr[1:] + G.nnz))), shape=(2 * n, 2 * n))
     G = two[np.arange(2 * n).reshape(2, n).T.ravel()]
     return FemMatrices(M=M, M_L=M_L, G=G, S=S, Q1=Q1, Q2=Q2)
-
-
-def lump(M: sp.csr_matrix) -> np.ndarray:
-    """Row-sum lumped mass diagonal; every entry must be positive."""
-    diag = np.asarray(M.sum(axis=1)).ravel()
-    if np.any(diag <= 0.0):
-        raise AssemblyError("non-positive lumped mass entry")
-    return diag
 
 
 def helmholtz_matrix(matrices: FemMatrices, tau_tilde, theta1, theta2, g) -> sp.csr_matrix:

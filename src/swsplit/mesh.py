@@ -38,23 +38,23 @@ class MeshError(ValueError):
 
 
 def triangle_geometry(coords):
-    """Area and P1 basis gradients of one triangle or of a batch.
+    """Areas and P1 basis gradients of a batch of triangles.
 
     Parameters
     ----------
-    coords : (..., 3, 2) array
-        Vertex coordinates, any orientation; leading axes index triangles.
+    coords : (n_tris, 3, 2) array
+        Vertex coordinates of each triangle, any orientation.
 
     Returns
     -------
-    area : float, or (...) ndarray for a batch
-        Unsigned triangle area.
-    grads : (..., 3, 2) ndarray
-        Gradient of each vertex basis function; grads[..., i, :] is
-        constant over the element and satisfies phi_i(v_j) = delta_ij.
+    areas : (n_tris,) ndarray
+        Unsigned triangle areas.
+    grads : (n_tris, 3, 2) ndarray
+        Gradient of each vertex basis function; grads[t, i, :] is
+        constant over triangle t and satisfies phi_i(v_j) = delta_ij.
 
     Raises :class:`MeshError` for an area below ``DEGENERATE_AREA``,
-    naming the first such triangle of a batch.
+    naming the first such triangle.
     """
     coords = np.asarray(coords, dtype=float)
     x, y = coords[..., 0], coords[..., 1]
@@ -64,8 +64,7 @@ def triangle_geometry(coords):
     area = 0.5 * np.abs(twice_signed)
     bad = np.flatnonzero(area < DEGENERATE_AREA)
     if bad.size:
-        where = f"triangle {bad[0]}: " if coords.ndim > 2 else ""
-        raise MeshError(f"{where}degenerate triangle, area {area.flat[bad[0]]:g} m^2")
+        raise MeshError(f"triangle {bad[0]}: degenerate triangle, area {area[bad[0]]:g} m^2")
     grads = np.empty(coords.shape)
     grads[..., 1, 0] = (y[..., 2] - y[..., 0]) / twice_signed
     grads[..., 1, 1] = (x[..., 0] - x[..., 2]) / twice_signed
@@ -73,7 +72,7 @@ def triangle_geometry(coords):
     grads[..., 2, 1] = (x[..., 1] - x[..., 0]) / twice_signed
     # First gradient closes the partition of unity exactly in floating point.
     grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :])
-    return (float(area) if coords.ndim == 2 else area), grads
+    return area, grads
 
 
 @dataclass(frozen=True)

@@ -139,18 +139,8 @@ class RunSummary:
 
 @dataclass
 class StepInfo:
-    """Increments and diagnostics of one outer step.
+    """Diagnostics of one outer step."""
 
-    The update decomposes as new = old + source increment + wave
-    increment, then boundary data are applied; the pieces here let a
-    caller rebuild the step exactly.  ``d_star`` is the complex source
-    increment d_u1* + i d_u2*.
-    """
-
-    d_star: np.ndarray
-    d_eta: np.ndarray
-    d_u1_corr: np.ndarray
-    d_u2_corr: np.ndarray
     cg: LinearSolveStats
     gate: GateVerdict
     clamped_nodes: int      # H + eta < h_min at the step start: drag and wind read h_min
@@ -246,8 +236,7 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     apply_boundaries(new_state, mesh, eta_open)
     new_state.check()
     clamped = int(np.count_nonzero(mesh.depth + state.eta < params.h_min))
-    return new_state, StepInfo(d_star=d_star, d_eta=d_eta, d_u1_corr=d_u1c, d_u2_corr=d_u2c,
-                               cg=cg_stats, gate=verdict, clamped_nodes=clamped)
+    return new_state, StepInfo(cg=cg_stats, gate=verdict, clamped_nodes=clamped)
 
 
 def mass_integral(eta, matrices: FemMatrices) -> float:

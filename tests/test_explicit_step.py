@@ -253,13 +253,9 @@ class TestTaylorGalerkinIncrement:
         assert calls == []
 
     def test_elevation_never_touched(self, params):
-        # the sub-step reads no elevation and returns velocities only; the
-        # step's source increment has no elevation component at all
+        # the sub-step reads no elevation and returns velocities only
         mesh = two_triangle_square(depth=0.2)
         state = uniform_state(mesh, 0.2, 0.1)
         d_u1, d_u2 = substep_increment(state, (0.0, 0.0), assemble(mesh), params, 1.0,
                                        frozen_coefficients(state.eta, mesh, params))
         assert d_u1.shape == d_u2.shape == (mesh.n_nodes,)
-        cfg = RunConfig(tau=1.0, tau_tilde=2.0, gate_mode="off")
-        _, info = advance(mesh, state, params, cfg, Forcings(), 1)
-        assert info.d_star.dtype == complex and info.d_star.shape == (mesh.n_nodes,)

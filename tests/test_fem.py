@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from helpers import (coo_operators, dense_global_oracle, element_matrices_oracle,
                      jittered_mesh, random_triangle, rect_mesh, rect_mesh_arrays,
                      two_triangle_square, unit_triangle_mesh)
-from swsplit.fem import AssemblyError, assemble, helmholtz_matrix, lump
-from swsplit.mesh import INTERIOR, LAND, build_mesh, load_mesh
+from swsplit.fem import assemble, helmholtz_matrix
+from swsplit.mesh import DEGENERATE_AREA, INTERIOR, LAND, build_mesh, load_mesh
 from swsplit.simulator import RunConfig
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
@@ -65,10 +65,22 @@ class TestLumping:
         m = assemble(mesh)
         assert m.M_L.sum() == pytest.approx(mesh.areas.sum(), rel=1e-13)
 
-    def test_nonpositive_rejected(self):
-        bad = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
-        with pytest.raises(AssemblyError):
-            lump(bad)
+    @pytest.mark.parametrize("case", ["sliver", "jittered-0", "jittered-1"])
+    def test_positive_and_a_third_of_each_adjacent_area(self, case):
+        # build_mesh refuses unused nodes and areas below DEGENERATE_AREA,
+        # so every lumped mass is a sum of positive terms A/3
+        if case == "sliver":
+            # the unit square and, below its bottom edge, a 2e-12 m^2 sliver
+            mesh = build_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, -4e-12]],
+                              [[0, 1, 2], [0, 2, 3], [0, 4, 1]], [1.0] * 5, [LAND] * 5)
+            assert DEGENERATE_AREA < mesh.areas.min() < 3.0 * DEGENERATE_AREA
+        else:
+            mesh = jittered_mesh(7, 6, np.random.default_rng(int(case[-1])))
+        M_L = assemble(mesh).M_L
+        assert np.all(M_L > 0.0)
+        thirds = np.bincount(mesh.triangles.ravel(), weights=np.repeat(mesh.areas / 3.0, 3),
+                             minlength=mesh.n_nodes)
+        assert np.allclose(M_L, thirds, rtol=1e-15, atol=0.0)
 
 
 class TestGlobalProperties:

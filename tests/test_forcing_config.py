@@ -164,6 +164,27 @@ class TestConfig:
         cfg = parse_config_text("# a comment\n\n  tau=1.5\n tau_tilde = 150\n")
         assert cfg.run_config.tau == 1.5 and cfg.run_config.tau_tilde == 150.0
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbers_are_file_lines(self, tmp_path, newline):
+        # a blank line of tab, form feed, tab is one line, as in the file
+        text = newline.join(["tau=3", "\t\f\t", "bogus", ""])
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(text)
+        assert str(excinfo.value) == "<config>:3: expected key=value, got 'bogus'"
+        path = tmp_path / "run.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}:3: expected key=value, got 'bogus'"
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"],
+                             ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+    def test_only_newlines_end_a_line(self, brk):
+        # str.splitlines would read this as a valid tau_tilde and duration
+        with pytest.raises(ConfigError, match=r"^<config>:2: bad value for tau_tilde: "):
+            parse_config_text(f"tau=3\ntau_tilde=300{brk}duration=600\n")
+
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("tau=three\n")
