@@ -17,7 +17,7 @@ from .forcing import Forcings, ForcingError, TimeSeries, load_tide, load_wind
 from .implicit_step import (ElevationSolver, LinearSolveStats, SolverError,
                             apply_boundaries, conjugate_gradient, elevation_rhs,
                             solve_elevation, velocity_correction)
-from .mesh import Mesh, MeshError, build_mesh, load_mesh, triangle_geometry
+from .mesh import Mesh, MeshError, build_mesh, load_mesh
 from .simulator import (GateError, GateVerdict, OutputWriter, RunConfig,
                         RunSummary, load_snapshot, mass_integral, run,
                         stability_gate, step)

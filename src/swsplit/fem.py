@@ -1,7 +1,9 @@
 """Global sparse P1 matrices: mass, lumped mass, the sub-step projection,
 depth-weighted stiffness and the two gradient matrices.
 
-Element contributions (area A, basis gradients grad phi_i constant):
+The element geometry is derived here, once per assembly, from the CCW
+triangles of :func:`swsplit.mesh.build_mesh`: area A and the basis
+gradients grad phi_i, constant on each element.  Element contributions:
 
     mass      (A/12) * [[2,1,1],[1,2,1],[1,1,2]]
     M_L + P   (A/9) * [[4,1,1],[1,4,1],[1,1,4]] (P: element-mean operator);
@@ -47,13 +49,32 @@ _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 _G_PATTERN = (np.ones((3, 3)) + 3.0 * np.eye(3)) / 9.0
 
 
+def _triangle_geometry(coords):
+    """Areas (n_tris,) and P1 basis gradients (n_tris, 3, 2) of the
+    triangles with vertices ``coords`` (n_tris, 3, 2); ``grads[t, i]`` is
+    the gradient of vertex i's basis function on triangle t.  The areas
+    are signed, positive for CCW triangles; the gradients hold either way."""
+    x, y = coords[..., 0], coords[..., 1]
+    e1x, e1y = x[..., 1] - x[..., 0], y[..., 1] - y[..., 0]
+    e2x, e2y = x[..., 2] - x[..., 0], y[..., 2] - y[..., 0]
+    twice_area = e1x * e2y - e1y * e2x      # build_mesh leaves it >= 2 DEGENERATE_AREA
+    grads = np.empty(coords.shape)
+    grads[..., 1, 0] = (y[..., 2] - y[..., 0]) / twice_area
+    grads[..., 1, 1] = (x[..., 0] - x[..., 2]) / twice_area
+    grads[..., 2, 0] = (y[..., 0] - y[..., 1]) / twice_area
+    grads[..., 2, 1] = (x[..., 1] - x[..., 0]) / twice_area
+    # First gradient closes the partition of unity exactly in floating point.
+    grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :])
+    return 0.5 * twice_area, grads
+
+
 def _pattern(mesh: Mesh):
     """The P1 node-adjacency pattern: sorted CSR ``indptr`` and ``indices``
     and, per element entry (e, i, j) in C order, its slot in them."""
     tris = mesh.triangles
     n = mesh.n_nodes
     keys = (tris[:, :, None] * n + tris[:, None, :]).ravel()
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")   # runs of presorted keys: faster than quicksort
     keys = keys[order]
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     slot = np.empty(len(keys), dtype=np.int32)
@@ -76,9 +97,9 @@ def assemble(mesh: Mesh) -> FemMatrices:
         data = np.bincount(slot, weights=np.ravel(el), minlength=len(indices))
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    areas = mesh.areas
+    areas, grads = _triangle_geometry(mesh.coords[mesh.triangles])
     area_el = areas[:, None, None]
-    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
     hbar = mesh.depth[mesh.triangles].mean(axis=1)
     M = csr(area_el * _MASS_PATTERN)
     M_L = np.asarray(M.sum(axis=1)).ravel()
@@ -89,6 +110,7 @@ def assemble(mesh: Mesh) -> FemMatrices:
     # (A/3) * d(phi_j)/dx_k, identical for each of the three test indices i
     Q1 = csr(np.repeat((areas / 3.0)[:, None] * gx, 3, axis=0))
     Q2 = csr(np.repeat((areas / 3.0)[:, None] * gy, 3, axis=0))
+    del areas, area_el, grads, gx, gy, hbar   # freed before the peak, G kron I_2's layout
     # G kron I_2 last: while S's and Q's element temporaries live, G is half the size.
     # Rows 0..n-1 hold G on the even columns (u1), rows n..2n-1 on the odd
     # ones (u2); the row gather 0, n, 1, n+1, ... interleaves them.

@@ -1,9 +1,10 @@
 """Unstructured P1 triangular meshes with bathymetry and boundary tags.
 
-Provides loading/validation of the plain-text mesh format, per-element
-geometry (areas, linear basis gradients) and the boundary node sets
-(open, wall with normals, corner) used by the boundary-condition code;
-its table reader :func:`parse_rows` reads tide, wind and snapshots too.
+Provides loading/validation of the plain-text mesh format, counter-clockwise
+triangles and the boundary node sets (open, wall with normals, corner) used
+by the boundary-condition code; the element geometry (areas, basis
+gradients) is :mod:`swsplit.fem`'s.  Its table reader :func:`parse_rows`
+reads tide, wind and snapshots too.
 
 Mesh file format (whitespace separated, comments as :func:`is_data_line` says):
 
@@ -37,58 +38,20 @@ class MeshError(ValueError):
     """Malformed mesh file or invalid mesh data."""
 
 
-def triangle_geometry(coords):
-    """Areas and P1 basis gradients of a batch of triangles.
-
-    Parameters
-    ----------
-    coords : (n_tris, 3, 2) array
-        Vertex coordinates of each triangle, any orientation.
-
-    Returns
-    -------
-    areas : (n_tris,) ndarray
-        Unsigned triangle areas.
-    grads : (n_tris, 3, 2) ndarray
-        Gradient of each vertex basis function; grads[t, i, :] is
-        constant over triangle t and satisfies phi_i(v_j) = delta_ij.
-
-    Raises :class:`MeshError` for an area below ``DEGENERATE_AREA``,
-    naming the first such triangle.
-    """
-    coords = np.asarray(coords, dtype=float)
-    x, y = coords[..., 0], coords[..., 1]
-    e1x, e1y = x[..., 1] - x[..., 0], y[..., 1] - y[..., 0]
-    e2x, e2y = x[..., 2] - x[..., 0], y[..., 2] - y[..., 0]
-    twice_signed = e1x * e2y - e1y * e2x
-    area = 0.5 * np.abs(twice_signed)
-    bad = np.flatnonzero(area < DEGENERATE_AREA)
-    if bad.size:
-        raise MeshError(f"triangle {bad[0]}: degenerate triangle, area {area[bad[0]]:g} m^2")
-    grads = np.empty(coords.shape)
-    grads[..., 1, 0] = (y[..., 2] - y[..., 0]) / twice_signed
-    grads[..., 1, 1] = (x[..., 0] - x[..., 2]) / twice_signed
-    grads[..., 2, 0] = (y[..., 0] - y[..., 1]) / twice_signed
-    grads[..., 2, 1] = (x[..., 1] - x[..., 0]) / twice_signed
-    # First gradient closes the partition of unity exactly in floating point.
-    grads[..., 0, :] = -(grads[..., 1, :] + grads[..., 2, :])
-    return area, grads
-
-
 @dataclass(frozen=True)
 class Mesh:
-    """Validated triangulation with precomputed P1 geometry and boundary
-    node sets, built complete by :func:`build_mesh` and never changed.
+    """Validated CCW triangulation and boundary node sets, built complete
+    by :func:`build_mesh` and never changed.
 
-    Geometry only; the operators on it are :class:`swsplit.fem.FemMatrices`.
+    Node data and topology only; :func:`swsplit.fem.assemble` derives the
+    element areas and basis gradients, and the operators on them are
+    :class:`swsplit.fem.FemMatrices`.
     """
 
     coords: np.ndarray      # (n_nodes, 2)
     depth: np.ndarray       # (n_nodes,) stationary depth H, clamped to h_min
     tags: np.ndarray        # (n_nodes,) INTERIOR/LAND/OPEN
     triangles: np.ndarray   # (n_tris, 3) CCW vertex indices
-    areas: np.ndarray = field(repr=False)
-    grads: np.ndarray = field(repr=False)          # (n_tris, 3, 2)
     open_nodes: np.ndarray = field(repr=False)     # tagged OPEN, ascending
     # boundary land nodes, ascending: on a straight wall, with unit outward
     # normals (n_walls, 2), or corners, clamped to zero velocity instead
@@ -106,7 +69,7 @@ class Mesh:
 
 
 def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
-    """Validate raw arrays and derive element geometry.
+    """Validate raw arrays, orient the triangles and derive the boundary sets.
 
     Clockwise triangles are reoriented (with a warning), depths below
     ``h_min`` are clamped (with a warning), degenerate elements, bad
@@ -148,7 +111,8 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
                     n_shallow, h_min, n_nonpos)
         depth = np.maximum(depth, h_min)
 
-    # orientation fix, then geometry
+    # orientation fix, then the area floor: reversing a triangle only flips
+    # the sign of its twice-signed area, bit for bit
     p0 = coords[triangles[:, 0]]
     p1 = coords[triangles[:, 1]]
     p2 = coords[triangles[:, 2]]
@@ -158,11 +122,14 @@ def build_mesh(coords, triangles, depth, tags, h_min=DEFAULT_H_MIN) -> Mesh:
     if np.any(cw):
         log.warning("reorienting %d clockwise triangles to CCW", int(np.sum(cw)))
         triangles[cw] = triangles[cw][:, [0, 2, 1]]
+    area = 0.5 * np.abs(twice_signed)
+    bad = np.flatnonzero(area < DEGENERATE_AREA)
+    if bad.size:
+        raise MeshError(f"triangle {bad[0]}: degenerate triangle, area {area[bad[0]]:g} m^2")
 
-    areas, grads = triangle_geometry(coords[triangles])
     wall_nodes, wall_normals, corner_nodes = _boundary_normals(coords, tags, triangles)
     return Mesh(coords=coords, depth=depth, tags=tags, triangles=triangles,
-                areas=areas, grads=grads, open_nodes=np.flatnonzero(tags == OPEN),
+                open_nodes=np.flatnonzero(tags == OPEN),
                 wall_nodes=wall_nodes, wall_normals=wall_normals, corner_nodes=corner_nodes)
 
 
@@ -176,7 +143,7 @@ def _read_mesh(path):
     """Node and element arrays of a mesh file, one conversion per block.
 
     Only arrays are returned, so the data-line list is freed before
-    :func:`build_mesh` allocates the geometry.
+    :func:`build_mesh` runs.
     """
     lines = data_lines(path)
     if not lines:

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from swsplit.config import Config
 from swsplit.explicit_step import sub_cycle_work, taylor_galerkin_increment
-from swsplit.fem import assemble
+from swsplit.fem import _triangle_geometry, assemble
 from swsplit.mesh import INTERIOR, LAND, OPEN, Mesh, build_mesh
 from swsplit.simulator import RunConfig, elevation_solver, step
 from swsplit.stability import PhysicalParams
@@ -100,6 +100,11 @@ def jittered_channel(nx, ny, Lx, Ly, rng) -> Mesh:
     coords[interior] += rng.uniform(-0.2 * h, 0.2 * h, size=(interior.sum(), 2))
     tags[(coords[:, 0] == 0.0) & (tags == LAND)] = OPEN
     return build_mesh(coords, tris, 6.0 - 5.5 * coords[:, 0] / Lx, tags)
+
+
+def element_geometry(mesh: Mesh):
+    """The element areas and basis gradients that ``assemble`` derives."""
+    return _triangle_geometry(mesh.coords[mesh.triangles])
 
 
 def unit_triangle_mesh(depth=1.0) -> Mesh:
@@ -238,7 +243,7 @@ def coo_operators(mesh: Mesh):
         mat.sort_indices()
         return mat
 
-    areas, grads = mesh.areas, mesh.grads
+    areas, grads = element_geometry(mesh)
     area_el = areas[:, None, None]
     shape = (len(tris), 3, 3)
     M = scatter(area_el * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
@@ -262,7 +267,7 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
     by its own lumped area (a third of each element's area per vertex).
     """
     tris = mesh.triangles
-    areas = mesh.areas
+    areas = element_geometry(mesh)[0]
     w = r_half + r_start
     w_el = w[tris]                       # (E, 3)
     w_sum = w_el.sum(axis=1)
@@ -351,8 +356,8 @@ def token_parse(path):
 def loop_mesh_geometry(coords, triangles, tags):
     """Derived mesh arrays built one triangle and one edge at a time.
 
-    Returns the CCW triangles, areas and gradients that ``build_mesh``
-    derives, and per node a boundary flag, a corner flag and the mean
+    Returns the CCW triangles that ``build_mesh`` derives, the areas and
+    gradients that ``assemble`` derives from them, and per node a boundary flag, a corner flag and the mean
     outward normal (zero at corners), from a loop over triangles and a
     Python-set walk over the directed edges.
     """

@@ -6,18 +6,64 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (coo_operators, dense_global_oracle, element_matrices_oracle,
-                     jittered_mesh, random_triangle, rect_mesh, rect_mesh_arrays,
-                     two_triangle_square, unit_triangle_mesh)
-from swsplit.fem import assemble, helmholtz_matrix
+from helpers import (basis_gradients, coo_operators, dense_global_oracle, element_geometry,
+                     element_matrices_oracle, eval_basis, jittered_mesh, random_triangle,
+                     rect_mesh, rect_mesh_arrays, two_triangle_square, unit_triangle_mesh)
+from swsplit.fem import _triangle_geometry, assemble, helmholtz_matrix
 from swsplit.mesh import DEGENERATE_AREA, INTERIOR, LAND, build_mesh, load_mesh
 from swsplit.simulator import RunConfig
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
 
+UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
 
 def single_triangle_mesh(pts, depth3):
     return build_mesh(pts, [[0, 1, 2]], depth3, [LAND] * 3)
+
+
+class TestTriangleGeometry:
+    def test_unit_right_triangle(self):
+        area, grads = _triangle_geometry(UNIT_TRI[None])
+        assert area.shape == (1,) and grads.shape == (1, 3, 2)
+        assert area[0] == 0.5
+        assert np.array_equal(grads[0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_scaling_law(self):
+        area, grads = _triangle_geometry(2.0 * UNIT_TRI[None])
+        assert area[0] == 2.0
+        base_area, base_grads = _triangle_geometry(UNIT_TRI[None])
+        assert np.allclose(grads[0], base_grads[0] / 2.0)
+
+    def test_gradients_reproduce_linear_fields(self, rng):
+        # finite differences of the P1 interpolant are the oracle
+        for _ in range(50):
+            pts = random_triangle(rng)
+            grads = _triangle_geometry(pts[None])[1][0]
+            a, b = rng.uniform(-2, 2, size=2)
+            nodal = a * pts[:, 0] + b * pts[:, 1] + rng.uniform(-1, 1)
+            centroid = pts.mean(axis=0)
+            h = 1e-6
+            probes = np.array([centroid + (h, 0), centroid - (h, 0),
+                               centroid + (0, h), centroid - (0, h)])
+            vals = eval_basis(pts, probes) @ nodal
+            fd = np.array([(vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h)])
+            reconstructed = grads.T @ nodal
+            assert np.allclose(reconstructed, (a, b), rtol=0, atol=1e-12)
+            assert np.allclose(fd, reconstructed, rtol=0, atol=1e-6)
+
+    def test_matches_vandermonde_oracle(self, rng):
+        for _ in range(50):
+            pts = random_triangle(rng)
+            grads = _triangle_geometry(pts[None])[1][0]
+            assert np.allclose(grads, basis_gradients(pts), rtol=0, atol=1e-12)
+
+    def test_partition_of_unity_exact(self, rng):
+        for _ in range(100):
+            pts = random_triangle(rng)
+            grads = _triangle_geometry(pts[None])[1][0]
+            total = grads[0] + (grads[1] + grads[2])
+            assert total[0] == 0.0 and total[1] == 0.0
 
 
 class TestElementValues:
@@ -63,7 +109,7 @@ class TestLumping:
     def test_total_equals_mesh_area(self, rng):
         mesh = jittered_mesh(6, 5, rng)
         m = assemble(mesh)
-        assert m.M_L.sum() == pytest.approx(mesh.areas.sum(), rel=1e-13)
+        assert m.M_L.sum() == pytest.approx(element_geometry(mesh)[0].sum(), rel=1e-13)
 
     @pytest.mark.parametrize("case", ["sliver", "jittered-0", "jittered-1"])
     def test_positive_and_a_third_of_each_adjacent_area(self, case):
@@ -73,12 +119,13 @@ class TestLumping:
             # the unit square and, below its bottom edge, a 2e-12 m^2 sliver
             mesh = build_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, -4e-12]],
                               [[0, 1, 2], [0, 2, 3], [0, 4, 1]], [1.0] * 5, [LAND] * 5)
-            assert DEGENERATE_AREA < mesh.areas.min() < 3.0 * DEGENERATE_AREA
+            assert DEGENERATE_AREA < element_geometry(mesh)[0].min() < 3.0 * DEGENERATE_AREA
         else:
             mesh = jittered_mesh(7, 6, np.random.default_rng(int(case[-1])))
         M_L = assemble(mesh).M_L
         assert np.all(M_L > 0.0)
-        thirds = np.bincount(mesh.triangles.ravel(), weights=np.repeat(mesh.areas / 3.0, 3),
+        areas = element_geometry(mesh)[0]
+        thirds = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas / 3.0, 3),
                              minlength=mesh.n_nodes)
         assert np.allclose(M_L, thirds, rtol=1e-15, atol=0.0)
 
@@ -263,8 +310,9 @@ class TestSharedPattern:
 
 def test_assembly_memory_peak():
     # On one shared pattern assembly's traced peak stays under twice the
-    # bytes it returns (1.80 on this mesh, 2.25 with G kron I_2 built before
-    # S, Q1 and Q2); a COO triplet set scattered per operator peaked at 3.10.
+    # bytes it returns (1.82 on this mesh, 2.05 with the element geometry
+    # still held while G kron I_2 is laid out, 2.25 with G kron I_2 built
+    # before S, Q1 and Q2); a COO triplet set scattered per operator peaked at 3.10.
     mesh = jittered_mesh(71, 71, np.random.default_rng(5))   # 5041 nodes
     assemble(mesh)                     # the first call pays scipy's lazy set-up
     tracemalloc.start()

@@ -1,17 +1,18 @@
 import logging
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (basis_gradients, eval_basis, loop_mesh_geometry, mesh_text,
-                     random_triangle, rect_mesh, rect_mesh_arrays, token_parse)
+from helpers import (element_geometry, eval_basis, jittered_mesh, loop_mesh_geometry,
+                     mesh_text, rect_mesh, rect_mesh_arrays, token_parse)
 from swsplit.config import parse_config_text
 from swsplit.forcing import ForcingError, load_tide, load_wind
 from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges, build_mesh,
-                          data_lines, load_mesh, triangle_geometry)
+                          data_lines, load_mesh)
 from swsplit.simulator import load_snapshot
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
@@ -19,59 +20,11 @@ DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-class TestTriangleGeometry:
-    def test_unit_right_triangle(self):
-        area, grads = triangle_geometry(UNIT_TRI[None])
-        assert area.shape == (1,) and grads.shape == (1, 3, 2)
-        assert area[0] == 0.5
-        assert np.array_equal(grads[0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-    def test_scaling_law(self):
-        area, grads = triangle_geometry(2.0 * UNIT_TRI[None])
-        assert area[0] == 2.0
-        base_area, base_grads = triangle_geometry(UNIT_TRI[None])
-        assert np.allclose(grads[0], base_grads[0] / 2.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(MeshError, match=r"^triangle 0: degenerate triangle, area 0 m\^2$"):
-            triangle_geometry([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
-
-    def test_gradients_reproduce_linear_fields(self, rng):
-        # finite differences of the P1 interpolant are the oracle
-        for _ in range(50):
-            pts = random_triangle(rng)
-            grads = triangle_geometry(pts[None])[1][0]
-            a, b = rng.uniform(-2, 2, size=2)
-            nodal = a * pts[:, 0] + b * pts[:, 1] + rng.uniform(-1, 1)
-            centroid = pts.mean(axis=0)
-            h = 1e-6
-            probes = np.array([centroid + (h, 0), centroid - (h, 0),
-                               centroid + (0, h), centroid - (0, h)])
-            vals = eval_basis(pts, probes) @ nodal
-            fd = np.array([(vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h)])
-            reconstructed = grads.T @ nodal
-            assert np.allclose(reconstructed, (a, b), rtol=0, atol=1e-12)
-            assert np.allclose(fd, reconstructed, rtol=0, atol=1e-6)
-
-    def test_matches_vandermonde_oracle(self, rng):
-        for _ in range(50):
-            pts = random_triangle(rng)
-            grads = triangle_geometry(pts[None])[1][0]
-            assert np.allclose(grads, basis_gradients(pts), rtol=0, atol=1e-12)
-
-    def test_partition_of_unity_exact(self, rng):
-        for _ in range(100):
-            pts = random_triangle(rng)
-            grads = triangle_geometry(pts[None])[1][0]
-            total = grads[0] + (grads[1] + grads[2])
-            assert total[0] == 0.0 and total[1] == 0.0
-
-
 class TestBuildMesh:
     def test_clockwise_fixed(self, caplog):
         with caplog.at_level(logging.WARNING, logger="swsplit.mesh"):
             mesh = build_mesh(UNIT_TRI, [[0, 2, 1]], [1.0] * 3, [LAND] * 3)
-        assert mesh.areas[0] == 0.5
+        assert element_geometry(mesh)[0][0] == 0.5
         assert "reorienting" in caplog.text
         # gradient of each basis still matches the CCW result
         assert np.allclose(sorted(mesh.triangles[0]), [0, 1, 2])
@@ -112,8 +65,27 @@ class TestBuildMesh:
         inv = np.argsort(perm)
         mesh2 = build_mesh(mesh.coords[inv], perm[mesh.triangles],
                            mesh.depth[inv], mesh.tags[inv])
-        assert mesh2.areas.sum() == pytest.approx(mesh.areas.sum(), rel=1e-14)
-        assert mesh.areas.sum() == pytest.approx(2.0, rel=1e-12)
+        areas = element_geometry(mesh)[0]
+        assert element_geometry(mesh2)[0].sum() == pytest.approx(areas.sum(), rel=1e-14)
+        assert areas.sum() == pytest.approx(2.0, rel=1e-12)
+
+    def test_keeps_no_element_geometry(self):
+        # A built mesh holds its node data, triangles and boundary sets; the
+        # element areas and gradients (56 bytes a triangle, 2.37 times these
+        # bytes when the mesh kept them) are assemble's.
+        source = jittered_mesh(71, 71, np.random.default_rng(5))   # 9800 triangles
+        arrays = (source.coords, source.triangles, source.depth, source.tags)
+        build_mesh(*arrays)                # the first call pays numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            mesh = build_mesh(*arrays)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        own = sum(getattr(mesh, name).nbytes for name in (
+            "coords", "depth", "tags", "triangles",
+            "open_nodes", "wall_nodes", "wall_normals", "corner_nodes"))
+        assert kept <= 1.25 * own, kept / own
 
     def test_corner_detection_on_rectangle(self):
         mesh = rect_mesh(4, 4, 1.0, 1.0)
@@ -137,8 +109,9 @@ class TestLoadMesh:
                          comment="hand example")
         mesh = load_mesh(self.write(tmp_path, text))
         assert mesh.n_nodes == 3 and mesh.n_triangles == 1
-        assert mesh.areas[0] == 0.5
-        assert np.array_equal(mesh.grads[0], [[-1, -1], [1, 0], [0, 1]])
+        areas, grads = element_geometry(mesh)
+        assert areas[0] == 0.5
+        assert np.array_equal(grads[0], [[-1, -1], [1, 0], [0, 1]])
 
     def test_open_and_land_tags(self, tmp_path):
         coords, tris, depth, tags = rect_mesh_arrays(3, 3, 1.0, 1.0)
@@ -391,6 +364,14 @@ class TestBuildMeshErrors:
             build_mesh(coords, tris, [1.0] * 6, [LAND] * 6)
         assert str(excinfo.value) == "triangle 2: degenerate triangle, area 5e-13 m^2"
 
+    def test_degenerate_message_same_either_orientation(self):
+        # the area floor is checked after reorientation, which only flips the sign
+        coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 1e-12]]
+        for sliver in ([0, 1, 4], [0, 4, 1]):
+            with pytest.raises(MeshError) as excinfo:
+                build_mesh(coords, [[0, 1, 2], [0, 2, 3], sliver], [1.0] * 5, [LAND] * 5)
+            assert str(excinfo.value) == "triangle 2: degenerate triangle, area 5e-13 m^2"
+
     def test_unused_node_named(self):
         # node 3 lies outside the one triangle: its lumped mass would be 0
         coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]
@@ -480,8 +461,9 @@ class TestMeshOracle:
         assert bitwise_equal(mesh.depth, np.maximum(depth, h_min))
         assert bitwise_equal(mesh.tags, tags)
         oracle = loop_mesh_geometry(coords, triangles, tags)
-        for name in ("triangles", "areas", "grads"):
-            assert bitwise_equal(getattr(mesh, name), oracle[name]), name
+        areas, grads = element_geometry(mesh)
+        for name, got in (("triangles", mesh.triangles), ("areas", areas), ("grads", grads)):
+            assert bitwise_equal(got, oracle[name]), name
         land = oracle["boundary"] & (tags == LAND)
         walls = np.flatnonzero(land & ~oracle["corner"])
         assert bitwise_equal(mesh.wall_nodes, walls)
@@ -556,8 +538,9 @@ def test_interpolation_exactness_random_mesh(rng):
     mesh = jittered_mesh(5, 5, rng)
     a, b, c = 0.7, -1.3, 0.25
     nodal = a * mesh.coords[:, 0] + b * mesh.coords[:, 1] + c
+    grads = element_geometry(mesh)[1]
     for t, tri in enumerate(mesh.triangles):
-        grad = mesh.grads[t].T @ nodal[tri]
+        grad = grads[t].T @ nodal[tri]
         assert np.allclose(grad, (a, b), rtol=0, atol=1e-12)
         mid = mesh.coords[tri].mean(axis=0)
         interp = (eval_basis(mesh.coords[tri], mid[None, :]) @ nodal[tri]).item()
