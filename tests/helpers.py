@@ -357,9 +357,10 @@ def loop_mesh_geometry(coords, triangles, tags):
     """Derived mesh arrays built one triangle and one edge at a time.
 
     Returns the CCW triangles that ``build_mesh`` derives, the areas and
-    gradients that ``assemble`` derives from them, and per node a boundary flag, a corner flag and the mean
-    outward normal (zero at corners), from a loop over triangles and a
-    Python-set walk over the directed edges.
+    gradients that ``assemble`` derives from them, and per node a boundary
+    flag, a corner flag and the mean outward normal (zero at corners),
+    from a loop over triangles and a Python-set walk over the directed
+    edges.
     """
     from swsplit.mesh import CORNER_ANGLE_COS
     coords = np.asarray(coords, dtype=float)
