@@ -37,6 +37,10 @@ GATE_MODES = ("enforce", "warn", "off")
 # a minimal drag instead of refusing everything
 U_FLOOR = 1e-3  # m/s
 
+# a snapshot's first line gives its time, its column line follows
+CLOCK_PREFIX = "# t="
+SNAPSHOT_HEADER = "node,x1,x2,eta,u1,u2"
+
 
 def format_value(value) -> str:
     """The one rendering of a value in every key=value output: booleans
@@ -248,12 +252,15 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
         cfg: RunConfig, forcings: Forcings, sinks=None) -> RunSummary:
     """Advance duration / tau_tilde outer steps, tracking diagnostics.
 
-    ``sinks`` is an optional :class:`OutputWriter`; it receives the
-    summary, complete or partial, when the run ends.  On a gate refusal
-    or solver fault the partial summary is also attached to the raised
-    exception.  The elevation solver is built once, after the initial
-    output, so its cost falls in the first step's interval and a run
-    with no steps never builds it.  The mass drift is relative to
+    Steps are numbered on from round(state.t / tau_tilde), so a restart
+    names its snapshots and log lines as the unbroken run would;
+    ``summary.steps`` counts this run's steps.  ``sinks`` is an optional
+    :class:`OutputWriter`; it receives the summary, complete or
+    partial, when the run ends.  On a gate refusal or solver fault the
+    partial summary is also attached to the raised exception.  The
+    elevation solver is built once, after the initial output, so its
+    cost falls in the first step's interval and a run with no steps
+    never builds it.  The mass drift is relative to
     |initial mass|, or, when that is 0, to the largest |mass| of the run
     (1 if the mass never leaves 0).
     """
@@ -271,14 +278,15 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
     summary.mass_final = mass0
     try:
         check_forcing_coverage(state.t, mesh, cfg, forcings)
+        k0 = round(state.t / cfg.tau_tilde)
         if sinks is not None:
-            sinks.snapshot(0, state)
+            sinks.snapshot(k0, state)
             sinks.gauges(state)
         if cfg.n_steps:
             solver = elevation_solver(matrices, mesh, cfg, params.g)
-        for k in range(1, cfg.n_steps + 1):
+        for k in range(k0 + 1, k0 + cfg.n_steps + 1):
             state, info = step(state, mesh, matrices, params, cfg, forcings, solver)
-            summary.steps = k
+            summary.steps = k - k0
             track(state)
             if info.gate is not None and not info.gate.passed:
                 summary.gate_violations += 1
@@ -295,7 +303,7 @@ def run(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams,
             if sinks is not None:
                 sinks.log_step(k, state.t, mass, info)
                 sinks.gauges(state)
-                if k == cfg.n_steps or _is_multiple(state.t, cfg.snapshot_interval):
+                if k == k0 + cfg.n_steps or _is_multiple(state.t, cfg.snapshot_interval):
                     sinks.snapshot(k, state)
         summary.completed = True
     except Exception as exc:
@@ -330,7 +338,8 @@ def check_forcing_coverage(t0, mesh: Mesh, cfg: RunConfig, forcings: Forcings):
 class OutputWriter:
     """CSV snapshot/gauge files, a key=value run log and summary.
 
-    snap_<step>.csv: node,x1,x2,eta,u1,u2 ; gauge_<id>.csv: t,eta ;
+    snap_<step>.csv: a ``# t=`` clock line, then node,x1,x2,eta,u1,u2 in
+    node order ; gauge_<id>.csv: t,eta ;
     run.log and summary.txt: key=value by :func:`format_value`; all
     floats written with repr for byte-reproducible output.
     """
@@ -365,7 +374,7 @@ class OutputWriter:
         path = os.path.join(self.out_dir, f"snap_{step_idx}.csv")
         columns = (np.asarray(a, dtype=float).tolist() for a in (state.eta, state.u1, state.u2))
         with open(path, "w") as fh:
-            fh.write("node,x1,x2,eta,u1,u2\n")
+            fh.write(f"{CLOCK_PREFIX}{float(state.t)!r}\n{SNAPSHOT_HEADER}\n")
             fh.writelines(f"{head}{eta!r},{u1!r},{u2!r}\n"
                           for head, eta, u1, u2 in zip(self._node_fields, *columns))
 
@@ -390,35 +399,49 @@ class OutputWriter:
         self._files.close()
 
 
+def _snapshot_clock(path) -> float:
+    """The time on a snapshot's ``# t=`` first line; 0.0 when it has none."""
+    with open(path) as fh:
+        first = fh.readline()
+    if not first.startswith(CLOCK_PREFIX):
+        return 0.0
+    text = first[len(CLOCK_PREFIX):].strip()
+    try:
+        t = math.nan if "_" in text else float(text)   # no digit separators, as in rows
+    except ValueError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise ValueError(f"{path}:1: bad time {text!r} in snapshot clock line")
+    return t
+
+
 def load_snapshot(path, mesh: Mesh) -> State:
     """Read a snapshot CSV of ``mesh`` back into a State (restart path).
 
-    Rows after the header parse as mesh lines do (an integer node id and
-    five floats).  Every node needs exactly one row, and the row's x1, x2
-    must match the mesh node to 1e-9 of the domain extent, so a snapshot
-    written on another mesh is refused even when the node counts agree.
+    A ``# t=`` first line sets the clock (0.0 without one).  The rows, one
+    per node in node order, parse as mesh lines do; each x1, x2 must match
+    its mesh node to 1e-9 of the domain extent, so a snapshot of another
+    mesh is refused even when the node counts agree.
     """
+    t = _snapshot_clock(path)
     n_nodes = mesh.n_nodes
     lines = data_lines(path)
-    if not lines or lines[0].strip() != "node,x1,x2,eta,u1,u2":
+    if not lines or lines[0].strip() != SNAPSHOT_HEADER:
         raise ValueError(f"{path}: not a snapshot file")
     if len(lines) == 1:
         raise ValueError(f"{path}: no row for node 0")
     rows = parse_rows(path, lines, 1, len(lines) - 1, (int,) + (float,) * 5,
                       "snapshot row", ValueError, delimiter=",")
     ids = rows["f0"]
-    bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
-    if bad.size:
-        raise ValueError(f"{path}: node index {ids[bad[0]]} is not a node of the mesh")
-    count = np.bincount(ids, minlength=n_nodes)
-    if np.any(count > 1):
-        raise ValueError(f"{path}: duplicate row for node {int(np.argmax(count > 1))}")
-    if np.any(count == 0):
-        raise ValueError(f"{path}: no row for node {int(np.argmax(count == 0))}")
-    values = np.empty((n_nodes, 5))
-    values[ids] = rows.view(float).reshape(-1, 6)[:, 1:]   # 8-byte fields; 0 is the id
-    xy = values[:, :2]
-    eta, u1, u2 = values[:, 2:].T.copy()
+    wrong = np.flatnonzero(ids != np.arange(ids.size))   # row i holds node i
+    i = min(int(wrong[0]) if wrong.size else ids.size, n_nodes)
+    if i < ids.size:   # out of node order, or past the last node
+        raise ValueError(f"{path}: row {i} holds node {ids[i]}, out of the order 0..{n_nodes - 1}")
+    if ids.size < n_nodes:
+        raise ValueError(f"{path}: no row for node {ids.size}")
+    values = rows.view(float).reshape(-1, 6)   # 8-byte fields; 0 is the id
+    xy = values[:, 1:3]
+    eta, u1, u2 = values[:, 3:].T.copy()
     coords = np.asarray(mesh.coords, dtype=float)
     # off unless within the tolerance: a nan coordinate never is
     off = np.flatnonzero(~np.all(np.abs(xy - coords) <= 1e-9 * np.ptp(coords, axis=0).max(),
@@ -427,4 +450,4 @@ def load_snapshot(path, mesh: Mesh) -> State:
         i = int(off[0])
         raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
                          f"the mesh node at {tuple(coords[i].tolist())}")
-    return State(eta, u1, u2).check()
+    return State(eta, u1, u2, t).check()

@@ -420,7 +420,7 @@ def row_by_row_snapshot(path, mesh: Mesh, state):
     """Snapshot CSV written one row and one numpy scalar at a time."""
     x1, x2 = mesh.coords[:, 0], mesh.coords[:, 1]
     with open(path, "w") as fh:
-        fh.write("node,x1,x2,eta,u1,u2\n")
+        fh.write(f"# t={float(state.t)!r}\nnode,x1,x2,eta,u1,u2\n")
         for i in range(mesh.n_nodes):
             fh.write(f"{i},{float(x1[i])!r},{float(x2[i])!r},"
                      f"{float(state.eta[i])!r},{float(state.u1[i])!r},"

@@ -279,10 +279,30 @@ class TestRun:
         assert main(["run", "-c", str(cfg),
                      "--set", f"out_dir={basin_dir / 'h'}"]) == 0
         out = basin_dir / "h"
-        assert (out / "snap_0.csv").read_text().splitlines()[0] == \
-            "node,x1,x2,eta,u1,u2"
+        assert (out / "snap_0.csv").read_text().splitlines()[:2] == \
+            ["# t=0.0", "node,x1,x2,eta,u1,u2"]
         assert (out / "gauge_5.csv").read_text().splitlines()[0] == "t,eta"
         assert "cg_iterations" in (out / "run.log").read_text()
+
+    def test_restart_carries_on_the_run(self, tmp_path):
+        """Four steps, then a restart from snap_4.csv for four more, write
+        what eight steps in one run write: the restart reads the clock."""
+        def demo(out, duration, *sets):
+            argv = ["run", "-c", str(DEMO_CONFIG), "--set", f"duration={duration}",
+                    "--set", f"out_dir={tmp_path / out}"]
+            assert main(argv + [arg for key in sets for arg in ("--set", key)]) == 0
+            return tmp_path / out
+
+        whole = demo("whole", 2400)
+        demo("first", 1200)
+        second = demo("second", 1200, f"restart={tmp_path / 'first' / 'snap_4.csv'}")
+        assert (second / "snap_8.csv").read_bytes() == (whole / "snap_8.csv").read_bytes()
+        assert sorted(p.name for p in second.glob("snap_*.csv")) == ["snap_4.csv", "snap_8.csv"]
+        assert (second / "run.log").read_text().splitlines() == \
+            (whole / "run.log").read_text().splitlines()[4:]
+        for gauge in ("gauge_31.csv", "gauge_59.csv"):
+            assert (second / gauge).read_text().splitlines()[-5:] == \
+                (whole / gauge).read_text().splitlines()[-5:]
 
     def test_tide_driven_run(self, tmp_path):
         coords, tris, depth, tags = rect_mesh_arrays(5, 4, 400.0, 300.0, depth=1.0)

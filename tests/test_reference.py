@@ -20,7 +20,7 @@ ATOL = 1e-12   # m and m/s
 
 def read_columns(path):
     with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     return {key: [float(row[key]) for row in rows] for key in rows[0]}
 
 

@@ -250,3 +250,41 @@ class TestInvariance:
         eta, w = self.simulate(coords, tris, depth, tags, eta0, w0)
         self.assert_close(self.simulate(coords[inv], perm[tris], depth[inv], tags[inv],
                                         eta0[inv], w0[inv]), (eta[inv], w[inv]))
+
+
+def windy_basin(n_sub):
+    """Sub-cycle stability under wind, with the gate off: the set-up.
+
+    A closed 10 km x 2 km basin, 0.1 m deep on 41 x 9 nodes, starts from
+    rest under a steady (15, 0) m/s wind, with tau_tilde = 300 s, tau =
+    300 s / n_sub and the default parameters.  Drag balances the wind at
+    u_w = 0.343 m/s; at the depth clamp h_min that speed's drag rate is
+    D_w = 4.2e-2 1/s, and a first sub-step from rest overshoots the
+    balance once tau D_w > sqrt(2), at about 34 s.  The gate, off here,
+    puts tau_c at 3.2 s on the state that tau = 30 s reaches.  Returns
+    (mesh, state, params, cfg, forcings) for :func:`helpers.advance`.
+    """
+    mesh = rect_mesh(41, 9, 10_000.0, 2_000.0, depth=0.1)
+    wind = Forcings(wind=TimeSeries([0.0, 86_400.0], [[15.0, 0.0], [15.0, 0.0]]))
+    cfg = RunConfig(tau=300.0 / n_sub, tau_tilde=300.0, gate_mode="off")
+    return mesh, initial_state(mesh.n_nodes), PhysicalParams(), cfg, wind
+
+
+@pytest.mark.parametrize("n_sub", [10, 9], ids=["tau=30", "tau=33.3"])
+def test_sub_cycle_under_wind_runs_below_its_real_limit(n_sub):
+    """A characterisation, not a target: 48 steps run and end at
+    max|u| = 0.286 m/s, below u_w."""
+    mesh, state, params, cfg, wind = windy_basin(n_sub)
+    state, _ = advance(mesh, state, params, cfg, wind, 48)
+    assert np.hypot(state.u1, state.u2).max() == pytest.approx(0.286, rel=0.01)
+
+
+def test_sub_cycle_under_wind_diverges_past_its_real_limit():
+    """A characterisation, not a target: at tau = 37.5 s the sixth step
+    overflows."""
+    mesh, state, params, cfg, wind = windy_basin(8)
+    state, _ = advance(mesh, state, params, cfg, wind, 5)
+    # numpy warns of the overflow before the step's finiteness check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="^non-finite d_u1 at node 0$"):
+            advance(mesh, state, params, cfg, wind, 1)
