@@ -14,9 +14,9 @@ from dataclasses import asdict
 from . import __version__
 from .config import Config, ConfigError, apply_overrides, load_config
 from .fem import assemble
-from .forcing import Forcings, ForcingError, load_tide, load_wind
+from .forcing import Forcings, load_tide, load_wind
 from .implicit_step import SolverError
-from .mesh import MeshError, load_mesh
+from .mesh import load_mesh, parse_number
 from .simulator import (GateError, OutputWriter, check_forcing_coverage, format_value,
                         key_value_lines, load_snapshot, run)
 from .stability import StabilityReport, build_report
@@ -50,11 +50,11 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", parents=[common],
                              help="evaluate the critical explicit time step")
-    analyze.add_argument("--tau", type=float, default=None,
+    analyze.add_argument("--tau", type=parse_number, default=None,
                          help="explicit step to rate (default: config tau)")
-    analyze.add_argument("--speed", type=float, default=0.1,
+    analyze.add_argument("--speed", type=parse_number, default=0.1,
                          help="flow speed |u| in m/s (default 0.1)")
-    analyze.add_argument("--depth", type=float, default=0.1,
+    analyze.add_argument("--depth", type=parse_number, default=0.1,
                          help="water depth H in m (default 0.1)")
     analyze.add_argument("--machine", action="store_true",
                          help="emit key=value lines instead of the table")
@@ -133,8 +133,7 @@ def main(argv=None) -> int:
     except GateError as exc:
         print(f"swsplit: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ConfigError, MeshError, ForcingError, SolverError, ValueError,
-            FloatingPointError, OSError) as exc:
+    except (SolverError, ValueError, ArithmeticError, OSError) as exc:
         print(f"swsplit: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

@@ -3,8 +3,9 @@
 Format: one `key=value` per line, comments as in a mesh file, unknown or
 duplicate keys are errors, missing keys take the documented defaults.
 Relative paths are resolved against the config file's directory; an
-empty path is refused.  Floats must be finite.  The physics keys are the
-fields of :class:`PhysicalParams`, the splitting and run keys those of
+empty path is refused.  Numbers parse as table fields do, and floats
+must be finite.  The physics keys are the fields of
+:class:`PhysicalParams`, the splitting and run keys those of
 :class:`RunConfig`; a :class:`Config` holds one of each, built once when
 a config is read, which applies every range and divisibility rule.
 """
@@ -15,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .mesh import is_data_line
+from .mesh import is_data_line, parse_number
 from .simulator import RunConfig
 from .stability import PhysicalParams
 
@@ -25,7 +26,7 @@ class ConfigError(ValueError):
 
 
 def _parse_float(tok: str) -> float:
-    value = float(tok)
+    value = parse_number(tok)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {tok!r}")
     return value
@@ -39,7 +40,7 @@ def _parse_path(tok: str) -> str:
 
 def _parse_node_ids(tok: str):
     """Comma-separated gauge node ids; an empty value gives none."""
-    ids = tuple(int(part) for part in tok.split(",")) if tok else ()
+    ids = tuple(parse_number(part, int) for part in tok.split(",")) if tok else ()
     if any(i < 0 for i in ids):
         raise ValueError("node ids must be >= 0")
     return ids

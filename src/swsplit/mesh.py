@@ -4,7 +4,8 @@ Provides loading/validation of the plain-text mesh format, counter-clockwise
 triangles and the boundary node sets (open, wall with normals, corner) used
 by the boundary-condition code; the element geometry (areas, basis
 gradients) is :mod:`swsplit.fem`'s.  Its table reader :func:`parse_rows`
-reads tide, wind and snapshots too.
+reads tide, wind and snapshots too, and :func:`parse_number` every other
+number by the same rule.
 
 Mesh file format (whitespace separated, comments as :func:`is_data_line` says):
 
@@ -14,6 +15,7 @@ Mesh file format (whitespace separated, comments as :func:`is_data_line` says):
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -209,6 +211,19 @@ def parse_rows(path, lines, first, count, kinds, what, error, delimiter=None):
                 if not (tok.strip() and _converts([tok], kind, delimiter))),
                block[lo].strip())
     raise error(f"{path}:{lineno}: bad value {bad!r} in {what}")
+
+
+def parse_number(text, kind=float):
+    """``text`` read as a table field of type ``kind`` (float or int) is:
+    numpy's conversion in :func:`parse_rows` is Python's on ASCII text
+    with no digit separators, integers within numpy's range."""
+    field = text.strip()
+    if field.isascii() and "_" not in field:
+        with contextlib.suppress(ValueError):
+            value = kind(field)
+            if kind is float or np.iinfo(kind).min <= value <= np.iinfo(kind).max:
+                return value
+    raise ValueError(f"not {'an integer' if kind is int else 'a number'}: {text!r}")
 
 
 def _converts(lines, dtype, delimiter):

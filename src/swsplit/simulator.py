@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import logging
 import math
 import os
@@ -24,7 +25,7 @@ from .forcing import Forcings
 from .implicit_step import (ElevationSolver, LinearSolveStats, apply_boundaries,
                             elevation_rhs, project_land_velocity, solve_elevation,
                             velocity_correction)
-from .mesh import Mesh, data_lines, parse_rows
+from .mesh import Mesh, is_data_line, parse_number, parse_rows
 from .stability import PhysicalParams, critical_time_step_for_drag
 from .state import State, require_finite
 
@@ -399,22 +400,6 @@ class OutputWriter:
         self._files.close()
 
 
-def _snapshot_clock(path) -> float:
-    """The time on a snapshot's ``# t=`` first line; 0.0 when it has none."""
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith(CLOCK_PREFIX):
-        return 0.0
-    text = first[len(CLOCK_PREFIX):].strip()
-    try:
-        t = math.nan if "_" in text else float(text)   # no digit separators, as in rows
-    except ValueError:
-        t = math.nan
-    if not math.isfinite(t):
-        raise ValueError(f"{path}:1: bad time {text!r} in snapshot clock line")
-    return t
-
-
 def load_snapshot(path, mesh: Mesh) -> State:
     """Read a snapshot CSV of ``mesh`` back into a State (restart path).
 
@@ -423,9 +408,16 @@ def load_snapshot(path, mesh: Mesh) -> State:
     its mesh node to 1e-9 of the domain extent, so a snapshot of another
     mesh is refused even when the node counts agree.
     """
-    t = _snapshot_clock(path)
+    with open(path) as fh:   # one pass: the clock line, then the data lines
+        first = fh.readline()
+        lines = [line for line in itertools.chain((first,), fh) if is_data_line(line)]
+    text = first[len(CLOCK_PREFIX):].strip() if first.startswith(CLOCK_PREFIX) else "0"
+    t = math.nan   # unless the clock parses
+    with contextlib.suppress(ValueError):
+        t = parse_number(text)
+    if not math.isfinite(t):
+        raise ValueError(f"{path}:1: bad time {text!r} in snapshot clock line")
     n_nodes = mesh.n_nodes
-    lines = data_lines(path)
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
         raise ValueError(f"{path}: not a snapshot file")
     if len(lines) == 1:
@@ -439,9 +431,7 @@ def load_snapshot(path, mesh: Mesh) -> State:
         raise ValueError(f"{path}: row {i} holds node {ids[i]}, out of the order 0..{n_nodes - 1}")
     if ids.size < n_nodes:
         raise ValueError(f"{path}: no row for node {ids.size}")
-    values = rows.view(float).reshape(-1, 6)   # 8-byte fields; 0 is the id
-    xy = values[:, 1:3]
-    eta, u1, u2 = values[:, 3:].T.copy()
+    xy = np.column_stack([rows["f1"], rows["f2"]])
     coords = np.asarray(mesh.coords, dtype=float)
     # off unless within the tolerance: a nan coordinate never is
     off = np.flatnonzero(~np.all(np.abs(xy - coords) <= 1e-9 * np.ptp(coords, axis=0).max(),
@@ -450,4 +440,4 @@ def load_snapshot(path, mesh: Mesh) -> State:
         i = int(off[0])
         raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
                          f"the mesh node at {tuple(coords[i].tolist())}")
-    return State(eta, u1, u2, t).check()
+    return State(rows["f3"].copy(), rows["f4"].copy(), rows["f5"].copy(), t).check()

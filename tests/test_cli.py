@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import flat_config_fields, mesh_text, rect_mesh_arrays
+from helpers import flat_config_fields, mesh_text, rect_mesh, rect_mesh_arrays
 from swsplit.cli import main
+from swsplit.config import parse_config_text
 from swsplit.mesh import OPEN
-from swsplit.simulator import RunSummary, format_value
+from swsplit.simulator import SNAPSHOT_HEADER, RunSummary, format_value, load_snapshot
 from swsplit.stability import PhysicalParams, StabilityReport, build_report
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "tidal.txt"
@@ -99,6 +100,21 @@ class TestAnalyze:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("swsplit: ") and "multiple" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--tau", "1e308"],
+        ["analyze", "--set", "k0=1e200"],
+        ["analyze", "--set", "k1=1e-200"],
+        ["run", "-c", str(DEMO_CONFIG), "--set", "k1=1e200", "--set", "duration=600"],
+    ], ids=["tau", "k0", "k1", "run-k1"])
+    def test_arithmetic_fault_refused(self, capsys, tmp_path, argv):
+        # an OverflowError or ZeroDivisionError of the stability formulas on
+        # Python floats is a fault like any other: one line, exit 1
+        assert main([*argv, "--set", f"out_dir={tmp_path / 'out'}"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("swsplit: ")
 
     def test_config_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "c.txt"
@@ -304,6 +320,21 @@ class TestRun:
             assert (second / gauge).read_text().splitlines()[-5:] == \
                 (whole / gauge).read_text().splitlines()[-5:]
 
+    def test_restart_summary_covers_its_own_leg(self, tmp_path):
+        """A restarted run's summary starts from the restart state: its
+        initial mass is the first leg's final mass, bit for bit."""
+        def summary(out, *sets):
+            argv = ["run", "-c", str(DEMO_CONFIG), "--set", "duration=1200",
+                    "--set", f"out_dir={tmp_path / out}"]
+            assert main(argv + [arg for key in sets for arg in ("--set", key)]) == 0
+            lines = (tmp_path / out / "summary.txt").read_text().splitlines()
+            return dict(line.split("=", 1) for line in lines)
+
+        first = summary("first")
+        second = summary("second", f"restart={tmp_path / 'first' / 'snap_4.csv'}")
+        assert second["mass_initial"] == first["mass_final"]
+        assert second["steps"] == "4"
+
     def test_tide_driven_run(self, tmp_path):
         coords, tris, depth, tags = rect_mesh_arrays(5, 4, 400.0, 300.0, depth=1.0)
         tags[(coords[:, 0] == 0.0) & (tags == 1)] = OPEN
@@ -394,6 +425,50 @@ class TestRun:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "run" in out
+
+
+def read_number_at(site, token, tmp_path, capsys):
+    """``token`` read where ``site`` reads a number; ValueError when refused."""
+    if site == "config-float":
+        return parse_config_text(f"eta0={token}\n").eta0
+    if site == "gauges":
+        return parse_config_text(f"gauges={token},2\n").gauges[0]
+    if site == "clock":
+        mesh = rect_mesh(2, 2, 1.0, 1.0)
+        rows = [f"{i},{x!r},{y!r},0.0,0.0,0.0" for i, (x, y) in enumerate(mesh.coords.tolist())]
+        path = tmp_path / "restart.csv"
+        path.write_text(f"# t={token}\n{SNAPSHOT_HEADER}\n" + "\n".join(rows) + "\n")
+        return load_snapshot(path, mesh).t
+    code = main(["analyze", "--machine", "--tau", token])
+    captured = capsys.readouterr()
+    if code:
+        raise ValueError(captured.err)
+    return float(dict(line.split("=", 1) for line in captured.out.splitlines())["tau"])
+
+
+# each site, with what its refusal names
+NUMBER_SITES = {"config-float": "eta0", "gauges": "gauges", "clock": "bad time",
+                "analyze-tau": "--tau"}
+
+
+class TestOneNumberRule:
+    """Config values, gauge ids, the restart clock and `analyze`'s flags
+    read a number as a table field is read."""
+
+    @pytest.mark.parametrize("site", NUMBER_SITES)
+    @pytest.mark.parametrize("token", ["3_00", "\u0661", "0x10"])
+    def test_bad_number_refused(self, tmp_path, capsys, site, token):
+        with pytest.raises(ValueError, match=re.escape(NUMBER_SITES[site])):
+            read_number_at(site, token, tmp_path, capsys)
+
+    @pytest.mark.parametrize("site", ["config-float", "clock", "analyze-tau"])
+    @pytest.mark.parametrize("token", ["+1", "1.", ".5", "1e-3", " 1.5 "])
+    def test_float_keeps_its_value(self, tmp_path, capsys, site, token):
+        assert read_number_at(site, token, tmp_path, capsys) == float(token)
+
+    @pytest.mark.parametrize("token", ["+1", "031", " 3 "])
+    def test_gauge_id_keeps_its_value(self, tmp_path, capsys, token):
+        assert read_number_at("gauges", token, tmp_path, capsys) == int(token)
 
 
 class TestPackage:

@@ -12,7 +12,7 @@ from helpers import (element_geometry, eval_basis, jittered_mesh, loop_mesh_geom
 from swsplit.config import parse_config_text
 from swsplit.forcing import ForcingError, load_tide, load_wind
 from swsplit.mesh import (INTERIOR, LAND, OPEN, MeshError, _boundary_edges, build_mesh,
-                          data_lines, load_mesh)
+                          data_lines, load_mesh, parse_number, parse_rows)
 from swsplit.simulator import load_snapshot
 
 DEMO_MESH = Path(__file__).resolve().parents[1] / "demo" / "channel.mesh"
@@ -298,6 +298,56 @@ class TestOneTableReader:
 
     def test_empty_snapshot_field(self, tmp_path):
         self.check(tmp_path, "snapshot", "", "{path}:5: bad value '' in {what}")
+
+
+# Good and bad numbers: signs, bare points, exponents, padding, leading
+# zeros, int64's edges, nan/inf spellings, digit separators, other bases,
+# non-ASCII digits, blanks, two fields in one and a `#`.
+NUMBER_TOKENS = ["0", "-0", "+1", "1.", ".5", "1e-3", "1E+3", " 1.5 ", "\t2", "031", "-7",
+                 "1.5", "1e0", "nan", "NaN", "-inf", "infinity", "1e400",
+                 "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+                 "1_000", "3_00", "0x10", "0b1", "0o7", "\u0661", "\uff11", "1.0.0", "x",
+                 "1d3", "1j", "True", "", " ", "1 2", "1,2", "1#2", "#1",
+                 "-9223372036854775808", "00", "0.0e0", "-.5", "5.e-1", ".", "+.", "e1", "1e",
+                 "1.5E", "+ 1", "--1", "+-1", "+nan", "-NaN", "inF", "Infinity", "infinit",
+                 "nan(1)", "1\x00", "\x1c7", "\u00a01.5", "1.5\u2003", "\u20281"]
+
+
+class TestOneNumberRule:
+    """:func:`parse_number` reads a number outside the tables as a table
+    field is read: it accepts exactly the tokens :func:`parse_rows` does,
+    with the same values."""
+
+    @pytest.mark.parametrize("delimiter", [",", None], ids=["comma", "blank"])
+    @pytest.mark.parametrize("kind", [float, int])
+    def test_accepts_what_parse_rows_accepts(self, tmp_path, kind, delimiter):
+        path = tmp_path / "row.txt"
+        accepted = []
+        for token in NUMBER_TOKENS:
+            line = f"0{delimiter or ' '}{token}\n"   # the token is a row's second field
+            path.write_text(line)
+            try:
+                rows = parse_rows(path, [line], 0, 1, (int, kind), "row", ValueError, delimiter)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    parse_number(token, kind)
+                continue
+            value = parse_number(token, kind)
+            assert type(value) is kind and repr(value) == repr(rows["f1"][0].item()), token
+            accepted.append(token)
+        assert 0 < len(accepted) < len(NUMBER_TOKENS)
+        assert "1_000" not in accepted and "+1" in accepted
+
+    @pytest.mark.parametrize("token, kind, message", [
+        ("3_00", float, "not a number: '3_00'"),
+        ("1.5", int, "not an integer: '1.5'"),
+        ("9223372036854775808", int, "not an integer: '9223372036854775808'"),
+        ("1\n2", float, "not a number: '1\\n2'"),
+    ])
+    def test_refusal_names_the_token(self, token, kind, message):
+        with pytest.raises(ValueError) as excinfo:
+            parse_number(token, kind)
+        assert str(excinfo.value) == message
 
 
 # The data-line pattern the table reader once matched against the whole
