@@ -153,20 +153,18 @@ def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=CG_TOL):
     return d_eta, stats
 
 
-def velocity_correction(state: State, d_eta, matrices: FemMatrices, mesh: Mesh, cfg, g):
+def velocity_correction(state: State, d_eta, matrices: FemMatrices, cfg, g):
     """Velocity increments from the updated surface gradient.
 
     Solves M_L d_ui = -tau_tilde g Qi (eta + theta2 d_eta) with the lumped
     mass; tau_tilde and theta2 come from the
-    :class:`swsplit.simulator.RunConfig` ``cfg``.  Land nodes get their
-    normal component removed so no flow is injected through closed
-    boundaries.
+    :class:`swsplit.simulator.RunConfig` ``cfg``.  The land condition is
+    not imposed here: :func:`apply_boundaries` imposes it on the
+    end-of-step velocity that these increments enter.
     """
     target = state.eta + cfg.theta2 * d_eta
-    d_u1, d_u2 = ((-cfg.tau_tilde * g * (Q * target)) / matrices.M_L
-                  for Q in (matrices.Q1, matrices.Q2))
-    project_land_velocity(d_u1, d_u2, mesh)
-    return d_u1, d_u2
+    return tuple((-cfg.tau_tilde * g * (Q * target)) / matrices.M_L
+                 for Q in (matrices.Q1, matrices.Q2))
 
 
 def project_land_velocity(u1, u2, mesh: Mesh):

@@ -237,12 +237,10 @@ def _converts(lines, dtype, delimiter):
 def _boundary_edges(triangles, n_nodes):
     """Directed boundary edges (a, b), CCW around the domain.
 
-    A boundary edge is one that a single triangle uses.  The edges come
-    in the order of their sorted undirected keys (min(a, b), max(a, b)).
-    The same pass refuses a mesh that is not manifold, naming the first
-    triangle that repeats an edge already used by two triangles, or by
-    one in the same direction (a fold or an overlap, since both are
-    CCW).
+    A boundary edge is one that a single triangle uses.  The same pass
+    refuses a mesh that is not manifold, naming the first triangle that
+    repeats an edge already used by two triangles, or by one in the same
+    direction (a fold or an overlap, since both are CCW).
     """
     a = triangles.ravel()
     b = triangles[:, [1, 2, 0]].ravel()
@@ -266,32 +264,29 @@ def _boundary_normals(coords, tags, triangles):
 
     Every node on a boundary edge must be tagged land or open, and only
     those may be tagged open.  The outward normal of a CCW-directed
-    boundary edge (a -> b) is the edge tangent rotated clockwise; a wall
-    node's is the normalised mean of its edges' normals.
+    boundary edge (a -> b) is the edge tangent rotated clockwise.  A node
+    starts as many boundary edges as it ends (its triangles are CCW
+    fans), so one on two edges has one ``out`` and one ``into`` normal,
+    and a wall node's normal is their normalised sum.
     """
-    a, b = _boundary_edges(triangles, coords.shape[0])
+    n = coords.shape[0]
+    a, b = _boundary_edges(triangles, n)
     t = coords[b] - coords[a]
     normals = np.column_stack([t[:, 1], -t[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    # group the two ends of every edge by node
-    ends = np.concatenate([a, b])
-    order = np.argsort(ends)
-    normals = np.concatenate([normals, normals])[order]
-    nodes, first, count = np.unique(ends[order], return_index=True, return_counts=True)
-    on_boundary = np.zeros(tags.shape, dtype=bool)
-    on_boundary[nodes] = True
+    out, into = np.zeros((n, 2)), np.zeros((n, 2))
+    out[a], into[b] = normals, normals
+    ends = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    on_boundary = ends > 0
     for bad, what in ((on_boundary & (tags == INTERIOR), "boundary nodes tagged interior"),
                       (~on_boundary & (tags == OPEN), "interior nodes tagged open")):
         if bad.any():
             raise MeshError(f"{what}: {np.flatnonzero(bad).tolist()}")
 
-    pair = count == 2
-    n0, n1 = normals[first], normals[first + pair]
-    corner = (count > 2) | (pair & (n0[:, 0] * n1[:, 0] + n0[:, 1] * n1[:, 1]
-                                    < CORNER_ANGLE_COS))
-    land = tags[nodes] == LAND
-    wall = land & ~corner
+    corner = (ends > 2) | (out[:, 0] * into[:, 0] + out[:, 1] * into[:, 1] < CORNER_ANGLE_COS)
+    land = on_boundary & (tags == LAND)
+    walls = np.flatnonzero(land & ~corner)
     # + 0.0: a sum starts from +0.0, so a -0.0 component reads +0.0
-    mean = np.where(pair[:, None], n0 + n1, n0)[wall] + 0.0
+    mean = out[walls] + into[walls] + 0.0
     mean /= np.hypot(mean[:, 0], mean[:, 1])[:, None]
-    return nodes[wall], mean, nodes[land & corner]
+    return walls, mean, np.flatnonzero(land & corner)

@@ -232,7 +232,7 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
     # the one tide read of the step (a closed basin reads none)
     eta_open = forcings.tide_at(t_next) if solver.open_nodes.size else 0.0
     d_eta, cg_stats = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes])
-    d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
+    d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, cfg, params.g)
 
     new_state = State(eta=state.eta + d_eta,
                       u1=state.u1 + d_star.real + d_u1c,

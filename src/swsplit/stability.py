@@ -50,6 +50,12 @@ class PhysicalParams:
         if not (0 <= self.k0 < math.inf and 0 <= self.xi < math.inf
                 and 0 < self.h_min < math.inf):
             raise ValueError("k0, xi must be finite and >= 0, h_min finite and > 0")
+        # the formulas divide by k1 ** 2 and take k0 ** 4 on Python floats,
+        # where a zero divisor or a ** past the largest float raises
+        if not 0 < self.k1 * self.k1 < math.inf:
+            raise ValueError(f"k1 must have a finite, positive square: k1={self.k1!r}")
+        if not self.k0 * self.k0 * self.k0 * self.k0 < math.inf:
+            raise ValueError(f"k0 must have a finite fourth power: k0={self.k0!r}")
 
 
 @dataclass(frozen=True)
@@ -248,15 +254,24 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
         raise ValueError("depth must be positive and finite")
     if not 0.0 <= speed < math.inf:
         raise ValueError("speed must be finite and >= 0")
-    D = drag_coefficient(speed, depth, params)
-    alpha, beta = step_coefficients(tau, params.k0, D)
-    a, b, c, d = cubic_coefficients(params.k0, D)
+    try:
+        D = drag_coefficient(speed, depth, params)
+        alpha, beta = step_coefficients(tau, params.k0, D)   # tau ** 2 may overflow
+        a, b, c, d = cubic_coefficients(params.k0, D)
+        modulus_cubic = modulus_cubic_coefficients(params.k0, D)
+        finite = all(map(math.isfinite, (D, a, b, c, d, *modulus_cubic)))
+    except (OverflowError, ZeroDivisionError):   # a ** past the largest float, or / by 0
+        finite = False
+    if not finite:
+        raise ValueError(f"operating point tau={tau!r} s, speed={speed!r} m/s, depth={depth!r} m "
+                         "is out of range: its drag rate, tau^2 or cubic coefficients "
+                         "are not finite")
     if D == 0.0:
         tau_c_cubic = math.nan
         tau_c_modulus = math.nan
     else:
         tau_c_cubic = critical_time_step(a, b, c, d)
-        tau_c_modulus = critical_time_step(*modulus_cubic_coefficients(params.k0, D))
+        tau_c_modulus = critical_time_step(*modulus_cubic)
     modulus = velocity_mode_modulus(alpha, beta)
     return StabilityReport(
         tau=tau,

@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,10 @@ from swsplit.simulator import SNAPSHOT_HEADER, RunSummary, format_value, load_sn
 from swsplit.stability import PhysicalParams, StabilityReport, build_report
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "tidal.txt"
+
+
+# an operating point out of range names all three of its values
+POINT = ("tau=", "speed=", "depth=")
 
 
 def machine_map(capsys):
@@ -101,20 +106,32 @@ class TestAnalyze:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("swsplit: ") and "multiple" in lines[0]
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--tau", "1e308"],
-        ["analyze", "--set", "k0=1e200"],
-        ["analyze", "--set", "k1=1e-200"],
-        ["run", "-c", str(DEMO_CONFIG), "--set", "k1=1e200", "--set", "duration=600"],
-    ], ids=["tau", "k0", "k1", "run-k1"])
-    def test_arithmetic_fault_refused(self, capsys, tmp_path, argv):
-        # an OverflowError or ZeroDivisionError of the stability formulas on
-        # Python floats is a fault like any other: one line, exit 1
-        assert main([*argv, "--set", f"out_dir={tmp_path / 'out'}"]) == 1
+    @pytest.mark.parametrize("argv, names", [
+        (["analyze", "--tau", "1e308"], POINT),
+        (["analyze", "--set", "k0=1e200"], ("k0=1e+200",)),
+        (["analyze", "--set", "k1=1e-200"], ("k1=1e-200",)),
+        (["run", "-c", str(DEMO_CONFIG), "--set", "k1=1e200", "--set", "duration=600"],
+         ("k1=1e+200",)),
+        (["run", "-c", str(DEMO_CONFIG), "--set", "k0=1e200", "--set", "duration=600"],
+         ("k0=1e+200",)),
+        (["analyze", "--speed", "1e200"], POINT),
+        (["analyze", "--speed", "1e300", "--depth", "1e-300"], POINT),
+        (["analyze", "--depth", "1e-320"], POINT),
+        (["analyze", "--set", "g=1e308", "--speed", "10"], POINT),
+    ], ids=["tau", "k0", "k1", "run-k1", "run-k0", "speed", "speed-depth", "depth", "g"])
+    def test_arithmetic_fault_refused(self, capsys, tmp_path, argv, names):
+        # a value whose square, fourth power or drag rate leaves the floats
+        # is refused by name as it is read, before numpy warns, a Python
+        # float raises or an output directory is made: one line, exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--set", f"out_dir={tmp_path / 'out'}"]) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Warning" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("swsplit: ")
+        assert all(name in lines[0] for name in names)
+        assert not (tmp_path / "out").exists()
 
     def test_config_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "c.txt"

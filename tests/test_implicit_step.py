@@ -223,7 +223,7 @@ class TestVelocityCorrection:
         mesh = two_triangle_square(depth=1.0)
         m = assemble(mesh)
         state = State(np.full(4, 0.2), np.zeros(4), np.zeros(4))
-        d1, d2 = velocity_correction(state, np.full(4, 0.1), m, mesh,
+        d1, d2 = velocity_correction(state, np.full(4, 0.1), m,
                                      RunConfig(tau_tilde=300.0), G)
         assert np.max(np.abs(d1)) == 0.0 and np.max(np.abs(d2)) == 0.0
 
@@ -234,7 +234,7 @@ class TestVelocityCorrection:
         n = mesh.n_nodes
         state = State(mesh.coords[:, 0].copy(), np.zeros(n), np.zeros(n))
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
-        d1, d2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
+        d1, d2 = velocity_correction(state, np.zeros(n), m, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
         assert np.allclose(d1[interior], -cfg.tau_tilde * G, rtol=1e-12)
         assert np.max(np.abs(d2[interior])) < 1e-9
@@ -245,8 +245,8 @@ class TestVelocityCorrection:
         n = mesh.n_nodes
         state = State(rng.uniform(-0.1, 0.1, n), np.zeros(n), np.zeros(n))
         cfg = RunConfig(tau=1.0, tau_tilde=10.0, theta2=0.0)
-        a1, a2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
-        b1, b2 = velocity_correction(state, rng.standard_normal(n), m, mesh, cfg, G)
+        a1, a2 = velocity_correction(state, np.zeros(n), m, cfg, G)
+        b1, b2 = velocity_correction(state, rng.standard_normal(n), m, cfg, G)
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
     @pytest.mark.parametrize("make_mesh", [
@@ -264,7 +264,7 @@ class TestVelocityCorrection:
         x1, x2 = mesh.coords[:, 0], mesh.coords[:, 1]
         state = State(a * x1 + b * x2 + c, np.zeros(n), np.zeros(n))
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
-        d1, d2 = velocity_correction(state, np.zeros(n), m, mesh, cfg, G)
+        d1, d2 = velocity_correction(state, np.zeros(n), m, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
         assert np.max(np.abs(d1[interior] + cfg.tau_tilde * G * a)) <= 1e-12
         assert np.max(np.abs(d2[interior] + cfg.tau_tilde * G * b)) <= 1e-12
@@ -347,7 +347,7 @@ class TestConservationAndRest:
         rhs = elevation_rhs(state, zero_increment(n), m, mesh, cfg, G)
         d_eta, stats = solve_elevation(ElevationSolver(A, mesh.open_nodes), rhs, np.empty(0))
         assert np.all(d_eta == 0.0) and stats.iterations == 0
-        d1, d2 = velocity_correction(state, d_eta, m, mesh, cfg, G)
+        d1, d2 = velocity_correction(state, d_eta, m, cfg, G)
         assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
     def test_closed_basin_mass_per_step(self, rng):

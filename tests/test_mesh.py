@@ -501,6 +501,23 @@ def holed_arrays(rng):
     return coords, tris, depth, tags
 
 
+def decimated_arrays(rng, nx, ny, fraction):
+    """Jittered rectangle with a random ``fraction`` of its triangles
+    removed: holes, and pinch points where two fans meet at one node.
+    Nodes left on the boundary are land or, at random, open."""
+    coords, tris, depth, tags = jittered_arrays(nx, ny, rng)
+    tris = tris[rng.random(len(tris)) >= fraction]
+    used = np.unique(tris)
+    remap = np.full(len(coords), -1)
+    remap[used] = np.arange(len(used))
+    coords, depth, tris = coords[used], depth[used], remap[tris]
+    edges = loop_mesh_geometry(coords, tris, np.full(len(coords), LAND))["boundary_edges"]
+    tags = np.full(len(coords), INTERIOR)
+    boundary = np.unique(edges)
+    tags[boundary] = np.where(rng.random(boundary.size) < 0.2, OPEN, LAND)
+    return coords, tris, depth, tags
+
+
 class TestMeshOracle:
     """load_mesh/build_mesh against the token parser and the loop oracle."""
 
@@ -558,6 +575,17 @@ class TestMeshOracle:
         tris = [[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 6]]
         mesh = self.check_file(self.write(tmp_path, (coords, tris, [1.0] * 7, [LAND] * 7)))
         assert 2 in mesh.corner_nodes
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decimated(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        shape = rng.integers(5, 16, size=2)
+        arrays = decimated_arrays(rng, *shape, fraction=rng.uniform(0.1, 0.4))
+        mesh = self.check_file(self.write(tmp_path, arrays))
+        # pinch points: nodes on more than two boundary edges
+        a, b = _boundary_edges(mesh.triangles, mesh.n_nodes)
+        assert np.any(np.bincount(np.concatenate([a, b])) > 2)
+        assert mesh.wall_nodes.size and mesh.open_nodes.size
 
     def test_demo_channel(self):
         mesh = self.check_file(DEMO_MESH)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import advance, channel_mesh, jittered_mesh, rect_mesh, row_by_row_snapshot
+from helpers import (advance, channel_mesh, jittered_mesh, rect_mesh, rect_mesh_arrays,
+                     row_by_row_snapshot)
 from swsplit.explicit_step import (frozen_coefficients, sub_cycle_work,
                                    taylor_galerkin_increment)
 from swsplit.fem import assemble
@@ -17,7 +18,7 @@ from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_wind
 from swsplit.implicit_step import (apply_boundaries, elevation_rhs, project_land_velocity,
                                   solve_elevation, velocity_correction)
 from swsplit import simulator
-from swsplit.mesh import OPEN, parse_rows
+from swsplit.mesh import OPEN, build_mesh, parse_rows
 from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
                                key_value_lines, load_snapshot, mass_integral, run,
                                stability_gate)
@@ -313,7 +314,7 @@ class TestStep:
         rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
         eta_open = forcings.tide_at(new.t)
         d_eta, _ = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes])
-        d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, mesh, cfg, params.g)
+        d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, cfg, params.g)
         rebuilt = State(eta=state.eta + d_eta,
                         u1=state.u1 + d_star.real + d_u1c,
                         u2=state.u2 + d_star.imag + d_u2c,
@@ -322,6 +323,26 @@ class TestStep:
         assert np.array_equal(rebuilt.eta, new.eta)
         assert np.array_equal(rebuilt.u1, new.u1)
         assert np.array_equal(rebuilt.u2, new.u2)
+
+    def test_slanted_walls_hold_no_normal_flow(self, params, rng):
+        # a closed basin turned 30 degrees: no wall normal is axis-aligned,
+        # so the land condition is imposed on the step's sum of increments
+        # to rounding, and exactly at the corners
+        coords, tris, depth, tags = rect_mesh_arrays(9, 7, 800.0, 600.0)
+        c, s = np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)
+        mesh = build_mesh(coords @ np.array([[c, s], [-s, c]]), tris, depth, tags)
+        n = mesh.n_nodes
+        assert np.all(np.abs(mesh.wall_normals) > 0.4) and mesh.corner_nodes.size == 4
+        state = State(0.01 * rng.standard_normal(n), 0.05 * rng.standard_normal(n),
+                      0.05 * rng.standard_normal(n), 0.0)
+        cfg = RunConfig(tau=5.0, tau_tilde=100.0, gate_mode="off")
+        new, _ = advance(mesh, state, params, cfg, Forcings(), 1)
+        walls, (nx, ny) = mesh.wall_nodes, mesh.wall_normals.T
+        normal = new.u1[walls] * nx + new.u2[walls] * ny
+        assert np.max(np.abs(normal)) <= 1e-15 * np.max(np.hypot(new.u1, new.u2))
+        assert np.all(np.hypot(new.u1[walls], new.u2[walls]) > 0.0)   # the walls carry flow
+        assert np.all(new.u1[mesh.corner_nodes] == 0.0)
+        assert np.all(new.u2[mesh.corner_nodes] == 0.0)
 
     def test_tide_read_once_per_step(self, params, monkeypatch):
         # one read serves both the solve's open values and the boundary

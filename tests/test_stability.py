@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,10 @@ class TestSourceUpdateMatrix:
         assert norms[-1] == pytest.approx(growth ** 1000, rel=1e-9)
 
 
+OUT_OF_RANGE = (r"^operating point tau=.* s, speed=.* m/s, depth=.* m is out of range: "
+                r"its drag rate, tau\^2 or cubic coefficients are not finite$")
+
+
 class TestBuildReport:
     def test_reference_report(self, params):
         r = build_report(3.0, 0.1, 0.1, params)
@@ -366,12 +371,18 @@ class TestBuildReport:
         (math.inf, 0.1, 0.1, "tau must be positive and finite"),
         (3.0, math.inf, 0.1, "speed must be finite and >= 0"),
         (3.0, 0.1, math.inf, "depth must be positive and finite"),
-    ], ids=["tau", "speed", "depth"])
+        (1e308, 0.1, 0.1, OUT_OF_RANGE),
+        (3.0, 1e200, 0.1, OUT_OF_RANGE),
+        (3.0, 1e300, 1e-300, OUT_OF_RANGE),
+        (3.0, 0.1, 1e-320, OUT_OF_RANGE),
+    ], ids=["tau", "speed", "depth", "tau-squared", "drag-squared", "drag", "drag-denormal"])
     def test_non_finite_inputs(self, params, tau, speed, depth, message):
-        # refused with a range message, not a bracket error, a nan tau_c
-        # or a silent verdict
-        with pytest.raises(ValueError, match=message):
-            build_report(tau, speed, depth, params)
+        # refused with a range message, not a bracket error, a nan tau_c,
+        # a numpy warning, an OverflowError or a silent verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build_report(tau, speed, depth, params)
 
 
 def test_params_validation():
@@ -381,6 +392,10 @@ def test_params_validation():
         PhysicalParams(k1=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(k0=-1e-4)
+    # the formulas take k1 ** 2 and k0 ** 4: both must be finite, k1 ** 2 > 0
+    for key, value in (("k1", 1e200), ("k1", 1e-200), ("k0", 1.2e77)):
+        with pytest.raises(ValueError, match=f"^{key} must have a finite"):
+            PhysicalParams(**{key: value})
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
