@@ -119,9 +119,9 @@ class ElevationSolver:
     of A_ff that preconditions every solve's CG.  A, tau_tilde, theta and
     the open nodes are fixed over a run, so one solver serves every outer
     step.
-    The same split serves a closed basin (A_ff is all of A, A_fo has no
-    columns) and a mesh whose every node is open (A_ff is 0 x 0, and CG
-    returns at once).
+    A closed basin's A_ff is the converted A itself and its A_fo is n x 0;
+    otherwise the free rows are sliced once and dropped before the
+    hierarchy is built.  If every node is open, A_ff is 0 x 0.
     """
 
     def __init__(self, A, open_nodes):
@@ -131,8 +131,12 @@ class ElevationSolver:
         free = np.ones(self.n, dtype=bool)
         free[self.open_nodes] = False
         self.free = np.flatnonzero(free)
-        rows = A[self.free]
-        self.A_ff, self.A_fo = rows[:, self.free], rows[:, self.open_nodes]
+        if self.open_nodes.size:
+            rows = A[self.free]
+            self.A_ff, self.A_fo = rows[:, self.free], rows[:, self.open_nodes]
+            del rows
+        else:
+            self.A_ff, self.A_fo = A, sp.csr_matrix((self.n, 0))
         self.hierarchy = build_hierarchy(self.A_ff)
 
 

@@ -74,7 +74,9 @@ class Hierarchy:
 
     R is the restriction P^T stored as CSR with sorted indices, so each
     V-cycle restricts with a CSR product instead of transposing P, and
-    sums every row in the order the transpose would.
+    sums every row in the order the transpose would.  P is ``R.T``, a
+    CSC view of R's arrays: :func:`build_hierarchy` frees each P once
+    R A P is formed, and prolonging sums rows in sorted column order.
     """
 
     def __init__(self, levels, coarse):
@@ -117,8 +119,9 @@ def build_hierarchy(A) -> Hierarchy:
             return Hierarchy(levels, sp.diags(1.0 / A.diagonal(), format="csr"))
         P = prolongator(A, agg, count)
         R = P.T.tocsr()
-        levels.append((A, P, R, SMOOTH_WEIGHT / A.diagonal()))
+        levels.append((A, R.T, R, SMOOTH_WEIGHT / A.diagonal()))
         A = R @ (A @ P)
+        del P
         A.sort_indices()
     inv = np.linalg.inv(A.toarray())
     return Hierarchy(levels, 0.5 * (inv + inv.T))

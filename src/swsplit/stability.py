@@ -56,6 +56,13 @@ class PhysicalParams:
             raise ValueError(f"k1 must have a finite, positive square: k1={self.k1!r}")
         if not self.k0 * self.k0 * self.k0 * self.k0 < math.inf:
             raise ValueError(f"k0 must have a finite fourth power: k0={self.k0!r}")
+        try:   # the drag rate per unit speed peaks at the clamped depth h_min
+            finite_drag = drag_coefficient(1.0, self.h_min, self) < math.inf
+        except ZeroDivisionError:   # k1^2 h_min underflows to 0
+            finite_drag = False
+        if not finite_drag:
+            raise ValueError(f"k1 must give a finite drag factor g / (k1^2 h_min): "
+                             f"k1={self.k1!r}, h_min={self.h_min!r}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,15 @@ def _bisect_cubic(a, b, c, d):
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
+def _cardano_terms(a, b, c, d):
+    """The Cardano resolvent's terms (p0, p1, disc) of a t^3 - b t^2 + c t - d:
+    p0 = -b^2 + 3ac, p1 = 2b^3 - 9abc + 27a^2 d, disc = 4 p0^3 + p1^2."""
+    p0 = -b * b + 3.0 * a * c
+    # x * x * x, not x ** 3: numpy's power is some 100 times slower on a negative base
+    p1 = 2.0 * (b * b * b) - 9.0 * a * b * c + 27.0 * a * a * d
+    return p0, p1, 4.0 * (p0 * p0 * p0) + p1 * p1
+
+
 def critical_time_step(a, b, c, d):
     """Real positive root of a t^3 - b t^2 + c t - d = 0 in closed form.
 
@@ -210,10 +226,7 @@ def critical_time_step(a, b, c, d):
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
     if (a <= 0.0).any() or (d <= 0.0).any():
         raise ValueError("no positive root: requires a > 0 and d > 0 (D != 0)")
-    p0 = -b * b + 3.0 * a * c
-    # x * x * x, not x ** 3: numpy's power is some 100 times slower on a negative base
-    p1 = 2.0 * (b * b * b) - 9.0 * a * b * c + 27.0 * a * a * d
-    disc = 4.0 * (p0 * p0 * p0) + p1 * p1
+    p0, p1, disc = _cardano_terms(a, b, c, d)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = p1 + np.sqrt(disc)
         cr = np.copysign(np.abs(q) ** (1.0 / 3.0), q)
@@ -260,6 +273,9 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
         a, b, c, d = cubic_coefficients(params.k0, D)
         modulus_cubic = modulus_cubic_coefficients(params.k0, D)
         finite = all(map(math.isfinite, (D, a, b, c, d, *modulus_cubic)))
+        if finite and D != 0.0:   # the Cardano terms of both roots' cubics too
+            finite = all(math.isfinite(_cardano_terms(*cubic)[2])
+                         for cubic in ((a, b, c, d), modulus_cubic))
     except (OverflowError, ZeroDivisionError):   # a ** past the largest float, or / by 0
         finite = False
     if not finite:

@@ -118,7 +118,11 @@ class TestAnalyze:
         (["analyze", "--speed", "1e300", "--depth", "1e-300"], POINT),
         (["analyze", "--depth", "1e-320"], POINT),
         (["analyze", "--set", "g=1e308", "--speed", "10"], POINT),
-    ], ids=["tau", "k0", "k1", "run-k1", "run-k0", "speed", "speed-depth", "depth", "g"])
+        # finite cubic coefficients whose Cardano terms overflow
+        (["analyze", "--speed", "1e20"], POINT),
+        (["analyze", "--set", "k0=1e70"], POINT),
+    ], ids=["tau", "k0", "k1", "run-k1", "run-k0", "speed", "speed-depth", "depth", "g",
+            "speed-cardano", "k0-cardano"])
     def test_arithmetic_fault_refused(self, capsys, tmp_path, argv, names):
         # a value whose square, fourth power or drag rate leaves the floats
         # is refused by name as it is read, before numpy warns, a Python

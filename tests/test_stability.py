@@ -398,6 +398,15 @@ def test_params_validation():
             PhysicalParams(**{key: value})
 
 
+@pytest.mark.parametrize("values", [{"k1": 1e-160}, {"k1": 1e-150, "h_min": 1e-300}],
+                         ids=["overflow", "underflow"])
+def test_params_refuse_infinite_drag_factor(values):
+    # k1^2 is finite and positive (1e-320 is subnormal), but g / (k1^2 h_min)
+    # overflows, or k1^2 h_min underflows to 0: the gate could rate nothing
+    with pytest.raises(ValueError, match="^k1 must give a finite drag factor"):
+        PhysicalParams(**values)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("name, message", [
     ("g", "g and k1 must be positive and finite"),
