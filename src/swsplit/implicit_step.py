@@ -103,8 +103,8 @@ def elevation_rhs(state: State, d_star, matrices: FemMatrices, mesh: Mesh, cfg, 
     :class:`swsplit.simulator.RunConfig`; its tau_tilde and theta1 enter.
     """
     h = mesh.depth
-    w1 = h * (state.u1 + cfg.theta1 * d_star.real)
-    w2 = h * (state.u2 + cfg.theta1 * d_star.imag)
+    w1 = h * (state.u.real + cfg.theta1 * d_star.real)
+    w2 = h * (state.u.imag + cfg.theta1 * d_star.imag)
     flux = matrices.Q1 * w1 + matrices.Q2 * w2
     return -cfg.tau_tilde * (flux + cfg.tau_tilde * cfg.theta1 * g * (matrices.S * state.eta))
 
@@ -158,28 +158,32 @@ def solve_elevation(solver: ElevationSolver, rhs, open_values, tol=CG_TOL):
 
 
 def velocity_correction(state: State, d_eta, matrices: FemMatrices, cfg, g):
-    """Velocity increments from the updated surface gradient.
+    """Complex velocity increment d_u1 + i d_u2 from the updated surface gradient.
 
     Solves M_L d_ui = -tau_tilde g Qi (eta + theta2 d_eta) with the lumped
-    mass; tau_tilde and theta2 come from the
+    mass, one real product per part; tau_tilde and theta2 come from the
     :class:`swsplit.simulator.RunConfig` ``cfg``.  The land condition is
     not imposed here: :func:`apply_boundaries` imposes it on the
-    end-of-step velocity that these increments enter.
+    end-of-step velocity that this increment enters.
     """
     target = state.eta + cfg.theta2 * d_eta
-    return tuple((-cfg.tau_tilde * g * (Q * target)) / matrices.M_L
-                 for Q in (matrices.Q1, matrices.Q2))
+    d_u = np.empty(target.size, dtype=complex)
+    d_u.real, d_u.imag = ((-cfg.tau_tilde * g * (Q * target)) / matrices.M_L
+                          for Q in (matrices.Q1, matrices.Q2))
+    return d_u
 
 
-def project_land_velocity(u1, u2, mesh: Mesh):
-    """Zero the velocity component normal to the land boundary, in place.
+def project_land_velocity(u, mesh: Mesh):
+    """Zero the component of the complex velocity ``u`` normal to the land
+    boundary, in place.
 
     Corner nodes (distinct adjacent edge normals) are zeroed entirely,
     the only vector with no flow through both edges; wall nodes lose the
-    component along their outward normal.
+    component along their outward normal, part by part (a complex product
+    with the normal could flip the sign of a zero part).
     """
-    u1[mesh.corner_nodes] = 0.0
-    u2[mesh.corner_nodes] = 0.0
+    u[mesh.corner_nodes] = 0.0
+    u1, u2 = u.real, u.imag
     walls, nx, ny = mesh.wall_nodes, mesh.wall_normals[:, 0], mesh.wall_normals[:, 1]
     un = u1[walls] * nx + u2[walls] * ny
     u1[walls] -= un * nx
@@ -191,5 +195,5 @@ def apply_boundaries(state: State, mesh: Mesh, eta_open) -> State:
     nodes, zero normal flow on land nodes.
     """
     state.eta[mesh.open_nodes] = eta_open
-    project_land_velocity(state.u1, state.u2, mesh)
+    project_land_velocity(state.u, mesh)
     return state

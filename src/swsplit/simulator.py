@@ -160,7 +160,7 @@ def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVer
     evaluated at every node in one array call (it is not assumed monotone
     in the drag); ties go to the lowest node index.
     """
-    nodal_speed = np.sqrt(state.u1 * state.u1 + state.u2 * state.u2)
+    nodal_speed = np.sqrt(np.square(state.u.real) + np.square(state.u.imag))
     floor_active = bool((nodal_speed < U_FLOOR).any())
     drag = frozen[0] * np.maximum(nodal_speed, U_FLOOR)
 
@@ -203,41 +203,31 @@ def step(state: State, mesh: Mesh, matrices: FemMatrices, params: PhysicalParams
                 raise GateError(msg, verdict=verdict)
             log.warning(msg)
 
-    # the sub-cycle advances w = u1 + i u2 in place, with its constants and
-    # work arrays made once; not u1 + 1j * u2, where 1j * inf would put a
-    # nan in the real part
-    w = np.empty(mesh.n_nodes, dtype=complex)
-    w.real, w.imag = state.u1, state.u2
+    # the sub-cycle advances w in place; its constants and work arrays are made once
+    w = state.u.copy()
     work = sub_cycle_work(frozen, params, cfg.tau)
     # the wind at every sub-step start, in one read
     for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
         w += taylor_galerkin_increment(w, wind, matrices, work=work)
-    # w becomes the source increment in place, part by part: the complex
-    # w - (u1 + 1j * u2) could also flip the sign of a zero imaginary part
-    d_star = w
-    d_star.real -= state.u1
-    d_star.imag -= state.u2
+    d_star = w   # w becomes the source increment, in place
+    d_star -= state.u
     # one scan per outer step, before the right side and the solve are
     # formed; only a failure rescans, to name the node and the component
     if not np.isfinite(d_star).all():
         require_finite(d_u1=d_star.real, d_u2=d_star.imag)
     # the wall constraint acts on the source increment where it couples to
     # the wave step: without this the flux H (u + theta1 du*) pushes water
-    # through closed boundaries and the basin mass drifts (it writes
-    # through the views)
-    project_land_velocity(d_star.real, d_star.imag, mesh)
+    # through closed boundaries and the basin mass drifts
+    project_land_velocity(d_star, mesh)
 
     t_next = state.t + cfg.tau_tilde
     rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
     # the one tide read of the step (a closed basin reads none)
     eta_open = forcings.tide_at(t_next) if solver.open_nodes.size else 0.0
     d_eta, cg_stats = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes])
-    d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, cfg, params.g)
+    d_u = velocity_correction(state, d_eta, matrices, cfg, params.g)
 
-    new_state = State(eta=state.eta + d_eta,
-                      u1=state.u1 + d_star.real + d_u1c,
-                      u2=state.u2 + d_star.imag + d_u2c,
-                      t=t_next)
+    new_state = State(eta=state.eta + d_eta, u=state.u + d_star + d_u, t=t_next)
     apply_boundaries(new_state, mesh, eta_open)
     new_state.check()
     clamped = int(np.count_nonzero(mesh.depth + state.eta < params.h_min))
@@ -373,7 +363,7 @@ class OutputWriter:
 
     def snapshot(self, step_idx, state: State):
         path = os.path.join(self.out_dir, f"snap_{step_idx}.csv")
-        columns = (np.asarray(a, dtype=float).tolist() for a in (state.eta, state.u1, state.u2))
+        columns = (a.tolist() for a in (state.eta, state.u.real, state.u.imag))
         with open(path, "w") as fh:
             fh.write(f"{CLOCK_PREFIX}{float(state.t)!r}\n{SNAPSHOT_HEADER}\n")
             fh.writelines(f"{head}{eta!r},{u1!r},{u2!r}\n"
@@ -440,4 +430,7 @@ def load_snapshot(path, mesh: Mesh) -> State:
         i = int(off[0])
         raise ValueError(f"{path}: node {i} at {tuple(xy[i].tolist())} is not "
                          f"the mesh node at {tuple(coords[i].tolist())}")
-    return State(rows["f3"].copy(), rows["f4"].copy(), rows["f5"].copy(), t).check()
+    # part by part: a complex sum of the columns would turn a -0.0 u1 into +0.0
+    u = np.empty(n_nodes, dtype=complex)
+    u.real, u.imag = rows["f4"], rows["f5"]
+    return State(rows["f3"].copy(), u, t).check()

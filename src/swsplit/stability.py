@@ -13,16 +13,19 @@ velocity eigenpair alone.  :func:`build_report` gives two verdicts:
 
 * the cubic criterion: a tau^3 - b tau^2 + c tau - d < 0 with the
   closed-form coefficients below, whose real root is the critical step
-  tau_c (this is the stricter bound and the one the simulator gate uses);
+  tau_c (the one the simulator gate uses);
 * the modulus criterion: the modulus of the velocity eigenpair < 1.
 
-The two disagree slightly because the cubic is not the exact expansion
-of the modulus condition.  The modulus criterion is
-exact for the paper's (alpha, beta) pair only: the sub-step the code
-runs (:func:`source_update_matrix`) has the rotation entry
-tau k0 - tau^2 D k0, not beta = tau k0 - tau^2 D.  With the Chezy drag off
-(D = 0) the recursion has modulus >= 1 for every tau, so neither verdict
-can ever pass.
+The two disagree because the cubic is not the exact expansion of the
+modulus condition.  They share b, c, d, so the cubic is the stricter
+bound only while its leading coefficient is the larger: D^2 < 4 + k0^2,
+about 2 1/s (k0 = 1e-4, tau_c 10.0 against 12.6 s at D = 1e-3); past
+that its root grows like D/2 (4.80 against 0.193 s at D = 10).  The
+modulus criterion is exact for the paper's (alpha, beta) pair only: the
+sub-step the code runs (:func:`source_update_matrix`) has the rotation
+entry tau k0 - tau^2 D k0, not beta = tau k0 - tau^2 D.  With the Chezy
+drag off (D = 0) the recursion has modulus >= 1 for every tau, so
+neither verdict can ever pass.
 """
 from __future__ import annotations
 
@@ -177,7 +180,8 @@ def _bisect_cubic(a, b, c, d):
     # the smallest positive root; without one f changes sign once on t > 0
     p = b * b - 3.0 * a * c
     t_max = (b - math.sqrt(p)) / (3.0 * a) if p > 0.0 else 0.0
-    lo, hi = 0.0, (t_max if t_max > 0.0 and f(t_max) > 0.0 else 1e6)
+    # past 1 + (|b| + c + d) / a the term a t^3 outgrows the others: f > 0
+    lo, hi = 0.0, (t_max if t_max > 0.0 and f(t_max) > 0.0 else 1.0 + (abs(b) + c + d) / a)
     if not (f(lo) < 0.0 < f(hi)):
         raise ValueError("cubic has no sign change on the bracket")
     for _ in range(200):
@@ -218,14 +222,17 @@ def critical_time_step(a, b, c, d):
     inputs return a float, array inputs an array of roots, one per entry,
     and only the entries that need it are bisected.
 
-    Raises ``ValueError`` when any entry has d <= 0 (D = 0 regime: no
-    positive root, the scheme is never convergent).
+    Raises ``ValueError``, naming the condition, when any entry has
+    a <= 0 or d <= 0 (the D = 0 regime: the scheme is never convergent);
+    either leaves no positive root.
     """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    if (a <= 0.0).any() or (d <= 0.0).any():
-        raise ValueError("no positive root: requires a > 0 and d > 0 (D != 0)")
+    if (a <= 0.0).any():
+        raise ValueError("no positive root: a <= 0, the leading coefficient is not positive")
+    if (d <= 0.0).any():
+        raise ValueError("no positive root: d <= 0, the drag rate D = d/8 is not positive")
     p0, p1, disc = _cardano_terms(a, b, c, d)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = p1 + np.sqrt(disc)
@@ -278,10 +285,13 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
                          for cubic in ((a, b, c, d), modulus_cubic))
     except (OverflowError, ZeroDivisionError):   # a ** past the largest float, or / by 0
         finite = False
+    point = f"operating point tau={tau!r} s, speed={speed!r} m/s, depth={depth!r} m"
     if not finite:
-        raise ValueError(f"operating point tau={tau!r} s, speed={speed!r} m/s, depth={depth!r} m "
-                         "is out of range: its drag rate, tau^2 or cubic coefficients "
+        raise ValueError(f"{point} is out of range: its drag rate, tau^2 or cubic coefficients "
                          "are not finite")
+    if D != 0.0 and a <= 0.0:   # k0^4 + D^2 (8 - k0^2) turns negative once k0^2 > 8
+        raise ValueError(f"{point} is out of range: its cubic's leading coefficient "
+                         f"a={a!r} is not positive")
     if D == 0.0:
         tau_c_cubic = math.nan
         tau_c_modulus = math.nan

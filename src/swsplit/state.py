@@ -1,4 +1,4 @@
-"""Nodal solution state: elevation, velocities and the simulation clock."""
+"""Nodal solution state: elevation, complex velocity and the simulation clock."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,16 +9,18 @@ import numpy as np
 @dataclass
 class State:
     eta: np.ndarray   # free-surface elevation, m
-    u1: np.ndarray    # velocity, m/s
-    u2: np.ndarray
+    u: np.ndarray     # velocity u1 + i u2, m/s
     t: float = 0.0    # s
 
-    def check(self):
-        """Raise on shape mismatch or non-finite entries (hard fault)."""
-        n = self.eta.shape[0]
-        if self.u1.shape != (n,) or self.u2.shape != (n,):
+    def __post_init__(self):
+        if not np.iscomplexobj(self.u):
+            raise ValueError("state velocity must be complex u1 + i u2")
+        if self.eta.ndim != 1 or self.u.shape != self.eta.shape:
             raise ValueError("state arrays differ in length")
-        require_finite(eta=self.eta, u1=self.u1, u2=self.u2)
+
+    def check(self):
+        """Raise on non-finite entries (hard fault)."""
+        require_finite(eta=self.eta, u1=self.u.real, u2=self.u.imag)
         return self
 
 
@@ -33,5 +35,4 @@ def require_finite(**arrays):
 
 def initial_state(n_nodes: int, eta0: float = 0.0, t: float = 0.0) -> State:
     """Constant elevation, zero velocity."""
-    return State(np.full(n_nodes, float(eta0)), np.zeros(n_nodes),
-                 np.zeros(n_nodes), t)
+    return State(np.full(n_nodes, float(eta0)), np.zeros(n_nodes, dtype=complex), t)

@@ -282,6 +282,18 @@ def element_lumped_projection(mesh: Mesh, r_half, r_start):
     return rhs / lumped
 
 
+# ------------------------------------------------------- velocity
+
+def velocity(u1, u2):
+    """Complex velocity u1 + i u2 of two broadcastable real parts, set part
+    by part: the sum u1 + 1j * u2 would turn a -0.0 u1 into +0.0 and an
+    infinite u2 into a nan u1."""
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
+    u = np.empty(u1.shape, dtype=complex)
+    u.real, u.imag = u1, u2
+    return u
+
+
 # ------------------------------------------------------- source oracle
 
 def source_terms(state, mesh: Mesh, params, wind=(0.0, 0.0)):
@@ -291,10 +303,10 @@ def source_terms(state, mesh: Mesh, params, wind=(0.0, 0.0)):
     antisymmetric counterpart, with h = max(H + eta, h_min).
     """
     h = np.maximum(mesh.depth + state.eta, params.h_min)
-    drag = params.g / (params.k1 ** 2 * h) * np.sqrt(state.u1 * state.u1
-                                                     + state.u2 * state.u2)
-    r1 = params.k0 * state.u2 - drag * state.u1
-    r2 = -params.k0 * state.u1 - drag * state.u2
+    u1, u2 = state.u.real, state.u.imag
+    drag = params.g / (params.k1 ** 2 * h) * np.sqrt(u1 * u1 + u2 * u2)
+    r1 = params.k0 * u2 - drag * u1
+    r2 = -params.k0 * u1 - drag * u2
     v1, v2 = wind
     wind_speed = math.hypot(v1, v2)
     if wind_speed:
@@ -314,11 +326,12 @@ def real_taylor_galerkin_increment(state, mesh: Mesh, params, tau, wind=(0.0, 0.
     :func:`element_lumped_projection` of (r_half, r_start), per component.
     """
     r1, r2 = source_terms(state, mesh, params, wind)
-    zero = np.zeros(mesh.n_nodes)
-    w1, w2 = source_terms(State(state.eta, zero, zero), mesh, params, wind)
+    w1, w2 = source_terms(State(state.eta, np.zeros(mesh.n_nodes, dtype=complex)),
+                          mesh, params, wind)
     h = np.maximum(mesh.depth + state.eta, params.h_min)
-    drag = params.g / (params.k1 ** 2 * h) * np.hypot(state.u1, state.u2)
-    u1_half, u2_half = state.u1 + 0.5 * tau * r1, state.u2 + 0.5 * tau * r2
+    u1, u2 = state.u.real, state.u.imag
+    drag = params.g / (params.k1 ** 2 * h) * np.hypot(u1, u2)
+    u1_half, u2_half = u1 + 0.5 * tau * r1, u2 + 0.5 * tau * r2
     r1_half = params.k0 * u2_half - drag * u1_half + w1
     r2_half = -params.k0 * u1_half - drag * u2_half + w2
     return (tau * element_lumped_projection(mesh, r1_half, r1),
@@ -327,10 +340,9 @@ def real_taylor_galerkin_increment(state, mesh: Mesh, params, tau, wind=(0.0, 0.
 
 def substep_increment(state, wind, matrices, params, tau, frozen):
     """(d_u1, d_u2) of ``taylor_galerkin_increment`` called as the sub-cycle
-    calls it, on w = u1 + i u2 with a fresh :func:`sub_cycle_work`."""
-    w = np.empty(len(state.u1), dtype=complex)
-    w.real, w.imag = state.u1, state.u2
-    inc = taylor_galerkin_increment(w, wind, matrices, work=sub_cycle_work(frozen, params, tau))
+    calls it, on a copy of ``state.u`` with a fresh :func:`sub_cycle_work`."""
+    inc = taylor_galerkin_increment(state.u.copy(), wind, matrices,
+                                    work=sub_cycle_work(frozen, params, tau))
     return inc.real.copy(), inc.imag.copy()
 
 
@@ -423,8 +435,8 @@ def row_by_row_snapshot(path, mesh: Mesh, state):
         fh.write(f"# t={float(state.t)!r}\nnode,x1,x2,eta,u1,u2\n")
         for i in range(mesh.n_nodes):
             fh.write(f"{i},{float(x1[i])!r},{float(x2[i])!r},"
-                     f"{float(state.eta[i])!r},{float(state.u1[i])!r},"
-                     f"{float(state.u2[i])!r}\n")
+                     f"{float(state.eta[i])!r},{float(state.u[i].real)!r},"
+                     f"{float(state.u[i].imag)!r}\n")
 
 
 # --------------------------------------------------------- cubic oracle

@@ -13,7 +13,8 @@ import pytest
 
 from helpers import (advance, bisect_root, cubic_value, element_matrices_oracle,
                      jittered_mesh, mesh_text, random_triangle,
-                     rect_mesh, rect_mesh_arrays, substep_increment, two_triangle_square)
+                     rect_mesh, rect_mesh_arrays, substep_increment, two_triangle_square,
+                     velocity)
 from swsplit.cli import main
 from swsplit.explicit_step import frozen_coefficients
 from swsplit.fem import assemble
@@ -138,7 +139,7 @@ def test_criterion_6_uniform_field_equivalence(params, rng):
             tuple(rng.uniform(-0.3, 0.3, size=2)) + (rng.uniform(0.5, 5.0),)
             for _ in range(25)]
         for u1, u2, tau in cases:
-            state = State(np.zeros(n), np.full(n, u1), np.full(n, u2))
+            state = State(np.zeros(n), velocity(np.full(n, u1), np.full(n, u2)))
             d_u1, d_u2 = substep_increment(state, (0.0, 0.0), matrices, params, tau,
                                            frozen_coefficients(state.eta, mesh, params))
             drag = params.g * float(np.hypot(u1, u2)) / (params.k1 ** 2 * 0.1)
@@ -152,11 +153,11 @@ def test_criterion_7_lake_at_rest_exact(params):
     with criterion(7, "lake at rest stays identically zero for 100 steps"):
         mesh = rect_mesh(6, 6, 600.0, 600.0, depth=1.0)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0)
-        state = State(np.zeros(36), np.zeros(36), np.zeros(36), 0.0)
+        state = State(np.zeros(36), np.zeros(36, dtype=complex), 0.0)
         for k in range(100):
             state, _ = advance(mesh, state, params, cfg, Forcings(), 1)
             assert np.all(state.eta == 0.0)
-            assert np.all(state.u1 == 0.0) and np.all(state.u2 == 0.0)
+            assert np.all(state.u.real == 0.0) and np.all(state.u.imag == 0.0)
         assert state.t == 100 * 300.0
 
 
@@ -167,7 +168,7 @@ def test_criterion_8_mass_conservation(params):
         x, y = mesh.coords[:, 0], mesh.coords[:, 1]
         eta0 = 0.1 * np.exp(-((x - 1000.0) ** 2 + (y - 700.0) ** 2)
                             / (2 * 300.0 ** 2))
-        state = State(eta0, np.zeros(400), np.zeros(400), 0.0)
+        state = State(eta0, np.zeros(400, dtype=complex), 0.0)
         mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0, duration=30000.0,
                         gate_mode="enforce")

@@ -78,6 +78,18 @@ class TestAnalyze:
         assert lines[-1] == "  note: drag rate is zero, the source update never converges"
         assert "nan" in next(line for line in lines if "tau_c_cubic" in line)
 
+    @pytest.mark.parametrize("speed, tau_c", [("1e8", 3065625.003831705),
+                                              ("1e10", 306562500.383203)])
+    def test_root_past_a_million_seconds(self, capsys, speed, tau_c):
+        # every coefficient and Cardano term is finite; the root lies near
+        # D/2, where the bisection finds it, and the cubic changes sign there
+        assert main(["analyze", "--machine", "--speed", speed]) == 0
+        values = machine_map(capsys)
+        assert float(values["tau_c_cubic"]) == tau_c
+        a, b, c, d = (float(values[f"cubic_{k}"]) for k in "abcd")
+        f = lambda t: ((a * t - b) * t + c) * t - d
+        assert f(tau_c * (1.0 - 1e-9)) < 0.0 < f(tau_c * (1.0 + 1e-9))
+
     def test_boundary_tau_rejected(self, capsys):
         # 5.41 sits just above the actual root, ties are strict anyway
         assert main(["analyze", "--machine", "--tau", "5.41"]) == 0
@@ -121,8 +133,11 @@ class TestAnalyze:
         # finite cubic coefficients whose Cardano terms overflow
         (["analyze", "--speed", "1e20"], POINT),
         (["analyze", "--set", "k0=1e70"], POINT),
+        # k0^2 > 8: the leading coefficient k0^4 + D^2 (8 - k0^2) is negative
+        (["analyze", "--set", "k0=1.98e4", "--speed", "6e13"],
+         POINT + ("leading coefficient a=-5.3",)),
     ], ids=["tau", "k0", "k1", "run-k1", "run-k0", "speed", "speed-depth", "depth", "g",
-            "speed-cardano", "k0-cardano"])
+            "speed-cardano", "k0-cardano", "k0-leading-coefficient"])
     def test_arithmetic_fault_refused(self, capsys, tmp_path, argv, names):
         # a value whose square, fourth power or drag rate leaves the floats
         # is refused by name as it is read, before numpy warns, a Python

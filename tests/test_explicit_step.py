@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (advance, jittered_mesh, real_taylor_galerkin_increment, rect_mesh,
-                     source_terms, substep_increment, two_triangle_square)
+                     source_terms, substep_increment, two_triangle_square, velocity)
 from swsplit import implicit_step
 from swsplit.explicit_step import (frozen_coefficients, sub_cycle_work,
                                     taylor_galerkin_increment)
@@ -18,8 +18,7 @@ from swsplit.state import State
 
 def uniform_state(mesh, u1, u2, eta=0.0):
     n = mesh.n_nodes
-    return State(np.full(n, float(eta)), np.full(n, float(u1)),
-                 np.full(n, float(u2)), 0.0)
+    return State(np.full(n, float(eta)), velocity(np.full(n, float(u1)), float(u2)), 0.0)
 
 
 class TestSourceTerms:
@@ -56,8 +55,8 @@ DEMO_MESH = Path(__file__).resolve().parent.parent / "demo" / "channel.mesh"
 
 def random_state(mesh, rng):
     n = mesh.n_nodes
-    return State(rng.uniform(-0.2, 0.2, n), rng.uniform(-0.3, 0.3, n),
-                 rng.uniform(-0.3, 0.3, n), 0.0)
+    return State(rng.uniform(-0.2, 0.2, n),
+                 velocity(rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n)), 0.0)
 
 
 class TestRealTwoStageOracle:
@@ -99,14 +98,13 @@ class TestRealTwoStageOracle:
         tau, n_sub = 3.0, 100
         frozen = frozen_coefficients(state.eta, mesh, params)
         work = sub_cycle_work(frozen, params, tau)
-        w = np.empty(mesh.n_nodes, dtype=complex)
-        w.real, w.imag = state.u1, state.u2
-        u1, u2 = state.u1.copy(), state.u2.copy()
+        w = state.u.copy()
+        u1, u2 = state.u.real.copy(), state.u.imag.copy()
         for k in range(n_sub):
             wind = (6.0 * np.cos(0.03 * k), -3.0 + 0.05 * k)
             w += taylor_galerkin_increment(w, wind, matrices, work=work)
-            d_u1, d_u2 = real_taylor_galerkin_increment(State(state.eta, u1, u2), mesh,
-                                                        params, tau, wind)
+            d_u1, d_u2 = real_taylor_galerkin_increment(State(state.eta, velocity(u1, u2)),
+                                                        mesh, params, tau, wind)
             u1, u2 = u1 + d_u1, u2 + d_u2
         for got, want in ((w.real, u1), (w.imag, u2)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -244,7 +242,7 @@ class TestTaylorGalerkinIncrement:
         # sub-cycle, so a NaN never reaches the elevation solve's CG
         mesh = two_triangle_square(depth=0.1)
         state = uniform_state(mesh, 0.1, 0.0)
-        state.u1[1] = np.nan
+        state.u.real[1] = np.nan
         calls = []
         monkeypatch.setattr(implicit_step, "conjugate_gradient",
                             lambda *args, **kwargs: calls.append(args))

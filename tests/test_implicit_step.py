@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import (dense_global_oracle, jittered_channel, jittered_mesh, rect_mesh,
-                     two_triangle_square)
+                     two_triangle_square, velocity)
 from swsplit import simulator
 from swsplit.fem import assemble, helmholtz_matrix
 from swsplit.forcing import ForcingError, Forcings, TimeSeries, load_tide, load_wind
@@ -108,7 +108,7 @@ class TestElevationRhs:
     def test_quiescent_zero(self):
         mesh = two_triangle_square(depth=1.0)
         m = assemble(mesh)
-        state = State(np.zeros(4), np.zeros(4), np.zeros(4))
+        state = State(np.zeros(4), np.zeros(4, dtype=complex))
         rhs = elevation_rhs(state, zero_increment(4), m, mesh,
                             RunConfig(tau_tilde=300.0), G)
         assert np.all(rhs == 0.0)
@@ -116,7 +116,7 @@ class TestElevationRhs:
     def test_uniform_elevation_flat_bottom_zero(self):
         mesh = two_triangle_square(depth=1.0)
         m = assemble(mesh)
-        state = State(np.full(4, 0.37), np.zeros(4), np.zeros(4))
+        state = State(np.full(4, 0.37), np.zeros(4, dtype=complex))
         rhs = elevation_rhs(state, zero_increment(4), m, mesh,
                             RunConfig(tau_tilde=300.0, theta1=1.0), G)
         assert np.max(np.abs(rhs)) < 1e-16
@@ -127,7 +127,7 @@ class TestElevationRhs:
         mesh = build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
                           [1.0] * 3, [LAND] * 3)
         m = assemble(mesh)
-        state = State(np.zeros(3), np.ones(3), np.zeros(3))
+        state = State(np.zeros(3), velocity(np.ones(3), 0.0))
         rhs = elevation_rhs(state, zero_increment(3), m, mesh,
                             RunConfig(tau=1.0, tau_tilde=1.0, theta1=0.0), G)
         assert np.max(np.abs(rhs)) == 0.0
@@ -137,16 +137,16 @@ class TestElevationRhs:
         n = mesh.n_nodes
         m = assemble(mesh)
         _, S, Q1, Q2 = dense_global_oracle(mesh)
-        state = State(rng.uniform(-0.1, 0.1, n), rng.uniform(-0.5, 0.5, n),
-                      rng.uniform(-0.5, 0.5, n))
+        state = State(rng.uniform(-0.1, 0.1, n),
+                      velocity(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)))
         d1 = rng.uniform(-0.01, 0.01, n)
         d2 = rng.uniform(-0.01, 0.01, n)
-        d_star = d1 + 1j * d2
+        d_star = velocity(d1, d2)
         cfg = RunConfig(tau_tilde=120.0, theta1=0.8, theta2=0.3)
         got = elevation_rhs(state, d_star, m, mesh, cfg, G)
         h = mesh.depth
-        w1 = h * (state.u1 + cfg.theta1 * d1)
-        w2 = h * (state.u2 + cfg.theta1 * d2)
+        w1 = h * (state.u.real + cfg.theta1 * d1)
+        w2 = h * (state.u.imag + cfg.theta1 * d2)
         want = -cfg.tau_tilde * (Q1 @ w1 + Q2 @ w2
                                  + cfg.tau_tilde * cfg.theta1 * G * (S @ state.eta))
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -222,32 +222,49 @@ class TestVelocityCorrection:
     def test_uniform_target_zero(self):
         mesh = two_triangle_square(depth=1.0)
         m = assemble(mesh)
-        state = State(np.full(4, 0.2), np.zeros(4), np.zeros(4))
-        d1, d2 = velocity_correction(state, np.full(4, 0.1), m,
-                                     RunConfig(tau_tilde=300.0), G)
-        assert np.max(np.abs(d1)) == 0.0 and np.max(np.abs(d2)) == 0.0
+        state = State(np.full(4, 0.2), np.zeros(4, dtype=complex))
+        d_u = velocity_correction(state, np.full(4, 0.1), m, RunConfig(tau_tilde=300.0), G)
+        assert np.max(np.abs(d_u.real)) == 0.0 and np.max(np.abs(d_u.imag)) == 0.0
 
     def test_linear_elevation_slope(self):
         # eta = x1 on a flat interior: du1 = -tau_tilde * g, du2 = 0
         mesh = rect_mesh(6, 6, 1.0, 1.0, depth=1.0)
         m = assemble(mesh)
         n = mesh.n_nodes
-        state = State(mesh.coords[:, 0].copy(), np.zeros(n), np.zeros(n))
+        state = State(mesh.coords[:, 0].copy(), np.zeros(n, dtype=complex))
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
-        d1, d2 = velocity_correction(state, np.zeros(n), m, cfg, G)
+        d_u = velocity_correction(state, np.zeros(n), m, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
-        assert np.allclose(d1[interior], -cfg.tau_tilde * G, rtol=1e-12)
-        assert np.max(np.abs(d2[interior])) < 1e-9
+        assert np.allclose(d_u.real[interior], -cfg.tau_tilde * G, rtol=1e-12)
+        assert np.max(np.abs(d_u.imag[interior])) < 1e-9
 
     def test_theta2_zero_ignores_increment(self, rng):
         mesh = jittered_mesh(4, 4, rng)
         m = assemble(mesh)
         n = mesh.n_nodes
-        state = State(rng.uniform(-0.1, 0.1, n), np.zeros(n), np.zeros(n))
+        state = State(rng.uniform(-0.1, 0.1, n), np.zeros(n, dtype=complex))
         cfg = RunConfig(tau=1.0, tau_tilde=10.0, theta2=0.0)
-        a1, a2 = velocity_correction(state, np.zeros(n), m, cfg, G)
-        b1, b2 = velocity_correction(state, rng.standard_normal(n), m, cfg, G)
-        assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
+        a = velocity_correction(state, np.zeros(n), m, cfg, G)
+        b = velocity_correction(state, rng.standard_normal(n), m, cfg, G)
+        assert np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complex_result_is_two_real_products_bitwise(self, seed):
+        # each part is -tau_tilde g Qi (eta + theta2 d_eta) / M_L, evaluated
+        # as one real product: no complex arithmetic enters either part
+        rng = np.random.default_rng(seed)
+        mesh = jittered_mesh(7, 6, rng, scale=1e3)
+        m = assemble(mesh)
+        n = mesh.n_nodes
+        state = State(rng.uniform(-0.1, 0.1, n), np.zeros(n, dtype=complex))
+        d_eta = rng.uniform(-0.01, 0.01, n)
+        cfg = RunConfig(tau=2.0, tau_tilde=rng.choice([60.0, 300.0]), theta2=rng.uniform())
+        d_u = velocity_correction(state, d_eta, m, cfg, G)
+        assert d_u.dtype == complex and d_u.shape == (n,)
+        target = state.eta + cfg.theta2 * d_eta
+        for part, Q in ((d_u.real, m.Q1), (d_u.imag, m.Q2)):
+            want = (-cfg.tau_tilde * G * (Q @ target)) / m.M_L
+            assert part.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make_mesh", [
         lambda: rect_mesh(6, 5, 1.0, 1.0, depth=1.0),
@@ -262,20 +279,20 @@ class TestVelocityCorrection:
         n = mesh.n_nodes
         a, b, c = 0.3, -0.7, 0.05
         x1, x2 = mesh.coords[:, 0], mesh.coords[:, 1]
-        state = State(a * x1 + b * x2 + c, np.zeros(n), np.zeros(n))
+        state = State(a * x1 + b * x2 + c, np.zeros(n, dtype=complex))
         cfg = RunConfig(tau=1.0, tau_tilde=2.0, theta2=0.0)
-        d1, d2 = velocity_correction(state, np.zeros(n), m, cfg, G)
+        d_u = velocity_correction(state, np.zeros(n), m, cfg, G)
         interior = np.flatnonzero(mesh.tags == 0)
-        assert np.max(np.abs(d1[interior] + cfg.tau_tilde * G * a)) <= 1e-12
-        assert np.max(np.abs(d2[interior] + cfg.tau_tilde * G * b)) <= 1e-12
+        assert np.max(np.abs(d_u.real[interior] + cfg.tau_tilde * G * a)) <= 1e-12
+        assert np.max(np.abs(d_u.imag[interior] + cfg.tau_tilde * G * b)) <= 1e-12
 
 
 class TestLandProjection:
     def test_axis_aligned_wall(self):
         mesh = rect_mesh(5, 5, 1.0, 1.0, depth=1.0)
-        u1 = np.full(mesh.n_nodes, 0.3)
-        u2 = np.full(mesh.n_nodes, 0.2)
-        project_land_velocity(u1, u2, mesh)
+        u = velocity(np.full(mesh.n_nodes, 0.3), 0.2)
+        project_land_velocity(u, mesh)
+        u1, u2 = u.real, u.imag
         wall = 1 * 5 + 0   # node (i=1, j=0) on the y=0 wall, normal (0,-1)
         assert u1[wall] == 0.3 and u2[wall] == 0.0
         side = 0 * 5 + 2   # node (i=0, j=2) on the x=0 wall, normal (-1,0)
@@ -283,40 +300,53 @@ class TestLandProjection:
 
     def test_corner_fully_clamped(self):
         mesh = rect_mesh(5, 5, 1.0, 1.0, depth=1.0)
-        u1 = np.full(mesh.n_nodes, 0.3)
-        u2 = np.full(mesh.n_nodes, 0.2)
-        project_land_velocity(u1, u2, mesh)
-        assert u1[0] == 0.0 and u2[0] == 0.0
+        u = velocity(np.full(mesh.n_nodes, 0.3), 0.2)
+        project_land_velocity(u, mesh)
+        assert u[0].real == 0.0 and u[0].imag == 0.0
 
-    def test_writes_through_complex_views(self, rng):
-        # the step projects its complex source increment through .real and
-        # .imag: that must write into the array, bitwise as on float copies
+    @staticmethod
+    def project_parts(u1, u2, mesh):
+        """The projection on two real arrays, in place: corners zeroed,
+        walls lose u . n along n."""
+        u1[mesh.corner_nodes] = 0.0
+        u2[mesh.corner_nodes] = 0.0
+        nx, ny = mesh.wall_normals[:, 0], mesh.wall_normals[:, 1]
+        un = u1[mesh.wall_nodes] * nx + u2[mesh.wall_nodes] * ny
+        u1[mesh.wall_nodes] -= un * nx
+        u2[mesh.wall_nodes] -= un * ny
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_equals_projection_of_real_copies(self, rng, signed_zeros):
+        # projecting the complex array writes into it, bitwise as projecting
+        # real copies of its parts, signs of zero included
         mesh = jittered_mesh(6, 5, rng)
         assert mesh.wall_nodes.size and mesh.corner_nodes.size
-        z = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+        u1, u2 = rng.standard_normal(mesh.n_nodes), rng.standard_normal(mesh.n_nodes)
+        if signed_zeros:   # -0.0 and +0.0 parts on walls, corners and inside
+            u1[::3], u2[1::3] = -0.0, -0.0
+            u1[1::4], u2[::4] = 0.0, -0.0
+        z = velocity(u1, u2)
         before = z.copy()
-        u1, u2 = z.real.copy(), z.imag.copy()
-        project_land_velocity(u1, u2, mesh)
-        project_land_velocity(z.real, z.imag, mesh)
+        self.project_parts(u1, u2, mesh)
+        project_land_velocity(z, mesh)
         assert not np.array_equal(z, before)
         assert z.real.tobytes() == u1.tobytes() and z.imag.tobytes() == u2.tobytes()
 
     def test_interior_untouched(self, rng):
         mesh = rect_mesh(5, 5, 1.0, 1.0, depth=1.0)
-        u1 = rng.standard_normal(mesh.n_nodes)
-        u2 = rng.standard_normal(mesh.n_nodes)
-        keep1, keep2 = u1.copy(), u2.copy()
-        project_land_velocity(u1, u2, mesh)
+        u = velocity(rng.standard_normal(mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
+        keep = u.copy()
+        project_land_velocity(u, mesh)
         interior = mesh.tags == 0
-        assert np.array_equal(u1[interior], keep1[interior])
-        assert np.array_equal(u2[interior], keep2[interior])
+        assert np.array_equal(u.real[interior], keep.real[interior])
+        assert np.array_equal(u.imag[interior], keep.imag[interior])
 
 
 class TestApplyBoundaries:
     def test_constant_zero_tide(self):
         mesh = rect_mesh(4, 4, 1.0, 1.0, depth=1.0, boundary_tag=OPEN)
         n = mesh.n_nodes
-        state = State(np.full(n, 0.5), np.zeros(n), np.zeros(n), t=100.0)
+        state = State(np.full(n, 0.5), np.zeros(n, dtype=complex), t=100.0)
         apply_boundaries(state, mesh, Forcings().tide_at(100.0))
         assert np.all(state.eta[mesh.open_nodes] == 0.0)
 
@@ -324,7 +354,7 @@ class TestApplyBoundaries:
         mesh = rect_mesh(4, 4, 1.0, 1.0, depth=1.0, boundary_tag=OPEN)
         n = mesh.n_nodes
         tide = TimeSeries([0.0, 3600.0], [[0.0], [1.0]], name="tide")
-        state = State(np.zeros(n), np.zeros(n), np.zeros(n), t=1800.0)
+        state = State(np.zeros(n), np.zeros(n, dtype=complex), t=1800.0)
         apply_boundaries(state, mesh, Forcings(tide=tide).tide_at(1800.0))
         assert np.all(state.eta[mesh.open_nodes] == 0.5)
 
@@ -341,14 +371,14 @@ class TestConservationAndRest:
         mesh = rect_mesh(5, 5, 100.0, 100.0, depth=2.0)
         m = assemble(mesh)
         n = mesh.n_nodes
-        state = State(np.zeros(n), np.zeros(n), np.zeros(n))
+        state = State(np.zeros(n), np.zeros(n, dtype=complex))
         cfg = RunConfig(tau_tilde=300.0)
         A = helmholtz_matrix(m, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
         rhs = elevation_rhs(state, zero_increment(n), m, mesh, cfg, G)
         d_eta, stats = solve_elevation(ElevationSolver(A, mesh.open_nodes), rhs, np.empty(0))
         assert np.all(d_eta == 0.0) and stats.iterations == 0
-        d1, d2 = velocity_correction(state, d_eta, m, cfg, G)
-        assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+        d_u = velocity_correction(state, d_eta, m, cfg, G)
+        assert np.all(d_u.real == 0.0) and np.all(d_u.imag == 0.0)
 
     def test_closed_basin_mass_per_step(self, rng):
         # wall-compatible random state: lumped-mass integral of the
@@ -356,14 +386,11 @@ class TestConservationAndRest:
         mesh = rect_mesh(8, 7, 500.0, 400.0, depth=2.0)
         m = assemble(mesh)
         n = mesh.n_nodes
-        u1 = rng.uniform(-0.3, 0.3, n)
-        u2 = rng.uniform(-0.3, 0.3, n)
-        project_land_velocity(u1, u2, mesh)
-        d1 = rng.uniform(-0.02, 0.02, n)
-        d2 = rng.uniform(-0.02, 0.02, n)
-        project_land_velocity(d1, d2, mesh)
-        state = State(rng.uniform(-0.05, 0.05, n), u1, u2)
-        d_star = d1 + 1j * d2
+        u = velocity(rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n))
+        project_land_velocity(u, mesh)
+        d_star = velocity(rng.uniform(-0.02, 0.02, n), rng.uniform(-0.02, 0.02, n))
+        project_land_velocity(d_star, mesh)
+        state = State(rng.uniform(-0.05, 0.05, n), u)
         cfg = RunConfig(tau_tilde=300.0)
         A = helmholtz_matrix(m, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
         rhs = elevation_rhs(state, d_star, m, mesh, cfg, G)
@@ -388,7 +415,7 @@ class TestConservationAndRest:
 
         def solve_on(mesh_, eta_, u1_, u2_):
             m_ = assemble(mesh_)
-            st = State(eta_.copy(), u1_.copy(), u2_.copy())
+            st = State(eta_.copy(), velocity(u1_, u2_))
             A = helmholtz_matrix(m_, cfg.tau_tilde, cfg.theta1, cfg.theta2, G)
             rhs = elevation_rhs(st, zero_increment(len(eta_)), m_, mesh_, cfg, G)
             d_eta, _ = solve_elevation(ElevationSolver(A, mesh_.open_nodes), rhs,
@@ -456,7 +483,7 @@ class TestStopTolerance:
     def test_closed_basin_seiche(self, monkeypatch):
         mesh = jittered_mesh(25, 25, np.random.default_rng(4), scale=20000.0, depth=50.0)
         eta = 0.2 + 0.05 * np.cos(np.pi * mesh.coords[:, 0] / 20000.0)
-        state = State(eta, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+        state = State(eta, np.zeros(mesh.n_nodes, dtype=complex))
         cfg = RunConfig(tau=60.0, tau_tilde=600.0, duration=12000.0)
         summary = self.compare(monkeypatch, mesh, state, cfg, Forcings())
         assert mesh.open_nodes.size == 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (advance, channel_mesh, jittered_mesh, rect_mesh, rect_mesh_arrays,
-                     row_by_row_snapshot)
+                     row_by_row_snapshot, velocity)
 from swsplit.explicit_step import (frozen_coefficients, sub_cycle_work,
                                    taylor_galerkin_increment)
 from swsplit.fem import assemble
@@ -34,7 +34,7 @@ def reference_basin(u1=0.1, boundary=None):
     else:
         mesh = rect_mesh(5, 5, 400.0, 400.0, depth=0.1, boundary_tag=boundary)
     n = mesh.n_nodes
-    state = State(np.zeros(n), np.full(n, float(u1)), np.zeros(n), 0.0)
+    state = State(np.zeros(n), velocity(np.full(n, float(u1)), 0.0), 0.0)
     return mesh, state
 
 
@@ -191,7 +191,7 @@ class TestStabilityGate:
             eta = rng.uniform(-0.5, 0.5, mesh.n_nodes)
             u1, u2 = rng.uniform(-0.3, 0.3, (2, mesh.n_nodes))
         n = mesh.n_nodes
-        state = State(eta, u1, u2, 0.0)
+        state = State(eta, velocity(u1, u2), 0.0)
         verdict = gate(state, mesh, params, 3.0)
 
         worst = None
@@ -219,7 +219,7 @@ class TestStep:
         new, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert new.t == 300.0
         assert np.all(new.eta == 0.0)
-        assert np.all(new.u1 == 0.0) and np.all(new.u2 == 0.0)
+        assert np.all(new.u.real == 0.0) and np.all(new.u.imag == 0.0)
         assert info.cg.iterations == 0
 
     def test_uniform_field_is_pure_recursion(self, params):
@@ -234,8 +234,8 @@ class TestStep:
             speed = float(np.hypot(*u))
             drag = params.g * speed / (params.k1 ** 2 * 0.1)
             u = source_update_matrix(cfg.tau, params.k0, drag) @ u
-        assert np.max(np.abs(new.u1 - u[0])) < 1e-12
-        assert np.max(np.abs(new.u2 - u[1])) < 1e-12
+        assert np.max(np.abs(new.u.real - u[0])) < 1e-12
+        assert np.max(np.abs(new.u.imag - u[1])) < 1e-12
         assert np.max(np.abs(new.eta)) < 1e-12
 
     def test_gate_refusal_names_critical_step(self, params):
@@ -292,8 +292,7 @@ class TestStep:
         mesh = channel_mesh(6, 5, 600.0, 400.0, depth=1.0)
         n = mesh.n_nodes
         state = State(0.01 * rng.standard_normal(n),
-                      0.05 * rng.standard_normal(n),
-                      0.05 * rng.standard_normal(n), 0.0)
+                      velocity(0.05 * rng.standard_normal(n), 0.05 * rng.standard_normal(n)), 0.0)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0, gate_mode="off")
         tide = TimeSeries([0.0, 1000.0], [[0.0], [0.2]], name="tide")
         forcings = Forcings(tide=tide)
@@ -302,27 +301,22 @@ class TestStep:
         matrices = assemble(mesh)
         frozen = frozen_coefficients(state.eta, mesh, params)
         work = sub_cycle_work(frozen, params, cfg.tau)
-        w = np.empty(n, dtype=complex)
-        w.real, w.imag = state.u1, state.u2
+        w = state.u.copy()
         for wind in forcings.wind_at(state.t + cfg.tau * np.arange(cfg.n_sub)).tolist():
             w += taylor_galerkin_increment(w, wind, matrices, work=work)
         d_star = w
-        d_star.real -= state.u1
-        d_star.imag -= state.u2
-        project_land_velocity(d_star.real, d_star.imag, mesh)
+        d_star -= state.u
+        project_land_velocity(d_star, mesh)
         solver = simulator.elevation_solver(matrices, mesh, cfg, params.g)
         rhs = elevation_rhs(state, d_star, matrices, mesh, cfg, params.g)
         eta_open = forcings.tide_at(new.t)
         d_eta, _ = solve_elevation(solver, rhs, eta_open - state.eta[solver.open_nodes])
-        d_u1c, d_u2c = velocity_correction(state, d_eta, matrices, cfg, params.g)
-        rebuilt = State(eta=state.eta + d_eta,
-                        u1=state.u1 + d_star.real + d_u1c,
-                        u2=state.u2 + d_star.imag + d_u2c,
-                        t=new.t)
+        d_u = velocity_correction(state, d_eta, matrices, cfg, params.g)
+        rebuilt = State(eta=state.eta + d_eta, u=state.u + d_star + d_u, t=new.t)
         apply_boundaries(rebuilt, mesh, eta_open)
         assert np.array_equal(rebuilt.eta, new.eta)
-        assert np.array_equal(rebuilt.u1, new.u1)
-        assert np.array_equal(rebuilt.u2, new.u2)
+        assert np.array_equal(rebuilt.u.real, new.u.real)
+        assert np.array_equal(rebuilt.u.imag, new.u.imag)
 
     def test_slanted_walls_hold_no_normal_flow(self, params, rng):
         # a closed basin turned 30 degrees: no wall normal is axis-aligned,
@@ -333,16 +327,17 @@ class TestStep:
         mesh = build_mesh(coords @ np.array([[c, s], [-s, c]]), tris, depth, tags)
         n = mesh.n_nodes
         assert np.all(np.abs(mesh.wall_normals) > 0.4) and mesh.corner_nodes.size == 4
-        state = State(0.01 * rng.standard_normal(n), 0.05 * rng.standard_normal(n),
-                      0.05 * rng.standard_normal(n), 0.0)
+        state = State(0.01 * rng.standard_normal(n),
+                      velocity(0.05 * rng.standard_normal(n), 0.05 * rng.standard_normal(n)), 0.0)
         cfg = RunConfig(tau=5.0, tau_tilde=100.0, gate_mode="off")
         new, _ = advance(mesh, state, params, cfg, Forcings(), 1)
         walls, (nx, ny) = mesh.wall_nodes, mesh.wall_normals.T
-        normal = new.u1[walls] * nx + new.u2[walls] * ny
-        assert np.max(np.abs(normal)) <= 1e-15 * np.max(np.hypot(new.u1, new.u2))
-        assert np.all(np.hypot(new.u1[walls], new.u2[walls]) > 0.0)   # the walls carry flow
-        assert np.all(new.u1[mesh.corner_nodes] == 0.0)
-        assert np.all(new.u2[mesh.corner_nodes] == 0.0)
+        u1, u2 = new.u.real, new.u.imag
+        normal = u1[walls] * nx + u2[walls] * ny
+        assert np.max(np.abs(normal)) <= 1e-15 * np.max(np.hypot(u1, u2))
+        assert np.all(np.hypot(u1[walls], u2[walls]) > 0.0)   # the walls carry flow
+        assert np.all(u1[mesh.corner_nodes] == 0.0)
+        assert np.all(u2[mesh.corner_nodes] == 0.0)
 
     def test_tide_read_once_per_step(self, params, monkeypatch):
         # one read serves both the solve's open values and the boundary
@@ -440,13 +435,13 @@ class TestRun:
         n = mesh.n_nodes
         eta = np.zeros(n)
         eta[[6, 12, 18]] = -0.98
-        state = State(eta, np.zeros(n), np.zeros(n), 0.0)
+        state = State(eta, np.zeros(n, dtype=complex), 0.0)
         mats = assemble(mesh)
         cfg = RunConfig(tau=30.0, tau_tilde=300.0, duration=300.0, gate_mode="off")
         _, info = advance(mesh, state, params, cfg, Forcings(), 1)
         assert info.clamped_nodes == 3
         assert run(state, mesh, mats, params, cfg, Forcings()).clamped_nodes_max == 3
-        calm = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
+        calm = State(np.zeros(n), np.zeros(n, dtype=complex), 0.0)
         assert run(calm, mesh, mats, params, cfg, Forcings()).clamped_nodes_max == 0
 
     def test_closed_basin_mass_conservation_short(self, params):
@@ -454,7 +449,7 @@ class TestRun:
         n = mesh.n_nodes
         x, y = mesh.coords[:, 0], mesh.coords[:, 1]
         eta0 = 0.1 * np.exp(-((x - 500.0) ** 2 + (y - 300.0) ** 2) / (2 * 150.0 ** 2))
-        state = State(eta0, np.zeros(n), np.zeros(n), 0.0)
+        state = State(eta0, np.zeros(n, dtype=complex), 0.0)
         mats = assemble(mesh)
         cfg = RunConfig(tau=3.0, tau_tilde=300.0, duration=3000.0)
         summary = run(state, mesh, mats, params, cfg, Forcings())
@@ -613,28 +608,62 @@ class TestForcingCoverage:
         assert summary.completed and summary.steps == 3
 
 
-@pytest.mark.parametrize("short", ["u1", "u2"])
-def test_state_check_refuses_arrays_of_different_lengths(short):
-    arrays = {name: np.zeros(4) for name in ("eta", "u1", "u2")}
-    arrays[short] = np.zeros(3)
+@pytest.mark.parametrize("eta, u", [
+    (np.zeros(4), np.zeros(3, dtype=complex)),
+    (np.zeros(3), np.zeros(4, dtype=complex)),
+    (np.zeros(4), np.zeros((4, 1), dtype=complex)),
+    (np.zeros((4, 1)), np.zeros((4, 1), dtype=complex)),
+], ids=["u_short", "eta_short", "u_column", "both_columns"])
+def test_state_refuses_arrays_of_different_lengths(eta, u):
     with pytest.raises(ValueError, match="^state arrays differ in length$"):
-        State(**arrays).check()
+        State(eta, u)
+
+
+@pytest.mark.parametrize("u", [np.zeros(4), np.zeros((2, 4)), np.zeros(4, dtype=np.float32)],
+                         ids=["float", "stacked_parts", "float32"])
+def test_state_refuses_a_real_velocity(u):
+    # one complex array: two real parts, stacked or not, are refused at construction
+    with pytest.raises(ValueError, match="^state velocity must be complex u1 \\+ i u2$"):
+        State(np.zeros(4), u)
 
 
 class TestSnapshotIO:
     def test_roundtrip(self, params, tmp_path, rng):
         mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
         n = mesh.n_nodes
-        state = State(rng.standard_normal(n), rng.standard_normal(n),
-                      rng.standard_normal(n), 900.0 + 0.1 + 0.2)
+        state = State(rng.standard_normal(n),
+                      velocity(rng.standard_normal(n), rng.standard_normal(n)), 900.0 + 0.1 + 0.2)
         writer = OutputWriter(tmp_path, mesh)
         writer.snapshot(3, state)
         writer.close()
         back = load_snapshot(tmp_path / "snap_3.csv", mesh)
         assert back.t == state.t
         assert np.array_equal(back.eta, state.eta)
-        assert np.array_equal(back.u1, state.u1)
-        assert np.array_equal(back.u2, state.u2)
+        assert np.array_equal(back.u.real, state.u.real)
+        assert np.array_equal(back.u.imag, state.u.imag)
+
+    def test_signed_zero_velocity_restarts_byte_for_byte(self, tmp_path, rng):
+        # a restart file whose u1 and u2 hold -0.0 (alone, together and
+        # beside +0.0 and finite parts) is read into the complex velocity
+        # part by part, so writing it again gives the same bytes
+        mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
+        n = mesh.n_nodes
+        pairs = [(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.25), (-1.5, -0.0),
+                 (0.0, 0.0), (-0.0, -1e300), (5e-324, -0.0)]
+        parts = np.array([pairs[i % len(pairs)] for i in range(n)])
+        eta = rng.standard_normal(n)
+        text = "# t=1200.0\nnode,x1,x2,eta,u1,u2\n" + "".join(
+            f"{i},{x1!r},{x2!r},{e!r},{u1!r},{u2!r}\n" for i, ((x1, x2), e, (u1, u2))
+            in enumerate(zip(mesh.coords.tolist(), eta.tolist(), parts.tolist())))
+        restart = tmp_path / "restart.csv"
+        restart.write_text(text)
+        state = load_snapshot(restart, mesh)
+        assert np.signbit(state.u.real).tolist() == np.signbit(parts[:, 0]).tolist()
+        assert np.signbit(state.u.imag).tolist() == np.signbit(parts[:, 1]).tolist()
+        writer = OutputWriter(tmp_path / "out", mesh)
+        writer.snapshot(4, state)
+        writer.close()
+        assert (tmp_path / "out" / "snap_4.csv").read_bytes() == restart.read_bytes()
 
     def test_writer_matches_row_by_row_oracle(self, tmp_path, rng):
         mesh = jittered_mesh(9, 7, rng, scale=20000.0)
@@ -644,7 +673,8 @@ class TestSnapshotIO:
         for k in range(3):   # later snapshots reuse the writer's node fields
             eta = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 15, n)
             eta[:special.size] = special
-            state = State(eta, rng.standard_normal(n), -rng.standard_normal(n), 600.0 * k)
+            state = State(eta, velocity(rng.standard_normal(n), -rng.standard_normal(n)),
+                          600.0 * k)
             writer.snapshot(k, state)
             row_by_row_snapshot(tmp_path / f"oracle_{k}.csv", mesh, state)
             assert (tmp_path / f"snap_{k}.csv").read_bytes() == \
@@ -731,8 +761,8 @@ class TestSnapshotIO:
         mesh = jittered_mesh(71, 71, rng, scale=20000.0)   # 5041 rows
         n = mesh.n_nodes
         writer = OutputWriter(tmp_path, mesh)
-        writer.snapshot(0, State(rng.standard_normal(n), rng.standard_normal(n),
-                                 rng.standard_normal(n), 0.0))
+        writer.snapshot(0, State(rng.standard_normal(n),
+                                 velocity(rng.standard_normal(n), rng.standard_normal(n)), 0.0))
         writer.close()
         path = tmp_path / "snap_0.csv"
         load_snapshot(path, mesh)          # the first call pays numpy's lazy set-up
@@ -750,8 +780,8 @@ class TestSnapshotIO:
         # so the five floats cannot be a float view of the whole row
         mesh = rect_mesh(4, 4, 100.0, 100.0, depth=1.0)
         n = mesh.n_nodes
-        state = State(rng.standard_normal(n), rng.standard_normal(n),
-                      rng.standard_normal(n), 600.0)
+        state = State(rng.standard_normal(n),
+                      velocity(rng.standard_normal(n), rng.standard_normal(n)), 600.0)
         writer = OutputWriter(tmp_path, mesh)
         writer.snapshot(2, state)
         writer.close()
@@ -762,8 +792,9 @@ class TestSnapshotIO:
         monkeypatch.setattr(simulator, "parse_rows", int32_ids)
         back = load_snapshot(tmp_path / "snap_2.csv", mesh)
         assert back.t == state.t
-        for name in ("eta", "u1", "u2"):
-            assert np.array_equal(getattr(back, name), getattr(state, name)), name
+        for got, want in ((back.eta, state.eta), (back.u.real, state.u.real),
+                          (back.u.imag, state.u.imag)):
+            assert np.array_equal(got, want)
 
     def test_missing_row_checked(self, params, tmp_path):
         path = tmp_path / "x.csv"

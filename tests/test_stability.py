@@ -183,6 +183,33 @@ class TestCriticalTimeStep:
         with pytest.raises(ValueError, match="no positive root"):
             critical_time_step_for_drag(K0_REF, 0.0)
 
+    @pytest.mark.parametrize("cubic, condition", [
+        ((-1.0, 1.0, 1.0, 1.0), "a <= 0"),
+        ((0.0, 1.0, 1.0, 1.0), "a <= 0"),
+        ((1.0, 1.0, 1.0, 0.0), "d <= 0"),
+        ((1.0, 1.0, 1.0, -1.0), "d <= 0"),
+    ], ids=["a_negative", "a_zero", "d_zero", "d_negative"])
+    def test_refusal_names_the_failed_condition(self, cubic, condition):
+        with pytest.raises(ValueError, match=f"^no positive root: {condition}, ") as exc:
+            critical_time_step(*cubic)
+        assert ("drag rate" in str(exc.value)) == (condition == "d <= 0")
+
+    @pytest.mark.parametrize("D", [6.13125e6, 1e7, 6.13125e8])
+    def test_root_past_a_million_seconds(self, D):
+        # at large D the root lies near D/2; the bisection bracket ends at
+        # 1 + (|b| + c + d) / a, past which f > 0, not at a fixed time
+        cubic = cubic_coefficients(K0_REF, D)
+        tau_c = critical_time_step(*cubic)
+        assert tau_c == pytest.approx(D / 2.0, rel=1e-6)
+        assert cubic_value(*cubic, tau_c * (1.0 - 1e-9)) < 0.0 < \
+            cubic_value(*cubic, tau_c * (1.0 + 1e-9))
+
+    def test_bisection_bracket_straddles_any_root(self):
+        # t^3 - 2e18 has no local maximum: its one sign change, at
+        # 2^(1/3) 1e6, lies inside the bound 1 + (|b| + c + d) / a
+        assert stability._bisect_cubic(1.0, 0.0, 0.0, 2e18) == \
+            pytest.approx(2.0 ** (1.0 / 3.0) * 1e6, rel=1e-12)
+
     def test_monotone_onset(self):
         tau_c = critical_time_step(*cubic_coefficients(K0_REF, D_REF))
         below = np.linspace(1e-3, tau_c - 1e-6, 2000)
@@ -236,6 +263,19 @@ class TestCriticalTimeStepArrays:
         assert abs(cubic_value(1.0, 6.0, 11.0, 6.0, tau_c[1])) < 1e-9
         for i in range(3):
             assert tau_c[i] == critical_time_step(*cubics[:, i])
+
+    def test_large_drag_entries(self):
+        # one entry at the reference scale and one whose root lies near
+        # D/2 = 5e6 s: the array call bisects the second past 1e6 s
+        drags = np.array([1e-3, 1e7])
+        tau_c = critical_time_step_for_drag(1e-4, drags)
+        for D, t in zip(drags, tau_c):
+            assert t == critical_time_step_for_drag(1e-4, float(D))
+            cubic = cubic_coefficients(1e-4, float(D))
+            assert cubic_value(*cubic, t * (1.0 - 1e-9)) < 0.0 < \
+                cubic_value(*cubic, t * (1.0 + 1e-9))
+        assert tau_c[0] == pytest.approx(10.0, rel=1e-3)
+        assert tau_c[1] == pytest.approx(5e6, rel=1e-6)
 
     def test_scalar_contract(self):
         tau_c = critical_time_step(*cubic_coefficients(K0_REF, D_REF))

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import advance, bisect_root, observed_orders, rect_mesh, rect_mesh_arrays
+from helpers import (advance, bisect_root, observed_orders, rect_mesh, rect_mesh_arrays,
+                     velocity)
 from swsplit.fem import assemble
 from swsplit.forcing import Forcings, TimeSeries, load_tide, load_wind
 from swsplit.mesh import INTERIOR, LAND, OPEN, build_mesh, load_mesh
@@ -40,7 +41,7 @@ def test_seiche_period_matches_analytic(tmp_path):
     mesh = rect_mesh(41, 5, L, W, depth=H)
     n = mesh.n_nodes
     eta0 = amplitude * np.cos(np.pi * mesh.coords[:, 0] / L)
-    state = State(eta0, np.zeros(n), np.zeros(n), 0.0)
+    state = State(eta0, np.zeros(n, dtype=complex), 0.0)
     gauge = int(np.argmin(np.hypot(mesh.coords[:, 0], mesh.coords[:, 1] - W / 2)))
     cfg = RunConfig(tau=20.0, tau_tilde=20.0, duration=20.0 * 303)
     summary = run(state, mesh, assemble(mesh), params, cfg, Forcings(),
@@ -75,7 +76,7 @@ def test_sub_cycle_is_first_order_in_tau():
     def final_velocity(tau):
         state, _ = advance(mesh, initial_state(mesh.n_nodes), PhysicalParams(),
                            RunConfig(tau=tau, tau_tilde=300.0, gate_mode="off"), forcings, 6)
-        return np.concatenate([state.u1, state.u2])
+        return np.concatenate([state.u.real, state.u.imag])
 
     reference = final_velocity(3.0)
     taus = [30.0, 100.0, 300.0]
@@ -121,9 +122,9 @@ def test_wind_set_up_keeps_a_wall_layer_that_falls_with_tau_tilde():
         eta0 = set_up(bisect_root(lambda x0: -float(lumped @ set_up(x0)), 0.0, L))
         n = mesh.n_nodes
         cfg = RunConfig(tau=tau_tilde / 10.0, tau_tilde=tau_tilde, gate_mode="off")
-        state, _ = advance(mesh, State(eta0, np.zeros(n), np.zeros(n)), params, cfg, wind,
+        state, _ = advance(mesh, State(eta0, np.zeros(n, dtype=complex)), params, cfg, wind,
                            round(86_400.0 / tau_tilde))
-        speed = np.hypot(state.u1, state.u2)
+        speed = np.hypot(state.u.real, state.u.imag)
         return speed.max(), speed[(3_000.0 < x) & (x < 17_000.0)].max(), \
             np.max(np.abs(state.eta - eta0))
 
@@ -165,10 +166,10 @@ def test_balanced_eddy_loses_energy_first_order_in_tau_tilde():
     lumped = assemble(mesh).M_L
 
     def energy(state):
-        return 0.5 * float(lumped @ (H * (state.u1 ** 2 + state.u2 ** 2)
+        return 0.5 * float(lumped @ (H * (state.u.real ** 2 + state.u.imag ** 2)
                                      + params.g * state.eta ** 2))
 
-    start = State(eta0, u1, u2)
+    start = State(eta0, velocity(u1, u2))
     tau_tildes = [60.0, 300.0]
     ends = [advance(mesh, start, params,
                     RunConfig(tau=tau_tilde / 10.0, tau_tilde=tau_tilde, gate_mode="off"),
@@ -203,7 +204,7 @@ class TestInvariance:
         coords[interior] += rng.uniform(-20.0, 20.0, size=(interior.sum(), 2))
         tags[(coords[:, 0] == 0.0) & (tags == LAND)] = OPEN
         depth = 2.0 + 3.0 * rng.random(len(coords))
-        w0 = rng.uniform(-0.3, 0.3, len(coords)) + 1j * rng.uniform(-0.3, 0.3, len(coords))
+        w0 = velocity(rng.uniform(-0.3, 0.3, len(coords)), rng.uniform(-0.3, 0.3, len(coords)))
         eta0 = rng.uniform(-0.05, 0.05, len(coords))
         return coords, tris, depth, tags, eta0, w0
 
@@ -218,9 +219,9 @@ class TestInvariance:
         forcings = Forcings(tide=TimeSeries(times, 0.3 * np.sin(times / 400.0)),
                             wind=TimeSeries(times, np.column_stack([v.real, v.imag])))
         cfg = RunConfig(tau=10.0, tau_tilde=100.0, gate_mode="off")
-        state = State(eta0.copy(), w0.real.copy(), w0.imag.copy(), 0.0)
+        state = State(eta0.copy(), w0.copy(), 0.0)
         state, _ = advance(mesh, state, PhysicalParams(k0=k0), cfg, forcings, self.N_STEPS)
-        return state.eta, state.u1 + 1j * state.u2
+        return state.eta, state.u
 
     def assert_close(self, got, want):
         for g, w in zip(got, want):
@@ -276,7 +277,7 @@ def test_sub_cycle_under_wind_runs_below_its_real_limit(n_sub):
     max|u| = 0.286 m/s, below u_w."""
     mesh, state, params, cfg, wind = windy_basin(n_sub)
     state, _ = advance(mesh, state, params, cfg, wind, 48)
-    assert np.hypot(state.u1, state.u2).max() == pytest.approx(0.286, rel=0.01)
+    assert np.hypot(state.u.real, state.u.imag).max() == pytest.approx(0.286, rel=0.01)
 
 
 def test_sub_cycle_under_wind_diverges_past_its_real_limit():
