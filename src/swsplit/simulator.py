@@ -157,10 +157,11 @@ def stability_gate(state: State, frozen, params: PhysicalParams, tau) -> GateVer
     ``frozen`` is the sub-cycle's :func:`frozen_coefficients` pair; the
     nodal drag rate is its first factor times the speed floored at
     U_FLOOR, and the verdict is tau < min over nodes of tau_c.  tau_c is
-    evaluated at every node in one array call (it is not assumed monotone
-    in the drag); ties go to the lowest node index.
+    evaluated at every node in one array call (not assumed monotone in the
+    drag; 0 where the drag is out of range); ties go to the lowest node index.
     """
-    nodal_speed = np.sqrt(np.square(state.u.real) + np.square(state.u.imag))
+    with np.errstate(over="ignore"):   # a speed whose square overflows is out of range
+        nodal_speed = np.sqrt(np.square(state.u.real) + np.square(state.u.imag))
     floor_active = bool((nodal_speed < U_FLOOR).any())
     drag = frozen[0] * np.maximum(nodal_speed, U_FLOOR)
 

@@ -9,23 +9,28 @@ reduces to a 2x2 damping/rotation recursion with coefficients
 
 and the full three-field amplification matrix is block triangular, so
 convergence is governed by the modulus sqrt((1+alpha)^2 + beta^2) of the
-velocity eigenpair alone.  :func:`build_report` gives two verdicts:
+velocity eigenpair alone.  :func:`build_report` gives the paper's two
+verdicts: the cubic criterion a tau^3 - b tau^2 + c tau - d < 0, whose
+real root is the critical step tau_c, and the modulus criterion, modulus < 1.
+Their cubics share b, c, d, so the paper's is the stricter only while its
+leading coefficient is the larger, D^2 < 4 + k0^2 (k0 = 1e-4: 10.0 against
+12.6 s at D = 1e-3 1/s, 4.80 against 0.193 s at D = 10).  Neither is
+exact for the sub-step the code runs (:func:`source_update_matrix`), the
+map z = 1 - tau lam + tau^2 lam^2 / 2 with lam = D + i k0, whose |z| < 1
+is a third cubic with the same c, d (:func:`map_cubic_coefficients`).
+The gate takes the smaller of the paper's root and the map's: at
+k0 = 1e-4 the paper's passes steps the map amplifies above D = 2.83 1/s
+(2.58 against 0.340 s at D = 5.89) and below 5.9e-8 1/s (8890 against
+930 s at D = 1e-8).  With the drag off (D = 0) no verdict can pass.
 
-* the cubic criterion: a tau^3 - b tau^2 + c tau - d < 0 with the
-  closed-form coefficients below, whose real root is the critical step
-  tau_c (the one the simulator gate uses);
-* the modulus criterion: the modulus of the velocity eigenpair < 1.
-
-The two disagree because the cubic is not the exact expansion of the
-modulus condition.  They share b, c, d, so the cubic is the stricter
-bound only while its leading coefficient is the larger: D^2 < 4 + k0^2,
-about 2 1/s (k0 = 1e-4, tau_c 10.0 against 12.6 s at D = 1e-3); past
-that its root grows like D/2 (4.80 against 0.193 s at D = 10).  The
-modulus criterion is exact for the paper's (alpha, beta) pair only: the
-sub-step the code runs (:func:`source_update_matrix`) has the rotation
-entry tau k0 - tau^2 D k0, not beta = tau k0 - tau^2 D.  With the Chezy
-drag off (D = 0) the recursion has modulus >= 1 for every tau, so
-neither verdict can ever pass.
+Every formula here is finite, and every root accurate, on one range:
+0 <= k0 < K0_MAX = sqrt(8), where a = k0^4 + D^2 (8 - k0^2) > 0 at every
+D; D = 0 or D_MIN <= D <= D_MAX, above where a underflows or the
+bisection loses the root at k0 = 0, and below the overflow of the
+Cardano terms, which grow like D^18 (near 1e17 1/s); and tau max(1, D) <= TAU_MAX, so that tau^2 D^2 and tau^2 k0^2
+are finite.  :class:`PhysicalParams` holds k0 to it, :func:`build_report`
+refuses a point outside it, and the gate rates a node whose drag rate is
+outside it as failing: past D_MAX the map's root is below 2 / D_MAX.
 """
 from __future__ import annotations
 
@@ -35,6 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import DEFAULT_H_MIN
+
+K0_MAX = math.sqrt(8.0)   # 1/s, exclusive: sqrt(8) rounds up
+D_MIN, D_MAX = 1e-40, 1e16   # 1/s
+TAU_MAX = 1e150           # s times max(1, D in 1/s)
 
 
 @dataclass(frozen=True)
@@ -53,18 +62,12 @@ class PhysicalParams:
         if not (0 <= self.k0 < math.inf and 0 <= self.xi < math.inf
                 and 0 < self.h_min < math.inf):
             raise ValueError("k0, xi must be finite and >= 0, h_min finite and > 0")
-        # the formulas divide by k1 ** 2 and take k0 ** 4 on Python floats,
-        # where a zero divisor or a ** past the largest float raises
-        if not 0 < self.k1 * self.k1 < math.inf:
-            raise ValueError(f"k1 must have a finite, positive square: k1={self.k1!r}")
-        if not self.k0 * self.k0 * self.k0 * self.k0 < math.inf:
-            raise ValueError(f"k0 must have a finite fourth power: k0={self.k0!r}")
-        try:   # the drag rate per unit speed peaks at the clamped depth h_min
-            finite_drag = drag_coefficient(1.0, self.h_min, self) < math.inf
-        except ZeroDivisionError:   # k1^2 h_min underflows to 0
-            finite_drag = False
-        if not finite_drag:
-            raise ValueError(f"k1 must give a finite drag factor g / (k1^2 h_min): "
+        if not self.k0 < K0_MAX:
+            raise ValueError(f"k0 must be below sqrt(8) 1/s: k0={self.k0!r}")
+        # the drag rate per unit speed peaks at the clamped depth h_min
+        if not (0.0 < self.k1 * self.k1 * self.h_min < math.inf
+                and 0.0 < drag_coefficient(1.0, self.h_min, self) < math.inf):
+            raise ValueError(f"k1 must give a finite drag factor g / (k1^2 h_min) > 0: "
                              f"k1={self.k1!r}, h_min={self.h_min!r}")
 
 
@@ -174,6 +177,14 @@ def modulus_cubic_coefficients(k0, D):
     return a, b, c, d
 
 
+def map_cubic_coefficients(k0, D):
+    """Coefficients of the running map's criterion: for the eigenvalue z of
+    :func:`source_update_matrix`, |z|^2 - 1 is tau/4 times the cubic with
+    a = (D^2 + k0^2)^2, b = 4 D (D^2 + k0^2) and the c, d of :func:`cubic_coefficients`."""
+    s = D * D + k0 * k0
+    return s * s, 4.0 * D * s, 8.0 * D * D, 8.0 * D
+
+
 def _bisect_cubic(a, b, c, d):
     f = lambda t: ((a * t - b) * t + c) * t - d
     # f(0) = -d < 0: a local maximum t_max > 0 with f(t_max) > 0 brackets
@@ -182,8 +193,6 @@ def _bisect_cubic(a, b, c, d):
     t_max = (b - math.sqrt(p)) / (3.0 * a) if p > 0.0 else 0.0
     # past 1 + (|b| + c + d) / a the term a t^3 outgrows the others: f > 0
     lo, hi = 0.0, (t_max if t_max > 0.0 and f(t_max) > 0.0 else 1.0 + (abs(b) + c + d) / a)
-    if not (f(lo) < 0.0 < f(hi)):
-        raise ValueError("cubic has no sign change on the bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
@@ -194,15 +203,6 @@ def _bisect_cubic(a, b, c, d):
 
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
-
-
-def _cardano_terms(a, b, c, d):
-    """The Cardano resolvent's terms (p0, p1, disc) of a t^3 - b t^2 + c t - d:
-    p0 = -b^2 + 3ac, p1 = 2b^3 - 9abc + 27a^2 d, disc = 4 p0^3 + p1^2."""
-    p0 = -b * b + 3.0 * a * c
-    # x * x * x, not x ** 3: numpy's power is some 100 times slower on a negative base
-    p1 = 2.0 * (b * b * b) - 9.0 * a * b * c + 27.0 * a * a * d
-    return p0, p1, 4.0 * (p0 * p0 * p0) + p1 * p1
 
 
 def critical_time_step(a, b, c, d):
@@ -233,9 +233,11 @@ def critical_time_step(a, b, c, d):
         raise ValueError("no positive root: a <= 0, the leading coefficient is not positive")
     if (d <= 0.0).any():
         raise ValueError("no positive root: d <= 0, the drag rate D = d/8 is not positive")
-    p0, p1, disc = _cardano_terms(a, b, c, d)
+    p0 = -b * b + 3.0 * a * c
+    # x * x * x, not x ** 3: numpy's power is some 100 times slower on a negative base
+    p1 = 2.0 * (b * b * b) - 9.0 * a * b * c + 27.0 * a * a * d
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = p1 + np.sqrt(disc)
+        q = p1 + np.sqrt(4.0 * (p0 * p0 * p0) + p1 * p1)
         cr = np.copysign(np.abs(q) ** (1.0 / 3.0), q)
         tau_c = b / (3.0 * a) - _CBRT2 * p0 / (3.0 * a * cr) + cr / (_CBRT2 * 3.0 * a)
         residual = ((a * tau_c - b) * tau_c + c) * tau_c - d
@@ -255,61 +257,57 @@ def is_convergent_cubic(tau, k0, D):
 
 
 def critical_time_step_for_drag(k0, D):
-    """tau_c of the cubic criterion for drag rates D > 0.
+    """The gate's tau_c: the smaller of the paper's root and the running map's.
 
-    ``D`` is a scalar (returns a float) or an array (returns an array,
-    one tau_c per entry, all evaluated in one pass of
-    :func:`critical_time_step`); ``k0`` is a scalar.  A zero drag rate
-    has no critical step and raises :func:`critical_time_step`'s
-    ``ValueError``; :func:`build_report` handles D = 0 itself.
+    ``D`` is a scalar (returns a float) or an array (returns an array, one
+    tau_c per entry); ``k0`` is a scalar.  A drag rate outside [D_MIN, D_MAX]
+    gets tau_c = 0, which no step passes; a zero one raises as in
+    :func:`critical_time_step` (:func:`build_report` handles D = 0 itself).
     """
-    return critical_time_step(*cubic_coefficients(k0, D))
+    D = np.asarray(D, dtype=float)
+    flat = D.ravel()
+    inside = (D_MIN <= flat) & (flat <= D_MAX)
+    D_in = np.where(inside | (flat <= 0.0), flat, 1.0)   # D <= 0 raises below
+    tau_c = critical_time_step(*cubic_coefficients(k0, D_in))
+    # the map's root is the smaller where the map's cubic is >= 0 at the
+    # paper's root tau_c; the cubics share c and d and the paper's is 0 there,
+    # so that is (a' - a) tau_c >= b' - b: D (D^2 + 3 k0^2 - 8) tau_c >= 8 k0 (k0 - 1)
+    sel = np.flatnonzero(D_in * (D_in * D_in + (3.0 * k0 * k0 - 8.0)) * tau_c
+                         >= 8.0 * k0 * (k0 - 1.0))
+    if sel.size:
+        map_root = critical_time_step(*map_cubic_coefficients(k0, D_in[sel]))
+        tau_c[sel] = np.minimum(tau_c[sel], map_root)
+    tau_c[~inside] = 0.0
+    return float(tau_c[0]) if D.ndim == 0 else tau_c.reshape(D.shape)
 
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
-    """Evaluate every analysis quantity for one (tau, |u|, H) operating point."""
+    """Evaluate every analysis quantity for one (tau, |u|, H) operating point;
+    a point outside the module's range is refused by a ValueError naming it."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     if not 0.0 < depth < math.inf:
         raise ValueError("depth must be positive and finite")
     if not 0.0 <= speed < math.inf:
         raise ValueError("speed must be finite and >= 0")
-    try:
-        D = drag_coefficient(speed, depth, params)
-        alpha, beta = step_coefficients(tau, params.k0, D)   # tau ** 2 may overflow
-        a, b, c, d = cubic_coefficients(params.k0, D)
-        modulus_cubic = modulus_cubic_coefficients(params.k0, D)
-        finite = all(map(math.isfinite, (D, a, b, c, d, *modulus_cubic)))
-        if finite and D != 0.0:   # the Cardano terms of both roots' cubics too
-            finite = all(math.isfinite(_cardano_terms(*cubic)[2])
-                         for cubic in ((a, b, c, d), modulus_cubic))
-    except (OverflowError, ZeroDivisionError):   # a ** past the largest float, or / by 0
-        finite = False
-    point = f"operating point tau={tau!r} s, speed={speed!r} m/s, depth={depth!r} m"
-    if not finite:
-        raise ValueError(f"{point} is out of range: its drag rate, tau^2 or cubic coefficients "
-                         "are not finite")
-    if D != 0.0 and a <= 0.0:   # k0^4 + D^2 (8 - k0^2) turns negative once k0^2 > 8
-        raise ValueError(f"{point} is out of range: its cubic's leading coefficient "
-                         f"a={a!r} is not positive")
+    with np.errstate(all="ignore"):   # an overflow or a zero divisor is out of range
+        D = float(drag_coefficient(speed, np.float64(depth), params))
+    if not ((D == 0.0 or D_MIN <= D <= D_MAX) and tau * max(1.0, D) <= TAU_MAX):
+        raise ValueError(f"operating point tau={tau!r} s, speed={speed!r} m/s, depth={depth!r} m "
+                         f"is out of range: its drag rate D={D!r} 1/s must be 0 or in "
+                         f"[{D_MIN:g}, {D_MAX:g}], and tau max(1, D) <= {TAU_MAX:g}")
+    alpha, beta = step_coefficients(tau, params.k0, D)
+    a, b, c, d = cubic_coefficients(params.k0, D)
     if D == 0.0:
-        tau_c_cubic = math.nan
-        tau_c_modulus = math.nan
+        tau_c_cubic = tau_c_modulus = math.nan
     else:
         tau_c_cubic = critical_time_step(a, b, c, d)
-        tau_c_modulus = critical_time_step(*modulus_cubic)
+        tau_c_modulus = critical_time_step(*modulus_cubic_coefficients(params.k0, D))
     modulus = velocity_mode_modulus(alpha, beta)
     return StabilityReport(
-        tau=tau,
-        speed=speed,
-        depth=depth,
-        drag=D,
-        alpha=alpha,
-        beta=beta,
-        modulus=modulus,
+        tau=tau, speed=speed, depth=depth, drag=D, alpha=alpha, beta=beta, modulus=modulus,
         cubic_a=a, cubic_b=b, cubic_c=c, cubic_d=d,
-        tau_c_cubic=tau_c_cubic,
-        tau_c_modulus=tau_c_modulus,
+        tau_c_cubic=tau_c_cubic, tau_c_modulus=tau_c_modulus,
         convergent_cubic=is_convergent_cubic(tau, params.k0, D),
         convergent_modulus=modulus < 1.0,
     )

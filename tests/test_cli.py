@@ -130,12 +130,12 @@ class TestAnalyze:
         (["analyze", "--speed", "1e300", "--depth", "1e-300"], POINT),
         (["analyze", "--depth", "1e-320"], POINT),
         (["analyze", "--set", "g=1e308", "--speed", "10"], POINT),
-        # finite cubic coefficients whose Cardano terms overflow
+        # finite cubic coefficients whose Cardano terms would overflow: D > D_MAX
         (["analyze", "--speed", "1e20"], POINT),
-        (["analyze", "--set", "k0=1e70"], POINT),
-        # k0^2 > 8: the leading coefficient k0^4 + D^2 (8 - k0^2) is negative
-        (["analyze", "--set", "k0=1.98e4", "--speed", "6e13"],
-         POINT + ("leading coefficient a=-5.3",)),
+        # k0 >= sqrt(8), where the leading coefficient k0^4 + D^2 (8 - k0^2)
+        # turns negative at large D, is refused as the parameters are read
+        (["analyze", "--set", "k0=1e70"], ("k0=1e+70",)),
+        (["analyze", "--set", "k0=1.98e4", "--speed", "6e13"], ("k0=19800.0",)),
     ], ids=["tau", "k0", "k1", "run-k1", "run-k0", "speed", "speed-depth", "depth", "g",
             "speed-cardano", "k0-cardano", "k0-leading-coefficient"])
     def test_arithmetic_fault_refused(self, capsys, tmp_path, argv, names):
@@ -355,6 +355,28 @@ class TestRun:
         for gauge in ("gauge_31.csv", "gauge_59.csv"):
             assert (second / gauge).read_text().splitlines()[-5:] == \
                 (whole / gauge).read_text().splitlines()[-5:]
+
+    @pytest.mark.parametrize("u1", ["1e20", "1e160"])
+    def test_out_of_range_restart_is_a_gate_refusal(self, tmp_path, capsys, u1):
+        """A finite velocity whose drag rate is past D_MAX (1e160 m/s also
+        overflows its square) fails the gate at its node: exit 2, one line,
+        no numpy warning."""
+        argv = ["run", "-c", str(DEMO_CONFIG), "--set", "duration=1200"]
+        assert main(argv + ["--set", f"out_dir={tmp_path / 'first'}"]) == 0
+        lines = (tmp_path / "first" / "snap_4.csv").read_text().splitlines()
+        row = lines[2 + 31].split(",")
+        assert row[0] == "31"
+        row[4] = u1
+        lines[2 + 31] = ",".join(row)
+        (tmp_path / "restart.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--set", f"restart={tmp_path / 'restart.csv'}",
+                                "--set", f"out_dir={tmp_path / 'second'}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("swsplit: stability gate: ")
+        assert "at node 31 " in err[0]
 
     def test_restart_summary_covers_its_own_leg(self, tmp_path):
         """A restarted run's summary starts from the restart state: its

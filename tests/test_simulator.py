@@ -281,6 +281,23 @@ class TestStep:
         assert [name for name, _ in read] == ["gate", "work"] + ["substep"] * cfg.n_sub
         assert all(arg is (works[0] if name == "substep" else made[0]) for name, arg in read)
 
+    def test_gate_refuses_what_the_sub_step_amplifies(self):
+        # k1 = 10 over 5 cm at 3 m/s: D = 5.886 1/s, past 2 sqrt(2), where the
+        # paper's root (2.58 s) passes tau = 0.5 s that the running map
+        # amplifies; the gate rates the map's root, 0.3398 s, instead
+        params = PhysicalParams(k1=10.0)
+        mesh = rect_mesh(11, 3, 1000.0, 200.0, depth=0.05)
+        n = mesh.n_nodes
+        state = State(np.zeros(n), velocity(np.full(n, 3.0), 0.0), 0.0)
+        cfg = RunConfig(tau=0.5, tau_tilde=5.0, gate_mode="enforce")
+        with pytest.raises(GateError) as exc:
+            advance(mesh, state, params, cfg, Forcings(), 1)
+        verdict = exc.value.verdict
+        assert verdict.min_tau_c == pytest.approx(0.3398, abs=1e-4)
+        assert verdict.worst_drag == pytest.approx(5.886, abs=1e-3)
+        new, info = advance(mesh, state, params, replace(cfg, tau=0.25), Forcings(), 1)
+        assert info.gate.passed and np.isfinite(new.u).all()
+
     def test_gate_off_skips_verdict(self, params):
         mesh, state = reference_basin()
         cfg = RunConfig(tau=6.0, tau_tilde=300.0, gate_mode="off")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,7 +13,8 @@ from swsplit.stability import (PhysicalParams, build_report,
                                coupled_amplification_matrix,
                                critical_time_step, critical_time_step_for_drag,
                                cubic_coefficients, drag_coefficient,
-                               is_convergent_cubic, modulus_cubic_coefficients,
+                               is_convergent_cubic, map_cubic_coefficients,
+                               modulus_cubic_coefficients,
                                source_amplification_matrix,
                                source_update_matrix, step_coefficients,
                                velocity_mode_modulus)
@@ -268,10 +269,10 @@ class TestCriticalTimeStepArrays:
         # one entry at the reference scale and one whose root lies near
         # D/2 = 5e6 s: the array call bisects the second past 1e6 s
         drags = np.array([1e-3, 1e7])
-        tau_c = critical_time_step_for_drag(1e-4, drags)
+        tau_c = critical_time_step(*cubic_coefficients(1e-4, drags))
         for D, t in zip(drags, tau_c):
-            assert t == critical_time_step_for_drag(1e-4, float(D))
             cubic = cubic_coefficients(1e-4, float(D))
+            assert t == critical_time_step(*cubic)
             assert cubic_value(*cubic, t * (1.0 - 1e-9)) < 0.0 < \
                 cubic_value(*cubic, t * (1.0 + 1e-9))
         assert tau_c[0] == pytest.approx(10.0, rel=1e-3)
@@ -283,6 +284,56 @@ class TestCriticalTimeStepArrays:
         assert type(critical_time_step_for_drag(K0_REF, D_REF)) is float
         with pytest.raises(ValueError, match="no positive root"):
             critical_time_step(np.array([1.0, 1.0]), 3.0, 3.0, np.array([1.0, 0.0]))
+
+
+class TestGateRoot:
+    """The gate's tau_c: the smaller of the paper's root and the running map's."""
+
+    def test_map_cubic_is_the_sub_step_modulus(self, rng):
+        # |z|^2 - 1 = tau / 4 times the map's cubic, z an eigenvalue of the sub-step
+        for _ in range(200):
+            tau, k0, D = rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0)
+            rho = max(abs(np.linalg.eigvals(source_update_matrix(tau, k0, D))))
+            cubic = cubic_value(*map_cubic_coefficients(k0, D), tau)
+            assert rho ** 2 - 1.0 == pytest.approx(tau * cubic / 4.0, rel=1e-9, abs=1e-12)
+        assert map_cubic_coefficients(K0_REF, D_REF)[2:] == cubic_coefficients(K0_REF, D_REF)[2:]
+
+    @pytest.mark.parametrize("k0", [0.0, 1e-4, 1e-3])
+    def test_every_passed_step_contracts(self, k0):
+        # both gaps of the paper's root: past D = 2 sqrt(2) its root grows like
+        # D/2, and below about 5.9e-8 (k0 = 1e-4) or 3.3e-6 (k0 = 1e-3) 1/s it
+        # exceeds the map's; the grid covers the non-monotone stretch (2.2, 2.83)
+        drags = np.geomspace(1e-9, 1e3, 241)
+        tau_c = critical_time_step_for_drag(k0, drags)
+        for D, t in zip(drags, tau_c):
+            for fraction in (1e-3, 0.5, 0.999, 1.0 - 1e-6):
+                rho = max(abs(np.linalg.eigvals(source_update_matrix(fraction * t, k0, D))))
+                assert rho < 1.0, (D, fraction * t)
+
+    @pytest.mark.parametrize("k0", [0.0, 1e-4, 1e-2, 1.0, 2.8])
+    def test_is_the_smaller_root(self, k0):
+        # the one-pass selector evaluates the map's root only where it is the smaller
+        drags = np.geomspace(1e-12, 1e6, 181)
+        paper = critical_time_step(*cubic_coefficients(k0, drags))
+        running = critical_time_step(*map_cubic_coefficients(k0, drags))
+        assert np.allclose(critical_time_step_for_drag(k0, drags), np.minimum(paper, running),
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("D, tau_c", [(1e-8, 930.0), (5.886, 0.3398), (20.0, 0.1)])
+    def test_map_root_binds_in_both_gaps(self, D, tau_c):
+        assert critical_time_step_for_drag(K0_REF, D) == pytest.approx(tau_c, rel=2e-3)
+        assert critical_time_step(*cubic_coefficients(K0_REF, D)) > 2.0 * tau_c
+
+    def test_out_of_range_drag_fails_every_step(self):
+        drags = np.array([D_REF, 1e17, np.inf, np.nan, 1e-41, stability.D_MAX])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau_c = critical_time_step_for_drag(K0_REF, drags)
+        assert tau_c[0] == critical_time_step_for_drag(K0_REF, D_REF)
+        assert list(tau_c[1:5]) == [0.0] * 4
+        assert 0.0 < tau_c[5] < 2.0 / stability.D_MAX
+        with pytest.raises(ValueError, match="no positive root"):
+            critical_time_step_for_drag(K0_REF, np.array([np.inf, 0.0]))
 
 
 class TestVerdicts:
@@ -381,7 +432,8 @@ class TestSourceUpdateMatrix:
 
 
 OUT_OF_RANGE = (r"^operating point tau=.* s, speed=.* m/s, depth=.* m is out of range: "
-                r"its drag rate, tau\^2 or cubic coefficients are not finite$")
+                r"its drag rate D=.* 1/s must be 0 or in \[1e-40, 1e\+16\], "
+                r"and tau max\(1, D\) <= 1e\+150$")
 
 
 class TestBuildReport:
@@ -432,10 +484,13 @@ def test_params_validation():
         PhysicalParams(k1=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(k0=-1e-4)
-    # the formulas take k1 ** 2 and k0 ** 4: both must be finite, k1 ** 2 > 0
-    for key, value in (("k1", 1e200), ("k1", 1e-200), ("k0", 1.2e77)):
-        with pytest.raises(ValueError, match=f"^{key} must have a finite"):
+    # k1 must give a finite drag factor g / (k1^2 h_min) > 0, and k0 < sqrt(8)
+    for key, value, rule in (("k1", 1e200, "give a finite drag factor"),
+                             ("k1", 1e-200, "give a finite drag factor"),
+                             ("k0", 1.2e77, "be below sqrt\\(8\\)")):
+        with pytest.raises(ValueError, match=f"^{key} must {rule}") as exc:
             PhysicalParams(**{key: value})
+        assert f"{key}={value!r}" in str(exc.value)
 
 
 @pytest.mark.parametrize("values", [{"k1": 1e-160}, {"k1": 1e-150, "h_min": 1e-300}],
@@ -458,3 +513,41 @@ def test_params_refuse_infinite_drag_factor(values):
 def test_params_non_finite_rejected(name, message, value):
     with pytest.raises(ValueError, match=message):
         PhysicalParams(**{name: value})
+
+
+# log-uniform over every float from the subnormals to 1e308
+extreme = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tau=extreme, speed=st.one_of(st.just(0.0), extreme), depth=extreme,
+       k0=st.one_of(st.just(0.0), extreme), k1=extreme)
+@example(tau=1e300, speed=0.0, depth=0.1, k0=0.0, k1=40.0)   # tau ** 2 overflows
+def test_extreme_inputs_stay_in_range(tau, speed, depth, k0, k1):
+    # inside the range every field is finite (the roots nan only at D = 0);
+    # outside it one one-line ValueError, never a warning or another error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = build_report(tau, speed, depth, PhysicalParams(k0=k0, k1=k1))
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            return
+    roots = (report.tau_c_cubic, report.tau_c_modulus)
+    others = [v for k, v in vars(report).items() if k not in ("tau_c_cubic", "tau_c_modulus")]
+    assert all(math.isfinite(v) for v in others)
+    assert all(math.isnan(r) for r in roots) if report.drag == 0.0 else \
+        all(0.0 < r < math.inf for r in roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drags=arrays(float, st.integers(1, 20), elements=st.one_of(extreme, st.just(np.inf))),
+       k0=st.one_of(st.just(0.0), st.floats(-320.0, 0.45).map(lambda e: 10.0 ** e)))
+def test_gate_root_of_extreme_drags(drags, k0):
+    # every positive drag rate gets a finite tau_c >= 0, 0 outside the range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau_c = critical_time_step_for_drag(k0, drags)
+    inside = (stability.D_MIN <= drags) & (drags <= stability.D_MAX)
+    assert np.all(tau_c[~inside] == 0.0) and np.all(tau_c[inside] > 0.0)
+    assert np.all(np.isfinite(tau_c))
