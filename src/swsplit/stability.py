@@ -9,19 +9,17 @@ reduces to a 2x2 damping/rotation recursion with coefficients
 
 and the full three-field amplification matrix is block triangular, so
 convergence is governed by the modulus sqrt((1+alpha)^2 + beta^2) of the
-velocity eigenpair alone.  :func:`build_report` gives the paper's two
-verdicts: the cubic criterion a tau^3 - b tau^2 + c tau - d < 0, whose
-real root is the critical step tau_c, and the modulus criterion, modulus < 1.
-Their cubics share b, c, d, so the paper's is the stricter only while its
-leading coefficient is the larger, D^2 < 4 + k0^2 (k0 = 1e-4: 10.0 against
-12.6 s at D = 1e-3 1/s, 4.80 against 0.193 s at D = 10).  Neither is
-exact for the sub-step the code runs (:func:`source_update_matrix`), the
-map z = 1 - tau lam + tau^2 lam^2 / 2 with lam = D + i k0, whose |z| < 1
-is a third cubic with the same c, d (:func:`map_cubic_coefficients`).
-The gate takes the smaller of the paper's root and the map's: at
-k0 = 1e-4 the paper's passes steps the map amplifies above D = 2.83 1/s
-(2.58 against 0.340 s at D = 5.89) and below 5.9e-8 1/s (8890 against
-930 s at D = 1e-8).  With the drag off (D = 0) no verdict can pass.
+velocity eigenpair alone.  The paper's criterion is the cubic
+a tau^3 - b tau^2 + c tau - d < 0, whose real root is the critical step
+tau_c.  It is not exact for the sub-step the code runs
+(:func:`source_update_matrix`), the map z = 1 - tau lam + tau^2 lam^2 / 2
+with lam = D + i k0, whose |z| < 1 is a second cubic with the same c, d
+(:func:`map_cubic_coefficients`).  The gate takes the smaller of the two
+roots (:func:`critical_time_step_for_drag`): at k0 = 1e-4 the paper's
+passes steps the map amplifies above D = 2.83 1/s (2.58 against 0.340 s
+at D = 5.89) and below 5.9e-8 1/s (8890 against 930 s at D = 1e-8).
+:func:`build_report` gives the paper's verdict next to the gate's.  With
+the drag off (D = 0) neither can pass.
 
 Every formula here is finite, and every root accurate, on one range:
 0 <= k0 < K0_MAX = sqrt(8), where a = k0^4 + D^2 (8 - k0^2) > 0 at every
@@ -87,9 +85,9 @@ class StabilityReport:
     cubic_c: float
     cubic_d: float
     tau_c_cubic: float                # nan when D == 0 (never convergent)
-    tau_c_modulus: float
+    tau_c_gate: float                 # the gate's root; nan when D == 0
     convergent_cubic: bool
-    convergent_modulus: bool
+    convergent_gate: bool
 
 
 def drag_coefficient(speed, H, params: PhysicalParams):
@@ -165,18 +163,6 @@ def cubic_coefficients(k0, D):
     return a, b, c, d
 
 
-def modulus_cubic_coefficients(k0, D):
-    """Exact-expansion variant of the cubic; only the t^3 coefficient differs.
-
-    Expanding (1+alpha)^2 + beta^2 < 1 and dividing by tau gives the same
-    b, c, d as :func:`cubic_coefficients` with leading coefficient
-    (D^2 - k0^2)^2 + 4 D^2.
-    """
-    a = (D ** 2 - k0 ** 2) ** 2 + 4.0 * D ** 2
-    _, b, c, d = cubic_coefficients(k0, D)
-    return a, b, c, d
-
-
 def map_cubic_coefficients(k0, D):
     """Coefficients of the running map's criterion: for the eigenvalue z of
     :func:`source_update_matrix`, |z|^2 - 1 is tau/4 times the cubic with
@@ -199,7 +185,13 @@ def _bisect_cubic(a, b, c, d):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi)
+    # below 2^-200 of the bracket, or with underflowed coefficients, the
+    # bisection stops at a point where f does not change sign
+    if not f(t * (1.0 - 1e-9)) < 0.0 < f(t * (1.0 + 1e-9)):
+        raise ValueError(f"no positive root resolved in floating point: a={a:.17g}, "
+                         f"b={b:.17g}, c={c:.17g}, d={d:.17g} lie outside the stated range")
+    return t
 
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -214,17 +206,19 @@ def critical_time_step(a, b, c, d):
         tau_c = b/(3a) - 2^(1/3) (-b^2 + 3 a c) / (3 a q^(1/3))
                 + q^(1/3) / (2^(1/3) 3 a)
 
-    with real cube roots.  A negative discriminant (three real roots), a
-    vanishing resolvent or a failed residual check falls back to bisection
-    for the smallest positive root; a triple root (q = 0 = -b^2 + 3ac) is b/(3a).
+    with real cube roots.  A triple root (q = 0 = -b^2 + 3ac) is b/(3a).
+    A negative discriminant (three real roots), a vanishing resolvent or a
+    failed residual check, the triple root's included, falls back to
+    bisection for the smallest positive root.
 
     The coefficients may be scalars or broadcastable numpy arrays: scalar
     inputs return a float, array inputs an array of roots, one per entry,
     and only the entries that need it are bisected.
 
     Raises ``ValueError``, naming the condition, when any entry has
-    a <= 0 or d <= 0 (the D = 0 regime: the scheme is never convergent);
-    either leaves no positive root.
+    a <= 0 or d <= 0 (the D = 0 regime: the scheme is never convergent),
+    either of which leaves no positive root, or when the bisected root is
+    not a sign change of the cubic.
     """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
@@ -240,11 +234,11 @@ def critical_time_step(a, b, c, d):
         q = p1 + np.sqrt(4.0 * (p0 * p0 * p0) + p1 * p1)
         cr = np.copysign(np.abs(q) ** (1.0 / 3.0), q)
         tau_c = b / (3.0 * a) - _CBRT2 * p0 / (3.0 * a * cr) + cr / (_CBRT2 * 3.0 * a)
+        tau_c = np.where((q == 0.0) & (p0 == 0.0), b / (3.0 * a), tau_c)
         residual = ((a * tau_c - b) * tau_c + c) * tau_c - d
-    triple = (q == 0.0) & (p0 == 0.0)
-    tau_c = np.where(triple, b / (3.0 * a), tau_c)
-    # a negative discriminant leaves tau_c nan, which fails tau_c > 0
-    ok = triple | ((q != 0.0) & (tau_c > 0.0) & (np.abs(residual) < 1e-9 * d))
+    # a negative discriminant leaves tau_c nan and a vanishing resolvent
+    # an infinite one, which fail; underflowed terms can fake a triple root
+    ok = (tau_c > 0.0) & (np.abs(residual) < 1e-9 * d)
     for i in np.flatnonzero(~ok):
         tau_c[i] = _bisect_cubic(a[i], b[i], c[i], d[i])
     return float(tau_c[0]) if shape == () else tau_c.reshape(shape)
@@ -283,7 +277,10 @@ def critical_time_step_for_drag(k0, D):
 
 def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
     """Evaluate every analysis quantity for one (tau, |u|, H) operating point;
-    a point outside the module's range is refused by a ValueError naming it."""
+    a point outside the module's range is refused by a ValueError naming it.
+
+    The gate's fields rate the speed given; the gate itself floors each
+    node's speed at ``simulator.U_FLOOR`` first."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     if not 0.0 < depth < math.inf:
@@ -299,15 +296,15 @@ def build_report(tau, speed, depth, params: PhysicalParams) -> StabilityReport:
     alpha, beta = step_coefficients(tau, params.k0, D)
     a, b, c, d = cubic_coefficients(params.k0, D)
     if D == 0.0:
-        tau_c_cubic = tau_c_modulus = math.nan
+        tau_c_cubic = tau_c_gate = math.nan
     else:
         tau_c_cubic = critical_time_step(a, b, c, d)
-        tau_c_modulus = critical_time_step(*modulus_cubic_coefficients(params.k0, D))
-    modulus = velocity_mode_modulus(alpha, beta)
+        tau_c_gate = critical_time_step_for_drag(params.k0, D)
     return StabilityReport(
-        tau=tau, speed=speed, depth=depth, drag=D, alpha=alpha, beta=beta, modulus=modulus,
+        tau=tau, speed=speed, depth=depth, drag=D, alpha=alpha, beta=beta,
+        modulus=velocity_mode_modulus(alpha, beta),
         cubic_a=a, cubic_b=b, cubic_c=c, cubic_d=d,
-        tau_c_cubic=tau_c_cubic, tau_c_modulus=tau_c_modulus,
+        tau_c_cubic=tau_c_cubic, tau_c_gate=tau_c_gate,
         convergent_cubic=is_convergent_cubic(tau, params.k0, D),
-        convergent_modulus=modulus < 1.0,
+        convergent_gate=tau < tau_c_gate,
     )

@@ -62,14 +62,15 @@ class TestAnalyze:
         assert float(values["alpha"]) == report.alpha
         assert float(values["beta"]) == report.beta
         assert float(values["tau_c_cubic"]) == report.tau_c_cubic
-        assert float(values["tau_c_modulus"]) == report.tau_c_modulus
+        assert float(values["tau_c_gate"]) == report.tau_c_gate
+        assert values["convergent_gate"] == str(report.convergent_gate).lower()
 
     def test_zero_speed_never_convergent(self, capsys):
         assert main(["analyze", "--machine", "--speed", "0"]) == 0
         values = machine_map(capsys)
         assert values["convergent_cubic"] == "false"
-        assert values["convergent_modulus"] == "false"
-        assert values["tau_c_cubic"] == "nan"
+        assert values["convergent_gate"] == "false"
+        assert values["tau_c_cubic"] == values["tau_c_gate"] == "nan"
         assert float(values["drag"]) == 0.0
 
     def test_zero_speed_table_notes_zero_drag(self, capsys):
@@ -602,9 +603,9 @@ class TestFormats:
             "cubic_c=0.00030073781250000004",
             "cubic_d=0.04905",
             "tau_c_cubic=5.409046260057776",
-            "tau_c_modulus=6.799675976782087",
+            "tau_c_gate=5.409046260057776",
             "convergent_cubic=true",
-            "convergent_modulus=true",
+            "convergent_gate=true",
         ]
 
     def test_analyze_keys_are_report_fields(self, capsys):

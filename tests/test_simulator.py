@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from swsplit.mesh import OPEN, build_mesh, parse_rows
 from swsplit.simulator import (U_FLOOR, GateError, OutputWriter, RunConfig,
                                key_value_lines, load_snapshot, mass_integral, run,
                                stability_gate)
-from swsplit.stability import (PhysicalParams, critical_time_step_for_drag,
+from swsplit.stability import (PhysicalParams, build_report, critical_time_step_for_drag,
                                drag_coefficient, source_update_matrix)
 from swsplit.state import State, initial_state
 
@@ -209,6 +210,48 @@ class TestStabilityGate:
         assert verdict.min_tau_c == pytest.approx(worst[0], rel=1e-12)
         assert verdict.worst_drag == worst[2]
         assert verdict.floor_active == floor_active
+
+
+def uniform_gate(tau, speed, depth, params):
+    """The gate's verdict on a state of uniform ``speed`` over ``depth`` m of water."""
+    mesh = rect_mesh(3, 3, 100.0, 100.0, depth=depth)
+    state = State(np.zeros(mesh.n_nodes), velocity(np.full(mesh.n_nodes, speed), 0.0), 0.0)
+    return gate(state, mesh, params, tau)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestReportMatchesGate:
+    """``build_report``'s gate fields are the verdict a run enforces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau=log_uniform(1e-3, 1e5), speed=log_uniform(U_FLOOR, 1e3),
+           depth=log_uniform(0.05, 1e4), k1=log_uniform(1.0, 1e3))
+    def test_root_and_verdict(self, tau, speed, depth, k1):
+        # D is g s / (k1^2 H) in the report and (g / (k1^2 h)) s in the
+        # gate: the roots may differ in the last bit, the verdicts only at a tie
+        params = PhysicalParams(k1=k1)
+        report = build_report(tau, speed, depth, params)
+        verdict = uniform_gate(tau, speed, depth, params)
+        assert report.tau_c_gate == pytest.approx(verdict.min_tau_c, rel=1e-12, abs=0.0)
+        if abs(tau - verdict.min_tau_c) > 1e-12 * verdict.min_tau_c:
+            assert report.convergent_gate == verdict.passed
+
+    @pytest.mark.parametrize("tau, speed, depth, k1, paper, running", [
+        (0.5, 3.0, 0.05, 10.0, 2.581, 0.3398),         # D = 5.886 1/s
+        (1000.0, 1e-3, 613.125, 40.0, 8890.0, 930.0),   # D = 1e-8 1/s
+    ], ids=["high-drag", "low-drag"])
+    def test_map_root_binds_in_the_gaps(self, tau, speed, depth, k1, paper, running):
+        # the paper's cubic passes tau, the running map's root refuses it
+        params = PhysicalParams(k1=k1)
+        report = build_report(tau, speed, depth, params)
+        verdict = uniform_gate(tau, speed, depth, params)
+        assert report.tau_c_cubic == pytest.approx(paper, rel=2e-3) and report.convergent_cubic
+        assert report.tau_c_gate == pytest.approx(running, rel=2e-3)
+        assert report.tau_c_gate == pytest.approx(verdict.min_tau_c, rel=1e-12, abs=0.0)
+        assert not report.convergent_gate and not verdict.passed
 
 
 class TestStep:

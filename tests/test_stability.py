@@ -14,7 +14,6 @@ from swsplit.stability import (PhysicalParams, build_report,
                                critical_time_step, critical_time_step_for_drag,
                                cubic_coefficients, drag_coefficient,
                                is_convergent_cubic, map_cubic_coefficients,
-                               modulus_cubic_coefficients,
                                source_amplification_matrix,
                                source_update_matrix, step_coefficients,
                                velocity_mode_modulus)
@@ -168,6 +167,16 @@ class TestCriticalTimeStep:
 
     def test_triple_root(self):
         assert critical_time_step(1.0, 3.0, 3.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("D", [1e-300, 1e-200])
+    def test_underflowed_cubic_raises(self, D):
+        # below D_MIN the cubic's terms underflow: at 1e-300 into a false
+        # triple root (true root 4.3e-95 s), at 1e-200 into a Cardano root
+        # that fails the residual test and a true root (9.3e-62 s) below
+        # the bisection's resolution; neither may return a wrong root
+        with pytest.raises(ValueError, match="^no positive root resolved") as exc:
+            critical_time_step(*cubic_coefficients(K0_REF, D))
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("cubic, root", [
         ((1.0, 1040.5, 40520.0, 20000.0), 0.5),   # roots 0.5, 40 and 1000
@@ -378,24 +387,15 @@ class TestVerdicts:
             excess = (1 + alpha) ** 2 + beta ** 2 - 1.0
             assert excess == pytest.approx(tau ** 4 * K0_REF ** 4 / 4.0, rel=1e-6)
 
-    def test_modulus_critical_step_by_bisection(self):
-        tau_star = critical_time_step(*modulus_cubic_coefficients(K0_REF, D_REF))
-
-        def excess(tau):
-            alpha, beta = step_coefficients(tau, K0_REF, D_REF)
-            return (1 + alpha) ** 2 + beta ** 2 - 1.0
-
-        oracle = bisect_root(excess, 1e-3, 100.0)
-        assert tau_star == pytest.approx(oracle, abs=1e-6)
-        assert tau_star == pytest.approx(6.80, abs=0.01)
-
     def test_cubic_gate_is_stricter(self, rng):
-        # physical regime: the cubic's real root sits below the modulus one
+        # physical regime: the paper's root sits below the running map's,
+        # so there the gate's root is the paper's
         for _ in range(200):
             k0 = rng.uniform(0.0, 1e-3)
             D = rng.uniform(1e-4, 0.1)
-            assert critical_time_step(*cubic_coefficients(k0, D)) < \
-                critical_time_step(*modulus_cubic_coefficients(k0, D))
+            paper = critical_time_step(*cubic_coefficients(k0, D))
+            assert paper < critical_time_step(*map_cubic_coefficients(k0, D))
+            assert critical_time_step_for_drag(k0, D) == paper
 
 
 class TestSourceUpdateMatrix:
@@ -441,15 +441,16 @@ class TestBuildReport:
         r = build_report(3.0, 0.1, 0.1, params)
         assert r.drag == pytest.approx(D_REF, rel=1e-12)
         assert r.tau_c_cubic == pytest.approx(5.41, abs=0.02)
-        assert r.convergent_cubic and r.convergent_modulus
+        assert r.convergent_cubic and r.convergent_gate
         assert r.modulus == velocity_mode_modulus(r.alpha, r.beta)
-        assert r.convergent_modulus == (r.modulus < 1.0)
+        assert r.tau_c_gate == critical_time_step_for_drag(K0_REF, r.drag)
+        assert r.convergent_gate == (r.tau < r.tau_c_gate)
 
     def test_zero_speed_report(self, params):
         r = build_report(3.0, 0.0, 0.1, params)
         assert r.drag == 0.0
-        assert math.isnan(r.tau_c_cubic) and math.isnan(r.tau_c_modulus)
-        assert not r.convergent_cubic and not r.convergent_modulus
+        assert math.isnan(r.tau_c_cubic) and math.isnan(r.tau_c_gate)
+        assert not r.convergent_cubic and not r.convergent_gate
 
     def test_invalid_inputs(self, params):
         with pytest.raises(ValueError):
@@ -533,8 +534,8 @@ def test_extreme_inputs_stay_in_range(tau, speed, depth, k0, k1):
         except ValueError as exc:
             assert "\n" not in str(exc)
             return
-    roots = (report.tau_c_cubic, report.tau_c_modulus)
-    others = [v for k, v in vars(report).items() if k not in ("tau_c_cubic", "tau_c_modulus")]
+    roots = (report.tau_c_cubic, report.tau_c_gate)
+    others = [v for k, v in vars(report).items() if k not in ("tau_c_cubic", "tau_c_gate")]
     assert all(math.isfinite(v) for v in others)
     assert all(math.isnan(r) for r in roots) if report.drag == 0.0 else \
         all(0.0 < r < math.inf for r in roots)
