@@ -182,35 +182,34 @@ def parse_rows(path, lines, first, count, kinds, what, error, delimiter=None):
     """Data lines ``first .. first + count - 1`` as one structured array
     of fields typed ``kinds``, split on ``delimiter`` (None: whitespace).
 
-    The block is converted in one call.  Only when that raises is the
-    first offending line looked for, by halving the block with the same
-    conversion, so the ``error`` raised names its file line and field.
+    The block is converted in one call.  Only when that raises are its
+    lines walked in order, each field read by :func:`parse_number`, the
+    rule config numbers follow too; the ``error`` raised names the file
+    line and field of the first line with a wrong field count or a
+    refused field.  If no line is refused, numpy's error is raised.
     """
     row = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
     block = lines[first:first + count]
     try:
         return np.loadtxt(block, dtype=row, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError:
-        pass
-    lo, hi = 0, count                   # block[lo:hi] holds the first bad line
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _converts(block[lo:mid], row, delimiter):
-            lo = mid
+        for offset, line in enumerate(block):
+            tokens = line.rstrip("\n").split(delimiter)
+            if len(tokens) != len(kinds):
+                problem = f"expected {what} ({len(kinds)} fields), got {len(tokens)}"
+                break
+            try:
+                for tok, kind in zip(tokens, kinds):
+                    parse_number(tok, kind)
+            except ValueError:
+                problem = f"bad value {tok!r} in {what}"   # the first refused field
+                break
         else:
-            hi = mid
+            raise
     with open(path) as fh:             # number the bad line by reading the file again
         numbered = (n for n, line in enumerate(fh, 1) if is_data_line(line))
-        lineno = next(itertools.islice(numbered, first + lo, None))
-    tokens = block[lo].rstrip("\n").split(delimiter)
-    if len(tokens) != len(kinds):
-        raise error(f"{path}:{lineno}: expected {what} "
-                    f"({len(kinds)} fields), got {len(tokens)}")
-    # an empty field would read as no line at all, so it is bad by itself
-    bad = next((tok for tok, kind in zip(tokens, kinds)
-                if not (tok.strip() and _converts([tok], kind, delimiter))),
-               block[lo].strip())
-    raise error(f"{path}:{lineno}: bad value {bad!r} in {what}")
+        lineno = next(itertools.islice(numbered, first + offset, None))
+    raise error(f"{path}:{lineno}: {problem}")
 
 
 def parse_number(text, kind=float):
@@ -224,14 +223,6 @@ def parse_number(text, kind=float):
             if kind is float or np.iinfo(kind).min <= value <= np.iinfo(kind).max:
                 return value
     raise ValueError(f"not {'an integer' if kind is int else 'a number'}: {text!r}")
-
-
-def _converts(lines, dtype, delimiter):
-    try:
-        np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
-    except ValueError:
-        return False
-    return True
 
 
 def _boundary_edges(triangles, n_nodes):

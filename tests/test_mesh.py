@@ -350,6 +350,56 @@ class TestOneNumberRule:
         assert str(excinfo.value) == message
 
 
+def refused_as_float(token):
+    try:
+        parse_number(token)
+    except ValueError:
+        return True
+    return False
+
+
+class TestRefusedBlockWalk:
+    """A block numpy refuses is walked line by line with
+    :func:`parse_number`, and the walk stops at the first line numpy's
+    conversion fails on."""
+
+    def table(self, tmp_path, rows, delimiter):
+        path = tmp_path / "table.txt"
+        sep = delimiter or " "
+        # a comment and a blank line first: row n, counted from 1, is file line n + 2
+        path.write_text("# table\n\n" + "".join(f"{i + 1}{sep}{v}\n" for i, v in enumerate(rows)))
+        return path
+
+    def refusal(self, path, delimiter):
+        lines = data_lines(path)
+        with pytest.raises(ValueError) as excinfo:
+            parse_rows(path, lines, 0, len(lines), (int, float), "row", ValueError, delimiter)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("delimiter", [",", None], ids=["comma", "blank"])
+    @pytest.mark.parametrize("token", [t for t in NUMBER_TOKENS if refused_as_float(t)])
+    def test_refused_token_names_its_row(self, tmp_path, token, delimiter):
+        path = self.table(tmp_path, ["0.5", token, "2.5"], delimiter)
+        assert self.refusal(path, delimiter).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("delimiter", [",", None], ids=["comma", "blank"])
+    @pytest.mark.parametrize("second, third", [("x", "y"), ("x", "1 2 3"), ("1_0", "0x1")])
+    def test_first_of_two_bad_rows(self, tmp_path, second, third, delimiter):
+        path = self.table(tmp_path, ["0.5", second, third.replace(" ", delimiter or " ")],
+                          delimiter)
+        assert self.refusal(path, delimiter) == f"{path}:4: bad value {second!r} in row"
+
+    def test_last_row_of_a_long_snapshot(self, tmp_path):
+        mesh = rect_mesh(60, 50, 6.0, 5.0)                 # 3000 nodes
+        rows = [f"{i},{x!r},{y!r},0.0,0.0,0.0" for i, (x, y) in enumerate(mesh.coords.tolist())]
+        rows[-1] = rows[-1][:-len("0.0")] + "x"            # the last row's u2
+        path = tmp_path / "snap.csv"
+        path.write_text("\n".join(["# t=0.0", "node,x1,x2,eta,u1,u2"] + rows) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_snapshot(path, mesh)
+        assert str(excinfo.value) == f"{path}:{mesh.n_nodes + 2}: bad value 'x' in snapshot row"
+
+
 # The data-line pattern the table reader once matched against the whole
 # file text; it stays here as the oracle for the line-by-line rule.
 OLD_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
